@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -43,11 +42,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("--csv", action="store_true", help="emit CSV")
     p.add_argument("--out", metavar="PATH", help="write output to a file")
-    p.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("GRADUS_THREADS", "0") or 0),
-        help="worker threads (0 = auto); accepted for compatibility",
-    )
     p.add_argument(
         "--allow-huge", action="store_true",
         help="permit rank-8 inputs (E8 sweeps are not desk-sized)",
@@ -157,7 +151,9 @@ def _human_lines(payload: dict, indent: str = "") -> list[str]:
 
 
 def _emit(args: argparse.Namespace, payload: dict,
-          rows: Optional[list[dict]] = None) -> None:
+          rows: Optional[list[dict]] = None,
+          lines: Optional[list[str]] = None) -> None:
+    """The one writer of --out and stdout: payload as JSON, CSV or text."""
     if args.json:
         text = json.dumps(payload, indent=1) + "\n"
     elif args.csv:
@@ -174,7 +170,7 @@ def _emit(args: argparse.Namespace, payload: dict,
         writer.writerows(table)
         text = buf.getvalue()
     else:
-        text = "\n".join(_human_lines(payload)) + "\n"
+        text = "\n".join(_human_lines(payload) if lines is None else lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -411,22 +407,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for r in results
         ],
     }
-    rows = payload["checks"]
-    if args.json or args.csv:
-        _emit(args, payload, rows)
-    else:
+    lines = None
+    if not (args.json or args.csv):
         lines = []
         for r in results:
             status = "  ok  " if r.ok else " FAIL "
             tail = f" -- {r.detail}" if (r.detail and not r.ok) else ""
             lines.append(f"[{status}] {r.suite:<10} {r.subject:<16} {r.name}{tail}")
         lines.append(f"{len(results)} checks, {len(failures)} failures")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+    _emit(args, payload, payload["checks"], lines)
     return 1 if failures else 0
 
 
@@ -443,8 +432,6 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 0:
-        parser.error("--threads must be nonnegative")
     if args.json and args.csv:
         parser.error("choose at most one of --json and --csv")
     try:

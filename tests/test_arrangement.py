@@ -1,8 +1,13 @@
+import numpy as np
 import pytest
 from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
 
 from gradus.arrangement import (
     Arrangement,
+    _point_count,
     arrangement_report,
     char_poly,
     conjectural_exponents,
@@ -20,6 +25,7 @@ from gradus.arrangement import (
     upper_ideals_of_root_poset,
     zaslavsky_regions,
 )
+from gradus.checks import default_types, sweep_gradings
 from gradus.grading import parse_grading_spec
 from gradus.ideals import count_lower_ideals, weight_poset
 from gradus.polys import from_int_roots
@@ -206,3 +212,66 @@ def test_ideal_arrangement_validates_mask():
     with pytest.raises(ValueError):
         ideal_arrangement(rs, low)
     assert theta_bit in ups
+
+
+def _brute_point_count(normals, n, q):
+    """#{x in F_q^n : <x, gamma> != 0 for all normals}, with x written in
+    coweight coordinates so each functional has the root's integer coords."""
+    total = q**n
+    count = 0
+    chunk = 1 << 21
+    rows = [g.coords for g in normals]
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = []
+        rem = idx
+        for _ in range(n):
+            digits.append(rem % q)
+            rem = rem // q
+        ok = np.ones(idx.shape, dtype=bool)
+        for row in rows:
+            acc = np.zeros(idx.shape, dtype=np.int64)
+            for c, col in zip(row, digits):
+                if c:
+                    acc += c * col
+            ok &= (acc % q) != 0
+        count += int(ok.sum())
+    return count
+
+
+@pytest.mark.parametrize("name", default_types(3))
+def test_point_count_matches_brute_force_up_to_rank_3(name):
+    rs = build(name)
+    arrangements = [coxeter_arrangement(rs), deleted_arrangement(rs)]
+    arrangements += [sub_arrangement_01(g) for g in sweep_gradings(rs)]
+    # 2 and 3 divide some root coordinates, which then vanish mod q
+    for q in [2, 3] + good_primes(rs, rs.rank + 2):
+        for arr in arrangements:
+            assert _point_count(arr.normals, rs.rank, q) == _brute_point_count(
+                arr.normals, rs.rank, q
+            ), (str(arr.normals), q)
+
+
+@lru_cache(maxsize=None)
+def _with_first_good_prime(name):
+    rs = build(name)
+    return rs, good_primes(rs, 1)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A4", "B4", "D4", "F4"]), st.data())
+def test_point_count_matches_brute_force_on_root_subsets(name, data):
+    rs, q = _with_first_good_prime(name)
+    picked = data.draw(
+        st.lists(st.sampled_from(rs.positive_roots), min_size=1, unique=True)
+    )
+    assert _point_count(picked, rs.rank, q) == _brute_point_count(picked, rs.rank, q)
+
+
+def test_point_count_rank_one_and_empty():
+    rs = build("A1")
+    for q in (2, 3, 5, 7):
+        assert _point_count(rs.positive_roots, 1, q) == q - 1
+        assert _brute_point_count(rs.positive_roots, 1, q) == q - 1
+    for n, q in [(1, 5), (2, 7), (4, 13)]:
+        assert _point_count((), n, q) == q**n == _brute_point_count((), n, q)
