@@ -137,13 +137,9 @@ def regions_in_dominant_chamber(g: Grading) -> list[Region]:
     p = ideals_mod.weight_poset(g, 1)
     out = []
     for tau_mask in sorted(table.by_tau):
-        mask = 0
-        for j, k in enumerate(p.positive_index):
-            if tau_mask >> k & 1:
-                mask |= 1 << j
         out.append(
             Region(
-                ideal=Ideal(p, mask),
+                ideal=Ideal(p, p.poset_mask(tau_mask)),
                 chambers=[table.entries[k].element for k in table.by_tau[tau_mask]],
             )
         )
@@ -157,7 +153,9 @@ def geometric_sign_oracle(
     interior point: the inverse image of the sum of fundamental coweights.
 
     In coweight coordinates that point is the vector of column sums of the
-    matrix of w, so each sign is an exact integer dot product.
+    matrix of w (the heights of the w(alpha_j)), so each sign is an exact
+    integer dot product.  It reads only w.matrix, never the inversion set,
+    so it is a second route to the signs that inversion masks give.
     """
     if normals is None:
         normals = sub_arrangement_01(g).normals

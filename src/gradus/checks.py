@@ -450,11 +450,7 @@ def suite_biconvex(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Chec
                     bad_layer = bad_layer or f"{ideal}: layer {k} leaves level {k}"
                 elif k >= 1 and layer:
                     pk = ideals_mod.weight_poset(g, k)
-                    local = 0
-                    for j, idx in enumerate(pk.positive_index):
-                        if layer >> idx & 1:
-                            local |= 1 << j
-                    if not pk.is_lower_mask(local):
+                    if not pk.is_lower_mask(pk.poset_mask(layer)):
                         bad_layer = bad_layer or f"{ideal}: layer {k} not a lower ideal"
             closed = weyl_mod.closure_mask(rs, pos) if pos else 0
             if not weyl_mod.is_biconvex(rs, closed):

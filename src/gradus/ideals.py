@@ -136,6 +136,15 @@ class WeightPoset:
                 out |= 1 << self.positive_index[j]
         return out
 
+    def poset_mask(self, pos_mask: int) -> int:
+        """Restrict a mask over all positive roots to this slice, as a poset
+        mask; the inverse of positive_mask."""
+        out = 0
+        for j, k in enumerate(self.positive_index):
+            if pos_mask >> k & 1:
+                out |= 1 << j
+        return out
+
     def __repr__(self) -> str:
         return f"WeightPoset({self.grading.spec_string()}, level={self.level})"
 
@@ -281,10 +290,10 @@ def _dual_permutation(p: WeightPoset) -> tuple[int, ...]:
     from . import weyl
 
     w0p = weyl.longest_element(p.grading.rs, p.grading.pi0)
+    local = {k: j for j, k in enumerate(p.positive_index)}
     perm = []
-    for r in p.elements:
-        image = w0p.apply(r)
-        j = p.index.get(image.coords)
+    for k in p.positive_index:
+        j = local.get(w0p.perm[k])
         if j is None:
             raise AssertionError("parabolic longest element must preserve the slice")
         perm.append(j)

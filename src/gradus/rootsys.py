@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
 Q = Fraction
@@ -306,6 +306,28 @@ class RootSystem:
         return tuple(tuple(row[i] for row in inv) for i in range(self.rank))
 
     @cached_property
+    def reflection_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row i maps the index of each root in roots() to the index of its
+        image under s_i; index k + N is the negative of positive root k."""
+        roots = self.roots()
+        where = {r.coords: k for k, r in enumerate(roots)}
+        rows = []
+        for i, a in enumerate(self.cartan_matrix):
+            row = []
+            for r in roots:
+                # s_i(gamma) = gamma - <gamma, alpha_i^vee> alpha_i
+                c = list(r.coords)
+                c[i] -= sum(x * y for x, y in zip(a, r.coords))
+                row.append(where[tuple(c)])
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def simple_indices(self) -> tuple[int, ...]:
+        """Index of each simple root alpha_i in roots()."""
+        return tuple(self.index[a.coords] for a in self.simple_roots)
+
+    @cached_property
     def sum_table(self) -> dict[tuple[int, int], int]:
         """(i, j) -> k over positive-root indices with root_i+root_j = root_k,
         stored for i <= j."""
@@ -349,6 +371,13 @@ def _invert(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
 
 
 def build(cartan_type: CartanType | str) -> RootSystem:
+    """The root system of a type, built once per type: its derived tables are
+    cached on the instance, so every caller shares them."""
     if isinstance(cartan_type, str):
         cartan_type = parse_cartan_type(cartan_type)
+    return _build(cartan_type)
+
+
+@cache
+def _build(cartan_type: CartanType) -> RootSystem:
     return RootSystem(cartan_type)

@@ -1,19 +1,20 @@
 """Weyl group machinery: inversion sets, bi-convexity, minimal coset
 representatives of the level-0 parabolic, and the ideal <-> element maps.
 
-Elements act on simple-root coordinates; the matrix columns are the images
-of the simple roots.  The inversion set N(w) = {gamma > 0 : w(gamma) < 0}
-is stored as a bitmask over the canonical positive-root order.  A subset of
-the positive roots is an inversion set iff it and its complement are closed
-under root addition (bi-convexity); such masks are converted back to group
-elements by repeatedly peeling a simple root, which also produces a reduced
-word.
+An element is stored as the permutation it induces on the root indices of
+rs.roots() (positives first, so index k + N is the negative of positive
+root k); the group acts faithfully on the roots, and every operation is a
+lookup in the simple-reflection table of the root system.  The inversion
+set N(w) = {gamma > 0 : w(gamma) < 0} is stored as a bitmask over the
+canonical positive-root order.  A subset of the positive roots is an
+inversion set iff it and its complement are closed under root addition
+(bi-convexity); such masks are converted back to group elements by
+repeatedly peeling a simple root, which also produces a reduced word.
 
 The minimal coset representatives W0 = {w : N(w) avoids the level-0 roots}
-are enumerated without touching the rest of W, as the orbit of the sum of
-the fundamental coweights outside the level-0 simples; the orbit point
-determines the coset and the breadth-first depth equals the length of its
-minimal representative.
+are enumerated without touching the rest of W, by breadth-first search that
+prepends s_i whenever w^(-1)(alpha_i) is a positive root of positive level;
+the breadth-first depth equals the length of the representative.
 """
 
 from __future__ import annotations
@@ -27,116 +28,78 @@ from . import ideals as ideals_mod
 from .grading import Grading
 from .ideals import Antichain, Ideal
 from .polys import Poly, divexact, from_exponent_counts, mul
-from .rootsys import Root, RootSystem, _invert
+from .rootsys import Root, RootSystem
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+Perm = tuple[int, ...]
 
 
-def simple_reflection_matrix(rs: RootSystem, i: int) -> Matrix:
-    """Matrix of s_i: column j is alpha_j - a[i][j] alpha_i."""
-    n = rs.rank
-    a = rs.cartan_matrix
-    rows = []
-    for k in range(n):
-        if k == i:
-            rows.append(tuple((1 if j == i else 0) - a[i][j] for j in range(n)))
-        else:
-            rows.append(tuple(1 if j == k else 0 for j in range(n)))
-    return tuple(rows)
+def _compose(u: Perm, v: Perm) -> Perm:
+    """The permutation u after v."""
+    return tuple(map(u.__getitem__, v))
 
 
-def left_mul_simple(rs: RootSystem, i: int, m: Matrix) -> Matrix:
-    """s_i * w: only row i changes."""
-    a = rs.cartan_matrix[i]
-    n = rs.rank
-    new_row = tuple(
-        m[i][j] - sum(a[k] * m[k][j] for k in range(n)) for j in range(n)
-    )
-    return tuple(new_row if k == i else m[k] for k in range(n))
-
-
-def right_mul_simple(rs: RootSystem, m: Matrix, i: int) -> Matrix:
-    """w * s_i: column j picks up -a[i][j] times column i."""
-    a = rs.cartan_matrix[i]
-    n = rs.rank
-    return tuple(
-        tuple(m[k][j] - a[j] * m[k][i] for j in range(n)) for k in range(n)
-    )
+def _identity_perm(rs: RootSystem) -> Perm:
+    return tuple(range(2 * len(rs.positive_roots)))
 
 
 class WeylElement:
-    """A Weyl group element as an integer matrix in the simple-root basis."""
+    """A Weyl group element as the permutation w of the root indices:
+    perm[k] is the index of w(root k)."""
 
-    __slots__ = ("rs", "matrix", "_inverse", "_inv_mask", "_word")
+    __slots__ = ("rs", "perm", "_inv_mask", "_word")
 
     def __init__(
         self,
         rs: RootSystem,
-        matrix: Matrix,
-        inverse: Optional[Matrix] = None,
-        inv_mask: Optional[int] = None,
+        perm: Perm,
         word: Optional[tuple[int, ...]] = None,
+        inv_mask: Optional[int] = None,
     ):
         self.rs = rs
-        self.matrix = matrix
-        self._inverse = inverse
+        self.perm = perm
         self._inv_mask = inv_mask
         self._word = word
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElement":
-        m = _identity(rs.rank)
-        return cls(rs, m, inverse=m, inv_mask=0, word=())
-
-    @classmethod
-    def simple(cls, rs: RootSystem, i: int) -> "WeylElement":
-        m = simple_reflection_matrix(rs, i)
-        return cls(rs, m, inverse=m, word=(i,))
-
-    def apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
-        n = self.rs.rank
-        m = self.matrix
-        return tuple(
-            sum(m[k][j] * coords[j] for j in range(n) if coords[j]) for k in range(n)
-        )
+        return cls(rs, _identity_perm(rs), word=())
 
     def apply(self, gamma: Root) -> Root:
-        image = self.apply_coords(gamma.coords)
-        if not self.rs.is_root(image):
-            raise AssertionError("Weyl images of roots must be roots")
-        return self.rs.root(image)
+        pos, index = self.rs.positive_roots, self.rs.index
+        if gamma.coords in index:
+            k = self.perm[index[gamma.coords]]
+        elif (-gamma).coords in index:
+            k = self.perm[index[(-gamma).coords] + len(pos)]
+        else:
+            raise ValueError(f"{gamma} is not a root")
+        return pos[k] if k < len(pos) else -pos[k - len(pos)]
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        n = self.rs.rank
-        a, b = self.matrix, other.matrix
-        prod = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        return WeylElement(self.rs, prod)
-
-    @property
-    def inverse_matrix(self) -> Matrix:
-        if self._inverse is None:
-            inv = _invert([[Fraction(x) for x in row] for row in self.matrix])
-            if any(x.denominator != 1 for row in inv for x in row):
-                raise AssertionError("Weyl matrices are invertible over Z")
-            self._inverse = tuple(tuple(int(x) for x in row) for row in inv)
-        return self._inverse
+        return WeylElement(self.rs, _compose(self.perm, other.perm))
 
     def inverse(self) -> "WeylElement":
-        return WeylElement(self.rs, self.inverse_matrix, inverse=self.matrix)
+        inv = [0] * len(self.perm)
+        for k, image in enumerate(self.perm):
+            inv[image] = k
+        return WeylElement(self.rs, tuple(inv))
+
+    @property
+    def matrix(self) -> Matrix:
+        """Integer matrix in the simple-root basis: column j holds the
+        coordinates of w(alpha_j)."""
+        cols = [self.apply(a).coords for a in self.rs.simple_roots]
+        return tuple(zip(*cols))
 
     @property
     def inversion_mask(self) -> int:
         if self._inv_mask is None:
+            npos = len(self.rs.positive_roots)
             mask = 0
-            for k, gamma in enumerate(self.rs.positive_roots):
-                if sum(self.apply_coords(gamma.coords)) < 0:
+            for k in range(npos):
+                if self.perm[k] >= npos:
                     mask |= 1 << k
             self._inv_mask = mask
         return self._inv_mask
@@ -155,10 +118,10 @@ class WeylElement:
         return self._word
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return isinstance(other, WeylElement) and self.perm == other.perm
 
     def __hash__(self) -> int:
-        return hash(self.matrix)
+        return hash(self.perm)
 
     def __str__(self) -> str:
         return " ".join(f"s{i + 1}" for i in self.word) if self.word else "e"
@@ -173,10 +136,10 @@ def inversion_roots(w: WeylElement) -> tuple[Root, ...]:
 
 
 def from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
-    m = _identity(rs.rank)
+    perm = _identity_perm(rs)
     for i in word:
-        m = right_mul_simple(rs, m, i)
-    return WeylElement(rs, m)
+        perm = _compose(perm, rs.reflection_table[i])
+    return WeylElement(rs, perm)
 
 
 # -- bi-convexity and the Kostant correspondence ------------------------
@@ -203,9 +166,8 @@ def is_biconvex(rs: RootSystem, mask: int) -> bool:
 def _peel_word(rs: RootSystem, mask: int) -> Optional[tuple[int, ...]]:
     """Reduced word for the element with inversion set `mask`, or None if
     peeling gets stuck (the mask is not an inversion set)."""
-    simple_positions = [rs.index[a.coords] for a in rs.simple_roots]
+    simple_positions = rs.simple_indices
     order = sorted(range(rs.rank), key=lambda i: simple_positions[i])
-    reflections = [simple_reflection_matrix(rs, i) for i in range(rs.rank)]
     word_rev: list[int] = []
     cur = mask
     while cur:
@@ -216,17 +178,14 @@ def _peel_word(rs: RootSystem, mask: int) -> Optional[tuple[int, ...]]:
             return None
         word_rev.append(pick)
         cur &= ~(1 << simple_positions[pick])
-        refl = reflections[pick]
+        # s_pick permutes the positive roots other than alpha_pick
+        refl = rs.reflection_table[pick]
         nxt = 0
         rest = cur
         while rest:
             k = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            coords = rs.positive_roots[k].coords
-            image = tuple(
-                sum(refl[r][j] * coords[j] for j in range(rs.rank)) for r in range(rs.rank)
-            )
-            nxt |= 1 << rs.index[image]
+            nxt |= 1 << refl[k]
         cur = nxt
     return tuple(reversed(word_rev))
 
@@ -269,24 +228,16 @@ def weyl_elements(
         )
     ident = WeylElement.identity(rs)
     out = [ident]
-    seen = {ident.matrix}
+    seen = {ident.perm}
     queue: deque[WeylElement] = deque([ident])
     while queue:
         w = queue.popleft()
         for i in gens:
-            m = left_mul_simple(rs, i, w.matrix)
-            if m in seen:
+            perm = _compose(rs.reflection_table[i], w.perm)
+            if perm in seen:
                 continue
-            seen.add(m)
-            gained = tuple(row[i] for row in w.inverse_matrix)
-            inv = right_mul_simple(rs, w.inverse_matrix, i)
-            new = WeylElement(
-                rs,
-                m,
-                inverse=inv,
-                inv_mask=w.inversion_mask | 1 << rs.index[gained],
-                word=(i,) + w.word,
-            )
+            seen.add(perm)
+            new = WeylElement(rs, perm, word=(i,) + w.word)
             out.append(new)
             queue.append(new)
     return out
@@ -296,17 +247,19 @@ def longest_element(rs: RootSystem, indices: Optional[Iterable[int]] = None) -> 
     """Longest element of the (parabolic) subgroup generated by the given
     simple reflections; the whole group when indices is None."""
     idx = tuple(range(rs.rank)) if indices is None else tuple(indices)
-    m = _identity(rs.rank)
+    npos = len(rs.positive_roots)
+    simple_positions = rs.simple_indices
+    perm = _identity_perm(rs)
     word: list[int] = []
     while True:
         for i in idx:
             # ascend while w(alpha_i) is still positive
-            if sum(m[k][i] for k in range(rs.rank)) > 0:
-                m = right_mul_simple(rs, m, i)
+            if perm[simple_positions[i]] < npos:
+                perm = _compose(perm, rs.reflection_table[i])
                 word.append(i)
                 break
         else:
-            return WeylElement(rs, m, word=tuple(word))
+            return WeylElement(rs, perm, word=tuple(word))
 
 
 def poincare(lengths: Iterable[int]) -> Poly:
@@ -364,50 +317,58 @@ class CosetTable:
         return [e.element for e in self.entries]
 
 
+def _signed_level(g: Grading, k: int) -> int:
+    """Level of the root with index k in rs.roots()."""
+    npos = len(g.levels)
+    return g.levels[k] if k < npos else -g.levels[k - npos]
+
+
 def enumerate_W0(g: Grading) -> CosetTable:
     cached = g.__dict__.get("_coset_table")
     if cached is not None:
         return cached
     rs = g.rs
-    n = rs.rank
-    a = rs.cartan_matrix
-    marks = g.marks
-    pi0 = set(g.pi0)
-    start = tuple(0 if i in pi0 else 1 for i in range(n))
+    npos = len(rs.positive_roots)
+    simple_positions = rs.simple_indices
+    refl = rs.reflection_table
 
-    ident = _identity(n)
+    ident = _identity_perm(rs)
     entries: list[CosetEntry] = []
-    seen = {start}
-    queue: deque[tuple[tuple[int, ...], Matrix, Matrix, tuple[int, ...], int]] = deque(
-        [(start, ident, ident, (), 0)]
+    seen = {ident}
+    # (permutation of w, permutation of w^(-1), word, inversion mask)
+    queue: deque[tuple[Perm, Perm, tuple[int, ...], int]] = deque(
+        [(ident, ident, (), 0)]
     )
     while queue:
-        vec, m, inv, word, inv_mask = queue.popleft()
-        levels = [sum(marks[r] * inv[r][j] for r in range(n)) for j in range(n)]
+        perm, inv, word, inv_mask = queue.popleft()
+        # w^(-1)(alpha_j) for each simple root alpha_j
+        preimages = [inv[k] for k in simple_positions]
+        levels = [_signed_level(g, k) for k in preimages]
         entries.append(
             CosetEntry(
-                element=WeylElement(rs, m, inverse=inv, inv_mask=inv_mask, word=word),
-                length=bin(inv_mask).count("1"),
+                element=WeylElement(rs, perm, word=word, inv_mask=inv_mask),
+                length=len(word),
                 tau_mask=inv_mask & g.delta1_mask,
                 is_min=all(lv >= -1 for lv in levels),
                 is_max=all(lv <= 1 for lv in levels),
             )
         )
-        for i in range(n):
-            if vec[i] <= 0:
-                continue  # descent or same coset
-            new_vec = tuple(vec[j] - a[i][j] * vec[i] for j in range(n))
-            if new_vec in seen:
+        for i, gained in enumerate(preimages):
+            # s_i w is a longer representative iff w^(-1)(alpha_i) is a
+            # positive root of positive level; at level 0 it is in the
+            # same coset, and a negative one is a descent
+            if gained >= npos or g.levels[gained] == 0:
                 continue
-            seen.add(new_vec)
-            gained = tuple(inv[r][i] for r in range(n))
+            new = _compose(refl[i], perm)
+            if new in seen:
+                continue
+            seen.add(new)
             queue.append(
                 (
-                    new_vec,
-                    left_mul_simple(rs, i, m),
-                    right_mul_simple(rs, inv, i),
+                    new,
+                    _compose(inv, refl[i]),
                     (i,) + word,
-                    inv_mask | 1 << rs.index[gained],
+                    inv_mask | 1 << gained,
                 )
             )
     expected = km_order(rs) / km_order(rs, g.slice(0)[: len(g.slice(0)) // 2])
@@ -430,12 +391,7 @@ def tau(g: Grading, w: WeylElement) -> Ideal:
     """The level-1 part of the inversion set, as a lower ideal."""
     _require_W0(g, w)
     p = ideals_mod.weight_poset(g, 1)
-    pos_mask = w.inversion_mask & g.delta1_mask
-    mask = 0
-    for j, k in enumerate(p.positive_index):
-        if pos_mask >> k & 1:
-            mask |= 1 << j
-    return Ideal(p, mask)
+    return Ideal(p, p.poset_mask(w.inversion_mask & g.delta1_mask))
 
 
 def fiber(g: Grading, ideal: Ideal) -> list[WeylElement]:
@@ -530,30 +486,27 @@ def involution(g: Grading, w: WeylElement) -> WeylElement:
 # -- extreme roots and the eta map --------------------------------------
 
 
+def _sent_to_simples(w: WeylElement, p: ideals_mod.WeightPoset, sign: int) -> Antichain:
+    """The poset elements that w sends to sign times a simple root."""
+    offset = 0 if sign > 0 else len(w.rs.positive_roots)
+    targets = {k + offset for k in w.rs.simple_indices}
+    mask = 0
+    for j, k in enumerate(p.positive_index):
+        if w.perm[k] in targets:
+            mask |= 1 << j
+    return Antichain(p, mask)
+
+
 def max_roots(g: Grading, ideal: Ideal) -> Antichain:
     """Maximal roots of the ideal, read off as the roots that w_min sends to
     negatives of simple roots."""
-    w = w_min(g, ideal)
-    p = ideal.poset
-    mask = 0
-    simples = {(-a).coords for a in g.rs.simple_roots}
-    for j, r in enumerate(p.elements):
-        if w.apply_coords(r.coords) in simples:
-            mask |= 1 << j
-    return Antichain(p, mask)
+    return _sent_to_simples(w_min(g, ideal), ideal.poset, -1)
 
 
 def min_complement_roots(g: Grading, ideal: Ideal) -> Antichain:
     """Minimal roots of the complementary upper ideal: the roots that w_max
     sends to simple roots."""
-    w = w_max(g, ideal)
-    p = ideal.poset
-    mask = 0
-    simples = {a.coords for a in g.rs.simple_roots}
-    for j, r in enumerate(p.elements):
-        if w.apply_coords(r.coords) in simples:
-            mask |= 1 << j
-    return Antichain(p, mask)
+    return _sent_to_simples(w_max(g, ideal), ideal.poset, 1)
 
 
 def eta(g: Grading, w: WeylElement) -> tuple[int, ...]:
@@ -562,8 +515,5 @@ def eta(g: Grading, w: WeylElement) -> tuple[int, ...]:
     if not (g.is_standard and g.k_standard == 1):
         raise ValueError("eta is defined for gradings with a single level-1 simple root")
     _require_W0(g, w)
-    inv = w.inverse_matrix
-    n = g.rs.rank
-    return tuple(
-        sum(g.marks[r] * inv[r][j] for r in range(n)) for j in range(n)
-    )
+    inv = w.inverse().perm
+    return tuple(_signed_level(g, inv[k]) for k in g.rs.simple_indices)

@@ -1,6 +1,7 @@
 import pytest
 from itertools import combinations
 
+from gradus.checks import default_types, sweep_gradings
 from gradus.grading import parse_grading_spec
 from gradus.ideals import (
     Antichain,
@@ -10,6 +11,7 @@ from gradus.ideals import (
     dual_ideal,
     enumerate_lower_ideals,
     iter_downclosed,
+    iter_lower_ideals,
     lower_ideal_from_antichain,
     lower_ideal_from_roots,
     m_polynomial,
@@ -19,6 +21,7 @@ from gradus.ideals import (
     weight_poset,
 )
 from gradus.polys import value
+from gradus.rootsys import build
 
 
 def poset(spec):
@@ -170,3 +173,15 @@ def test_covers_match_closure():
         for c in covers:
             got |= p.down_masks[c]
         assert got == expect
+
+
+@pytest.mark.parametrize("name", default_types(3))
+def test_poset_mask_inverts_positive_mask(name):
+    for g in sweep_gradings(build(name)):
+        p = weight_poset(g)
+        outside = ~g.level_mask(1) & ((1 << len(g.rs.positive_roots)) - 1)
+        for ideal in iter_lower_ideals(p):
+            pos = p.positive_mask(ideal.mask)
+            assert pos & ~g.level_mask(1) == 0
+            assert p.poset_mask(pos) == ideal.mask
+            assert p.poset_mask(pos | outside) == ideal.mask

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from gradus.rootsys import build, dual_partition, parse_cartan_type
+from gradus.rootsys import CartanType, build, dual_partition, parse_cartan_type
 
 EXPONENTS = {
     "A1": (1,),
@@ -83,6 +83,23 @@ def test_simple_reflection_permutes_other_positives(name):
     for alpha in rs.simple_roots:
         image = {rs.reflect(alpha, r) for r in rs.positive_roots if r != alpha}
         assert image == positives - {alpha}
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "B3", "C4", "D4", "G2", "F4", "E8", "A16", "B12", "D12"]
+)
+def test_reflection_table_matches_reflect(name):
+    rs = build(name)
+    roots = rs.roots()
+    assert 2 * len(rs.positive_roots) == len(roots)
+    for alpha, row in zip(rs.simple_roots, rs.reflection_table):
+        assert [roots[k] for k in row] == [rs.reflect(alpha, r) for r in roots]
+    assert [roots[k] for k in rs.simple_indices] == list(rs.simple_roots)
+
+
+def test_build_is_memoised_per_type():
+    assert build("F4") is build("f4") is build(CartanType("F", 4))
+    assert build("B3") is not build("C3")
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2"])

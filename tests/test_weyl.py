@@ -1,6 +1,7 @@
 import pytest
 from fractions import Fraction
 
+from gradus.checks import default_types
 from gradus.grading import parse_grading_spec
 from gradus.ideals import lower_ideal_from_roots, weight_poset
 from gradus.rootsys import build
@@ -29,6 +30,48 @@ from gradus.weyl import (
 )
 
 ORDERS = {"A1": 2, "A2": 6, "B2": 8, "G2": 12, "A3": 24, "B3": 48, "C3": 48}
+
+
+def _matmul(x, y):
+    return tuple(
+        tuple(sum(x[r][k] * y[k][c] for k in range(len(y))) for c in range(len(y[0])))
+        for r in range(len(x))
+    )
+
+
+def _matrix_of_word(rs, word):
+    """Matrix of s_(i1) ... s_(il) in the simple-root basis, multiplied out
+    from the simple reflection matrices of the Cartan matrix (column j of s_i
+    is alpha_j - a[i][j] alpha_i): an oracle independent of the root
+    permutations that elements are stored as."""
+    n, a = rs.rank, rs.cartan_matrix
+    m = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    for i in word:
+        s_i = tuple(
+            tuple(int(r == j) - int(r == i) * a[i][j] for j in range(n)) for r in range(n)
+        )
+        m = _matmul(m, s_i)
+    return m
+
+
+@pytest.mark.parametrize("name", default_types(4))
+def test_permutations_agree_with_the_matrix_route(name):
+    rs = build(name)
+    elements = weyl_elements(rs)
+    assert len(elements) == km_order(rs)
+    mats = [_matrix_of_word(rs, w.word) for w in elements]
+    for w, m in zip(elements, mats):
+        assert w.matrix == m
+        assert w.inverse().matrix == _matrix_of_word(rs, w.word[::-1])
+        negative = 0
+        for k, r in enumerate(rs.positive_roots):
+            image = _matmul(m, tuple((c,) for c in r.coords))
+            if sum(x for (x,) in image) < 0:
+                negative |= 1 << k
+        assert w.inversion_mask == negative
+    for k, u in enumerate(elements):
+        j = (7 * k + 3) % len(elements)
+        assert (u * elements[j]).matrix == _matmul(mats[k], mats[j])
 
 
 @pytest.mark.parametrize("name", sorted(ORDERS))
@@ -105,6 +148,43 @@ def test_coset_table_extra_special_case():
     ]
     assert len(W0_min(g)) == 3
     assert len(W0_max(g)) == 3
+
+
+def test_coset_table_rank3_words_pinned():
+    table = enumerate_W0(parse_grading_spec("B3:es"))
+    rows = [(e.element.word, e.is_min, e.is_max) for e in table.entries]
+    assert rows == [
+        ((), True, True),
+        ((1,), True, True),
+        ((0, 1), True, True),
+        ((2, 1), True, True),
+        ((2, 0, 1), True, False),
+        ((1, 2, 1), True, False),
+        ((1, 2, 0, 1), False, True),
+        ((0, 1, 2, 1), False, True),
+        ((0, 1, 2, 0, 1), True, True),
+        ((2, 1, 2, 0, 1), True, True),
+        ((2, 0, 1, 2, 0, 1), True, True),
+        ((1, 2, 0, 1, 2, 0, 1), True, True),
+    ]
+
+
+@pytest.mark.parametrize("name,cosets", [("A16", 17), ("B12", 24), ("D12", 24)])
+def test_one_node_gradings_beyond_256_roots(name, cosets):
+    # 2N > 256 here, so a root index does not fit in a byte
+    rs = build(name)
+    g = parse_grading_spec(f"{name}:" + ",".join(["1"] + ["0"] * (rs.rank - 1)))
+    elements = enumerate_W0(g).elements()
+    assert len(elements) == cosets
+    assert len({eta(g, w) for w in elements}) == cosets
+    for w in elements:
+        assert from_word(rs, w.word) == w
+        assert element_from_inversions(rs, w.inversion_mask) == w
+        assert w.inverse() * w == from_word(rs, ())
+    w0 = longest_element(rs)
+    assert w0.length == len(rs.positive_roots)
+    if name != "A16":  # -1 lies in W for B and for D of even rank
+        assert all(w0.apply(r) == -r for r in rs.positive_roots)
 
 
 def test_tau_reads_level_one_inversions():
@@ -222,6 +302,8 @@ def test_apply_product_and_inverse():
     s0, s1 = from_word(rs, (0,)), from_word(rs, (1,))
     a = rs.simple_roots[0]
     assert s0.apply(a).coords == tuple(-c for c in a.coords)
+    with pytest.raises(ValueError, match="not a root"):
+        s0.apply(rs.root((2, 0, 0)))
     assert (s0 * s1).matrix == from_word(rs, (0, 1)).matrix
     for w in (s0, s1, from_word(rs, (0, 1, 2, 1))):
         wi = w.inverse()
