@@ -16,12 +16,17 @@ primes and confirmed on one more.  A count never visits all of F_q^n: a
 nonempty central complement is stable under F_q^*, so only points whose
 first nonzero coordinate is 1 are counted, fibred over the last coordinate,
 for about q^(n-2) steps per normal.
+
+The root poset, the safe primes and the characteristic polynomials depend
+only on the root system (memoised by build) and the normals, so each is a
+functools.cache and is computed once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Optional, Sequence
@@ -31,9 +36,14 @@ import numpy as np
 from . import ideals as ideals_mod
 from . import weyl as weyl_mod
 from .grading import Grading
-from .ideals import Ideal, iter_downclosed, downclosure_masks, upclosure_masks
+from .ideals import Ideal, iter_downclosed, order_masks, upclosure_masks
 from .polys import Poly, from_int_roots, interpolate, value
 from .rootsys import Root, RootSystem, dual_partition
+
+# Above these ranks the safe-prime minor search and the sweep over all upper
+# ideals of the root poset stop being desk-sized.
+CHAR_POLY_MAX_RANK = 5
+UPPER_IDEAL_MAX_RANK = 5
 
 
 @dataclass(frozen=True)
@@ -64,32 +74,11 @@ def coxeter_arrangement(rs: RootSystem) -> Arrangement:
     return Arrangement(rs, rs.positive_roots)
 
 
+@cache
 def root_poset_down_masks(rs: RootSystem) -> tuple[int, ...]:
     """Down-sets in the root poset (Delta+, <=), covers being differences by
     a single simple root."""
-    cached = rs.__dict__.get("_root_poset_down")
-    if cached is not None:
-        return cached
-    covers: list[list[int]] = []
-    for gamma in rs.positive_roots:
-        covered = []
-        for i in range(rs.rank):
-            down = tuple(c - (1 if t == i else 0) for t, c in enumerate(gamma.coords))
-            j = rs.index.get(down)
-            if j is not None:
-                covered.append(j)
-        covers.append(covered)
-    down = tuple(downclosure_masks(covers))
-    # The cover closure must be the coordinatewise order on positive roots.
-    for i, gi in enumerate(rs.positive_roots):
-        arith = 0
-        for j, gj in enumerate(rs.positive_roots):
-            if all(a - b >= 0 for a, b in zip(gi.coords, gj.coords)):
-                arith |= 1 << j
-        if arith != down[i]:
-            raise AssertionError("root poset covers do not generate the order")
-    rs.__dict__["_root_poset_down"] = down
-    return down
+    return order_masks(rs.positive_roots, range(rs.rank))[1]
 
 
 def upper_ideals_of_root_poset(rs: RootSystem) -> list[int]:
@@ -195,12 +184,10 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+@cache
 def _minor_prime_factors(rs: RootSystem) -> frozenset[int]:
     """Primes dividing some minor of the positive-root coordinate matrix.
     Any other prime preserves all subset ranks modulo p."""
-    cached = rs.__dict__.get("_minor_primes")
-    if cached is not None:
-        return cached
     n = rs.rank
     rows = [r.coords for r in rs.positive_roots]
     values: set[int] = set()
@@ -221,8 +208,7 @@ def _minor_prime_factors(rs: RootSystem) -> frozenset[int]:
             p += 1
         if v > 1:
             primes.add(v)
-    rs.__dict__["_minor_primes"] = out = frozenset(primes)
-    return out
+    return frozenset(primes)
 
 
 def good_primes(rs: RootSystem, count: int) -> list[int]:
@@ -272,22 +258,19 @@ def _point_count(normals: Sequence[Root], n: int, q: int) -> int:
     return (q - 1) * reps
 
 
-def char_poly(arr: Arrangement, max_rank: int = 5) -> Poly:
+@cache
+def char_poly(arr: Arrangement) -> Poly:
     """Characteristic polynomial via point counts over safe primes, with an
-    extra prime confirming the interpolation."""
+    extra prime confirming the interpolation; computed once per arrangement."""
     n = arr.rs.rank
-    if n > max_rank:
+    if n > CHAR_POLY_MAX_RANK:
         m = len(arr.rs.positive_roots)
         minors = sum(comb(m, k) * comb(n, k) for k in range(1, n + 1))
         raise ValueError(
-            f"rank {n} exceeds the char_poly bound {max_rank}: {minors:,} minors "
+            f"rank {n} exceeds the char_poly bound {CHAR_POLY_MAX_RANK}: {minors:,} minors "
             f"to find safe primes q > {arr.rs.coxeter_number}, then {n + 2} "
             f"point counts of about q^{n - 2} * {len(arr.normals)} steps"
         )
-    cache = arr.rs.__dict__.setdefault("_char_cache", {})
-    key = tuple(r.coords for r in arr.normals)
-    if key in cache:
-        return cache[key]
     primes = good_primes(arr.rs, n + 2)
     points = [(q, _point_count(arr.normals, n, q)) for q in primes[: n + 1]]
     chi = interpolate(points)
@@ -296,7 +279,6 @@ def char_poly(arr: Arrangement, max_rank: int = 5) -> Poly:
     q_check = primes[n + 1]
     if value(chi, q_check) != _point_count(arr.normals, n, q_check):
         raise AssertionError("interpolated polynomial fails at the verification prime")
-    cache[key] = chi
     return chi
 
 
@@ -327,11 +309,14 @@ def conjectural_exponents(g: Grading) -> tuple[int, ...]:
 def ideal_count_formula(g: Grading) -> Fraction:
     """Product over Delta(1) of (height+1)/height; equals the number of
     lower ideals (proved for the classical families and G2)."""
-    acc = Fraction(1)
-    for r, lv in zip(g.rs.positive_roots, g.levels):
-        if lv == 1:
-            acc *= Fraction(r.height + 1, r.height)
-    return acc
+    return weyl_mod.km_order(g.rs, g.slice(1))
+
+
+def is_proved_family(rs: RootSystem) -> bool:
+    """Whether the ideal-count formula and the dual-partition factorisation
+    are theorems for this type: the classical families and G2.  Elsewhere
+    they are reported, not asserted."""
+    return rs.cartan_type.family in "ABCD" or str(rs.cartan_type) == "G2"
 
 
 def conjecture_check(g: Grading, with_char: Optional[bool] = None) -> dict:
@@ -357,9 +342,9 @@ def conjecture_check(g: Grading, with_char: Optional[bool] = None) -> dict:
         "sum_ok": sum(b) == len(arr.normals),
         "product_over_levi": str(Fraction(product, int(w0_order))),
         "ideal_product_ok": product == int(w0_order) * ideal_count,
-        "strict": rs.cartan_type.family in "ABCD" or str(rs.cartan_type) == "G2",
+        "strict": is_proved_family(rs),
     }
-    want_char = rs.rank <= 5 if with_char is None else with_char
+    want_char = rs.rank <= CHAR_POLY_MAX_RANK if with_char is None else with_char
     if want_char:
         chi = char_poly(arr)
         report["char_ok"] = chi == from_int_roots(b)
@@ -387,7 +372,7 @@ def arrangement_report(g: Grading, with_char: Optional[bool] = None) -> dict:
         "ideal_count": count,
         "formula_value": str(ideal_count_formula(g)),
     }
-    want_char = g.rs.rank <= 5 if with_char is None else with_char
+    want_char = g.rs.rank <= CHAR_POLY_MAX_RANK if with_char is None else with_char
     if want_char:
         chi = char_poly(arr)
         report["char_poly"] = list(chi)
@@ -395,12 +380,12 @@ def arrangement_report(g: Grading, with_char: Optional[bool] = None) -> dict:
     return report
 
 
-def upper_ideal_partition_check(rs: RootSystem, max_rank: int = 5) -> dict:
+def upper_ideal_partition_check(rs: RootSystem) -> dict:
     """Check that, for every upper ideal of the root poset, the heights of
     the remaining roots form a partition, with a strict first step unless
     nothing remains."""
-    if rs.rank > max_rank:
-        raise ValueError(f"upper-ideal sweep is bounded at rank {max_rank}")
+    if rs.rank > UPPER_IDEAL_MAX_RANK:
+        raise ValueError(f"upper-ideal sweep is bounded at rank {UPPER_IDEAL_MAX_RANK}")
     violations = []
     total = 0
     for upper in upper_ideals_of_root_poset(rs):

@@ -568,7 +568,7 @@ def suite_involution(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Ch
         sub = g.spec_string()
         table = weyl_mod.enumerate_W0(g)
         p = ideals_mod.weight_poset(g, 1)
-        wt0 = weyl_mod._w0_parabolic(g)
+        wt0 = weyl_mod.longest_element(rs, g.pi0)
         ok_levels = all(
             g.level(wt0.apply(r)) == g.levels[j]
             for j, r in enumerate(rs.positive_roots)
@@ -791,7 +791,7 @@ def suite_signs(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckRe
 
 @suite("counting")
 def suite_counting(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
-    strict = rs.cartan_type.family in "ABCD" or str(rs.cartan_type) == "G2"
+    strict = arr_mod.is_proved_family(rs)
     for g in gradings:
         sub = g.spec_string()
         count = ideals_mod.count_lower_ideals(ideals_mod.weight_poset(g, 1))
@@ -812,10 +812,7 @@ def suite_counting(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Chec
 @suite("charpoly")
 def suite_charpoly(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     sub = str(rs.cartan_type)
-    if rs.rank > 4:
-        yield CheckResult("charpoly", sub, "coxeter-factorisation", True, "skipped above rank 4")
-        return
-    strict = rs.cartan_type.family in "ABCD" or str(rs.cartan_type) == "G2"
+    strict = arr_mod.is_proved_family(rs)
     chi_full = arr_mod.char_poly(arr_mod.coxeter_arrangement(rs))
     yield CheckResult(
         "charpoly", sub, "coxeter-factorisation",

@@ -5,15 +5,23 @@ level(gamma) = sum_i [gamma : alpha_i] * m_i, slicing the root system into
 levels Delta(i).  Standard gradings have marks in {0,1}; the abelian ones
 are those of maximal level 1 and the extra-special ones those of maximal
 level 2 with a single root on top.
+
+What a grading derives once (its level masks, its weight posets and its
+coset table) is a cached_property of the Grading, so it lives exactly as
+long as the grading does.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
-from typing import Sequence
+from functools import cache, cached_property, partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .rootsys import Root, RootSystem, build, parse_cartan_type
+
+if TYPE_CHECKING:
+    from .ideals import WeightPoset
+    from .weyl import CosetTable
 
 
 class Grading:
@@ -80,6 +88,22 @@ class Grading:
     @cached_property
     def pi0(self) -> tuple[int, ...]:
         return self.pi(0)
+
+    @cached_property
+    def weight_poset(self) -> Callable[[int], WeightPoset]:
+        """weight_poset(i) is the weight poset of Delta(i), built on first
+        use and kept for the life of the grading."""
+        from .ideals import WeightPoset
+
+        return cache(partial(WeightPoset, self))
+
+    @cached_property
+    def coset_table(self) -> CosetTable:
+        """The minimal coset representatives W0, kept for the life of the
+        grading."""
+        from .weyl import CosetTable
+
+        return CosetTable(self)
 
     @property
     def is_standard(self) -> bool:

@@ -3,7 +3,9 @@
 The slice Delta(i) of a grading is partially ordered by
 gamma' <= gamma iff gamma - gamma' is a nonnegative integer combination of
 the level-0 simple roots; covers differ by a single level-0 simple root.
-Both descriptions are computed and compared at construction time.
+Both descriptions are computed and compared at construction time, by the
+same order builder that gives the root poset (Delta+, <=) with all simple
+roots as steps.  A grading builds each of its weight posets once.
 
 Subsets of a poset are bitmasks over its canonical element order.  Lower
 ideals are enumerated by depth-first search along that order, which is a
@@ -13,6 +15,7 @@ linear extension, so each ideal is produced exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .grading import Grading
@@ -59,6 +62,38 @@ def iter_downclosed(down_masks: Sequence[int]) -> Iterator[int]:
     return rec(0, 0)
 
 
+def order_masks(
+    elements: Sequence[Root], steps: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Covers and down-sets of the order on roots listed along a linear
+    extension, generated by subtracting the simple roots with the given
+    indices: each element covers those one step below it.
+
+    The closure of the covers is checked against the arithmetic order
+    (coordinatewise difference nonnegative) before it is returned.
+    """
+    index = {r.coords: j for j, r in enumerate(elements)}
+    covers_down = []
+    for r in elements:
+        covered = []
+        for a in steps:
+            j = index.get(tuple(c - (1 if t == a else 0) for t, c in enumerate(r.coords)))
+            if j is not None:
+                covered.append(j)
+        covers_down.append(tuple(covered))
+    down_masks = tuple(downclosure_masks(covers_down))
+    for i, gi in enumerate(elements):
+        arith = 0
+        for j, gj in enumerate(elements):
+            if all(a - b >= 0 for a, b in zip(gi.coords, gj.coords)):
+                arith |= 1 << j
+        if arith != down_masks[i]:
+            raise AssertionError(
+                f"cover closure disagrees with the arithmetic order at {gi}"
+            )
+    return tuple(covers_down), down_masks
+
+
 class WeightPoset:
     """The poset (Delta(i), <=) of a positive slice of a grading."""
 
@@ -77,34 +112,7 @@ class WeightPoset:
         }
         self.positive_index: tuple[int, ...] = tuple(members)
 
-        covers_down: list[list[int]] = []
-        for j, gamma in enumerate(self.elements):
-            covered = []
-            for a in grading.pi0:
-                down = tuple(
-                    c - (1 if t == a else 0) for t, c in enumerate(gamma.coords)
-                )
-                other = self.index.get(down)
-                if other is not None:
-                    covered.append(other)
-            covers_down.append(covered)
-        self.covers_down: tuple[tuple[int, ...], ...] = tuple(
-            tuple(c) for c in covers_down
-        )
-        self.down_masks: tuple[int, ...] = tuple(downclosure_masks(covers_down))
-
-        # Cross-check: reachability through covers must agree with the
-        # arithmetic criterion (coordinatewise difference nonnegative).
-        for i, gi in enumerate(self.elements):
-            arith = 0
-            for j, gj in enumerate(self.elements):
-                if all(a - b >= 0 for a, b in zip(gi.coords, gj.coords)):
-                    arith |= 1 << j
-            if arith != self.down_masks[i]:
-                raise AssertionError(
-                    f"cover closure disagrees with the arithmetic order at {gi}"
-                )
-
+        self.covers_down, self.down_masks = order_masks(self.elements, grading.pi0)
         self.up_masks: tuple[int, ...] = tuple(upclosure_masks(self.down_masks))
         self.size = len(self.elements)
         self.full_mask = (1 << self.size) - 1
@@ -145,15 +153,29 @@ class WeightPoset:
                 out |= 1 << j
         return out
 
+    @cached_property
+    def dual_permutation(self) -> tuple[int, ...]:
+        """Index permutation of the slice induced by the longest element of
+        the level-0 parabolic subgroup."""
+        from . import weyl
+
+        w0p = weyl.longest_element(self.grading.rs, self.grading.pi0)
+        local = {k: j for j, k in enumerate(self.positive_index)}
+        perm = []
+        for k in self.positive_index:
+            j = local.get(w0p.perm[k])
+            if j is None:
+                raise AssertionError("parabolic longest element must preserve the slice")
+            perm.append(j)
+        return tuple(perm)
+
     def __repr__(self) -> str:
         return f"WeightPoset({self.grading.spec_string()}, level={self.level})"
 
 
 def weight_poset(g: Grading, i: int = 1) -> WeightPoset:
-    cache = g.__dict__.setdefault("_weight_posets", {})
-    if i not in cache:
-        cache[i] = WeightPoset(g, i)
-    return cache[i]
+    """The weight poset of Delta(i), built once per grading and level."""
+    return g.weight_poset(i)
 
 
 @dataclass(frozen=True)
@@ -284,33 +306,15 @@ def lower_ideal_from_roots(p: WeightPoset, roots: Iterable[Root]) -> Ideal:
     return Ideal(p, mask)
 
 
-def _dual_permutation(p: WeightPoset) -> tuple[int, ...]:
-    """Index permutation of Delta(level) induced by the longest element of
-    the level-0 parabolic subgroup."""
-    from . import weyl
-
-    w0p = weyl.longest_element(p.grading.rs, p.grading.pi0)
-    local = {k: j for j, k in enumerate(p.positive_index)}
-    perm = []
-    for k in p.positive_index:
-        j = local.get(w0p.perm[k])
-        if j is None:
-            raise AssertionError("parabolic longest element must preserve the slice")
-        perm.append(j)
-    return tuple(perm)
-
-
 def dual_ideal(p: WeightPoset, ideal: Ideal) -> Ideal:
     """The dual ideal: image of the complement under the longest element of
     the level-0 parabolic subgroup."""
-    cache = p.__dict__.setdefault("_dual_perm", None)
-    if cache is None:
-        cache = p.__dict__["_dual_perm"] = _dual_permutation(p)
+    perm = p.dual_permutation
     out = 0
     comp = ideal.complement_mask
     for j in range(p.size):
         if comp >> j & 1:
-            out |= 1 << cache[j]
+            out |= 1 << perm[j]
     return Ideal(p, out)
 
 

@@ -372,7 +372,8 @@ def _invert(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
 
 def build(cartan_type: CartanType | str) -> RootSystem:
     """The root system of a type, built once per type: its derived tables are
-    cached on the instance, so every caller shares them."""
+    cached on the instance, and the other modules' functools caches keyed by
+    it live as long as it does, so every caller shares them."""
     if isinstance(cartan_type, str):
         cartan_type = parse_cartan_type(cartan_type)
     return _build(cartan_type)

@@ -14,7 +14,9 @@ repeatedly peeling a simple root, which also produces a reduced word.
 The minimal coset representatives W0 = {w : N(w) avoids the level-0 roots}
 are enumerated without touching the rest of W, by breadth-first search that
 prepends s_i whenever w^(-1)(alpha_i) is a positive root of positive level;
-the breadth-first depth equals the length of the representative.
+the breadth-first depth equals the length of the representative.  The
+table is a cached_property of its grading, and longest elements are cached
+per root system and generator tuple.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from . import ideals as ideals_mod
@@ -31,9 +34,10 @@ from .polys import Poly, divexact, from_exponent_counts, mul
 from .rootsys import Root, RootSystem
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
 Perm = tuple[int, ...]
+
+# Whole-group enumeration stops here: |W(E7)| = 2,903,040 elements.
+WEYL_ELEMENTS_MAX_RANK = 7
 
 
 def _compose(u: Perm, v: Perm) -> Perm:
@@ -213,18 +217,12 @@ def element_from_inversions(rs: RootSystem, mask: int) -> WeylElement:
 # -- group enumeration --------------------------------------------------
 
 
-def weyl_elements(
-    rs: RootSystem,
-    max_rank: int = 7,
-    indices: Optional[Iterable[int]] = None,
-) -> list[WeylElement]:
-    """The Weyl group, or the parabolic subgroup generated by the given
-    simple reflections, by breadth-first search in the weak order."""
-    gens = tuple(range(rs.rank)) if indices is None else tuple(indices)
-    if len(gens) > max_rank:
+def weyl_elements(rs: RootSystem) -> list[WeylElement]:
+    """The Weyl group, by breadth-first search in the weak order."""
+    if rs.rank > WEYL_ELEMENTS_MAX_RANK:
         raise ValueError(
-            f"rank {len(gens)} exceeds the enumeration bound {max_rank}; "
-            "raise max_rank or work with minimal coset representatives"
+            f"rank {rs.rank} exceeds the enumeration bound {WEYL_ELEMENTS_MAX_RANK}; "
+            "work with minimal coset representatives"
         )
     ident = WeylElement.identity(rs)
     out = [ident]
@@ -232,7 +230,7 @@ def weyl_elements(
     queue: deque[WeylElement] = deque([ident])
     while queue:
         w = queue.popleft()
-        for i in gens:
+        for i in range(rs.rank):
             perm = _compose(rs.reflection_table[i], w.perm)
             if perm in seen:
                 continue
@@ -245,8 +243,13 @@ def weyl_elements(
 
 def longest_element(rs: RootSystem, indices: Optional[Iterable[int]] = None) -> WeylElement:
     """Longest element of the (parabolic) subgroup generated by the given
-    simple reflections; the whole group when indices is None."""
-    idx = tuple(range(rs.rank)) if indices is None else tuple(indices)
+    simple reflections; the whole group when indices is None.  Computed once
+    per root system and index tuple."""
+    return _longest_element(rs, tuple(range(rs.rank)) if indices is None else tuple(indices))
+
+
+@cache
+def _longest_element(rs: RootSystem, idx: tuple[int, ...]) -> WeylElement:
     npos = len(rs.positive_roots)
     simple_positions = rs.simple_indices
     perm = _identity_perm(rs)
@@ -303,7 +306,53 @@ class CosetTable:
     """All minimal-length representatives of W modulo the level-0 parabolic,
     in breadth-first (hence length-sorted) order."""
 
-    def __init__(self, grading: Grading, entries: list[CosetEntry]):
+    def __init__(self, grading: Grading):
+        rs = grading.rs
+        npos = len(rs.positive_roots)
+        simple_positions = rs.simple_indices
+        refl = rs.reflection_table
+        ident = _identity_perm(rs)
+        entries: list[CosetEntry] = []
+        seen = {ident}
+        # (permutation of w, permutation of w^(-1), word, inversion mask)
+        queue: deque[tuple[Perm, Perm, tuple[int, ...], int]] = deque(
+            [(ident, ident, (), 0)]
+        )
+        while queue:
+            perm, inv, word, inv_mask = queue.popleft()
+            # w^(-1)(alpha_j) for each simple root alpha_j
+            preimages = [inv[k] for k in simple_positions]
+            levels = [_signed_level(grading, k) for k in preimages]
+            entries.append(
+                CosetEntry(
+                    element=WeylElement(rs, perm, word=word, inv_mask=inv_mask),
+                    length=len(word),
+                    tau_mask=inv_mask & grading.delta1_mask,
+                    is_min=all(lv >= -1 for lv in levels),
+                    is_max=all(lv <= 1 for lv in levels),
+                )
+            )
+            for i, gained in enumerate(preimages):
+                # s_i w is a longer representative iff w^(-1)(alpha_i) is a
+                # positive root of positive level; at level 0 it is in the
+                # same coset, and a negative one is a descent
+                if gained >= npos or grading.levels[gained] == 0:
+                    continue
+                new = _compose(refl[i], perm)
+                if new in seen:
+                    continue
+                seen.add(new)
+                queue.append(
+                    (
+                        new,
+                        _compose(inv, refl[i]),
+                        (i,) + word,
+                        inv_mask | 1 << gained,
+                    )
+                )
+        expected = km_order(rs) / km_order(rs, grading.slice(0)[: len(grading.slice(0)) // 2])
+        if Fraction(len(entries)) != expected:
+            raise AssertionError("coset count disagrees with the order formula")
         self.grading = grading
         self.entries = entries
         self.by_tau: dict[int, list[int]] = {}
@@ -324,58 +373,8 @@ def _signed_level(g: Grading, k: int) -> int:
 
 
 def enumerate_W0(g: Grading) -> CosetTable:
-    cached = g.__dict__.get("_coset_table")
-    if cached is not None:
-        return cached
-    rs = g.rs
-    npos = len(rs.positive_roots)
-    simple_positions = rs.simple_indices
-    refl = rs.reflection_table
-
-    ident = _identity_perm(rs)
-    entries: list[CosetEntry] = []
-    seen = {ident}
-    # (permutation of w, permutation of w^(-1), word, inversion mask)
-    queue: deque[tuple[Perm, Perm, tuple[int, ...], int]] = deque(
-        [(ident, ident, (), 0)]
-    )
-    while queue:
-        perm, inv, word, inv_mask = queue.popleft()
-        # w^(-1)(alpha_j) for each simple root alpha_j
-        preimages = [inv[k] for k in simple_positions]
-        levels = [_signed_level(g, k) for k in preimages]
-        entries.append(
-            CosetEntry(
-                element=WeylElement(rs, perm, word=word, inv_mask=inv_mask),
-                length=len(word),
-                tau_mask=inv_mask & g.delta1_mask,
-                is_min=all(lv >= -1 for lv in levels),
-                is_max=all(lv <= 1 for lv in levels),
-            )
-        )
-        for i, gained in enumerate(preimages):
-            # s_i w is a longer representative iff w^(-1)(alpha_i) is a
-            # positive root of positive level; at level 0 it is in the
-            # same coset, and a negative one is a descent
-            if gained >= npos or g.levels[gained] == 0:
-                continue
-            new = _compose(refl[i], perm)
-            if new in seen:
-                continue
-            seen.add(new)
-            queue.append(
-                (
-                    new,
-                    _compose(inv, refl[i]),
-                    (i,) + word,
-                    inv_mask | 1 << gained,
-                )
-            )
-    expected = km_order(rs) / km_order(rs, g.slice(0)[: len(g.slice(0)) // 2])
-    if Fraction(len(entries)) != expected:
-        raise AssertionError("coset count disagrees with the order formula")
-    g.__dict__["_coset_table"] = table = CosetTable(g, entries)
-    return table
+    """The coset table of the grading, enumerated once per grading."""
+    return g.coset_table
 
 
 def in_W0(g: Grading, w: WeylElement) -> bool:
@@ -464,23 +463,11 @@ def W0_max(g: Grading) -> list[WeylElement]:
     return [w_max(g, i) for i in ideals_mod.iter_lower_ideals(p)]
 
 
-def _w0_full(g: Grading) -> WeylElement:
-    if "_w0_full" not in g.__dict__:
-        g.__dict__["_w0_full"] = longest_element(g.rs)
-    return g.__dict__["_w0_full"]
-
-
-def _w0_parabolic(g: Grading) -> WeylElement:
-    if "_w0_parabolic" not in g.__dict__:
-        g.__dict__["_w0_parabolic"] = longest_element(g.rs, g.pi0)
-    return g.__dict__["_w0_parabolic"]
-
-
 def involution(g: Grading, w: WeylElement) -> WeylElement:
     """w -> w0 w w0(parabolic), an involution of the minimal representatives
     intertwining ideal duality."""
     _require_W0(g, w)
-    return _w0_full(g) * w * _w0_parabolic(g)
+    return longest_element(g.rs) * w * longest_element(g.rs, g.pi0)
 
 
 # -- extreme roots and the eta map --------------------------------------

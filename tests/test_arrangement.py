@@ -25,6 +25,7 @@ from gradus.arrangement import (
     upper_ideals_of_root_poset,
     zaslavsky_regions,
 )
+from gradus import arrangement, checks, weyl
 from gradus.checks import default_types, sweep_gradings
 from gradus.grading import parse_grading_spec
 from gradus.ideals import count_lower_ideals, weight_poset
@@ -190,6 +191,30 @@ def test_upper_ideal_partition_check():
     out = upper_ideal_partition_check(build("A3"))
     assert out == {"type": "A3", "upper_ideals": 14, "violations": [], "ok": True}
     assert upper_ideal_partition_check(build("B3"))["ok"]
+
+
+def test_rank_bounds_raise_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the rank bound was checked")
+
+    monkeypatch.setattr(arrangement, "good_primes", no_work)
+    monkeypatch.setattr(arrangement, "upper_ideals_of_root_poset", no_work)
+    monkeypatch.setattr(weyl, "_compose", no_work)
+    with pytest.raises(ValueError, match=r"^rank 6 exceeds the char_poly bound 5: "):
+        char_poly(coxeter_arrangement(build("E6")))
+    with pytest.raises(ValueError, match=r"^rank 8 exceeds the enumeration bound 7"):
+        weyl_elements(build("E8"))
+    with pytest.raises(ValueError, match=r"^upper-ideal sweep is bounded at rank 5$"):
+        upper_ideal_partition_check(build("A6"))
+
+
+def test_charpoly_suite_checks_rank_5():
+    rs = build("A5")
+    rows = list(checks.SUITES["charpoly"](rs, sweep_gradings(rs)))
+    assert [r for r in rows if not r.ok] == []
+    (coxeter,) = [r for r in rows if r.name == "coxeter-factorisation"]
+    assert coxeter.detail == "chi = -120 + 274t - 225t^2 + 85t^3 - 15t^4 + t^5"
+    assert sum(r.name == "dual-partition-factorisation" for r in rows) == 31
 
 
 def test_upper_ideals_include_extremes():
