@@ -319,9 +319,9 @@ def is_proved_family(rs: RootSystem) -> bool:
     return rs.cartan_type.family in "ABCD" or str(rs.cartan_type) == "G2"
 
 
-def conjecture_check(g: Grading, with_char: Optional[bool] = None) -> dict:
+def conjecture_check(g: Grading) -> dict:
     """Necessary conditions for the conjectural exponents, plus the exact
-    polynomial comparison whenever the characteristic polynomial is in reach.
+    polynomial comparison up to rank CHAR_POLY_MAX_RANK.
 
     strict is set for the families where the factorisation is proved; for the
     exceptional types outside G2 the verdicts are informational.
@@ -344,20 +344,16 @@ def conjecture_check(g: Grading, with_char: Optional[bool] = None) -> dict:
         "ideal_product_ok": product == int(w0_order) * ideal_count,
         "strict": is_proved_family(rs),
     }
-    want_char = rs.rank <= CHAR_POLY_MAX_RANK if with_char is None else with_char
-    if want_char:
+    if rs.rank <= CHAR_POLY_MAX_RANK:
         chi = char_poly(arr)
         report["char_ok"] = chi == from_int_roots(b)
         report["zaslavsky_ok"] = zaslavsky_regions(chi) == product
     return report
 
 
-def arrangement_report(g: Grading, with_char: Optional[bool] = None) -> dict:
-    """Summary of the level-(0,1) arrangement of a grading.
-
-    with_char=None computes the characteristic polynomial when the rank
-    allows it; True forces it; False skips it.
-    """
+def arrangement_report(g: Grading) -> dict:
+    """Summary of the level-(0,1) arrangement of a grading, with the
+    characteristic polynomial up to rank CHAR_POLY_MAX_RANK."""
     arr = sub_arrangement_01(g)
     partition = height_partition(arr.normals)
     dual = dual_partition(partition)
@@ -372,8 +368,7 @@ def arrangement_report(g: Grading, with_char: Optional[bool] = None) -> dict:
         "ideal_count": count,
         "formula_value": str(ideal_count_formula(g)),
     }
-    want_char = g.rs.rank <= CHAR_POLY_MAX_RANK if with_char is None else with_char
-    if want_char:
+    if g.rs.rank <= CHAR_POLY_MAX_RANK:
         chi = char_poly(arr)
         report["char_poly"] = list(chi)
         report["exponents_match"] = chi == from_int_roots(sorted(dual))

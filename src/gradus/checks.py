@@ -11,6 +11,14 @@ them.
 A suite receives a root system together with the gradings to sweep (all
 nonzero standard mark patterns plus the extra-special grading, deduplicated
 by marks).  Suites that only concern the root system ignore the gradings.
+
+A row's status is "pass" or "fail" for an asserted check, "skip" for a
+check that did not run and "info" for a figure that is reported but not
+asserted; only "fail" clears `ok`.  Each suite declares its rank bound once,
+when it registers (`@suite("weylcore", max_rank=3)`).  What `SUITES` holds is
+the gated suite: above its bound it yields one "skip" row naming the rank and
+the bound, and never enters the suite body.  A single row bounded lower than
+its suite yields its skip row through the same `rank_skip`.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import arrangement as arr_mod
 from . import ideals as ideals_mod
@@ -36,16 +44,38 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
+    status: str = ""  # "pass" or "fail" from ok unless "skip" or "info"
+
+    def __post_init__(self) -> None:
+        if not self.status:
+            object.__setattr__(self, "status", "pass" if self.ok else "fail")
+        if self.ok != (self.status != "fail"):
+            raise ValueError(f"status {self.status!r} contradicts ok={self.ok}")
 
 
 Suite = Callable[[RootSystem, Sequence[Grading]], Iterator[CheckResult]]
 SUITES: dict[str, Suite] = {}
 
 
-def suite(name: str) -> Callable[[Suite], Suite]:
+def rank_skip(suite: str, rs: RootSystem, name: str,
+              max_rank: Optional[int]) -> Optional[CheckResult]:
+    """The skip row of a check bounded at max_rank, or None within it."""
+    if max_rank is None or rs.rank <= max_rank:
+        return None
+    return CheckResult(suite, str(rs.cartan_type), name, True,
+                       f"rank {rs.rank} exceeds the bound {max_rank}", "skip")
+
+
+def suite(name: str, max_rank: Optional[int] = None) -> Callable[[Suite], Suite]:
+    """Register a suite, gated at max_rank (None: no bound)."""
     def deco(fn: Suite) -> Suite:
-        SUITES[name] = fn
-        return fn
+        def gated(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
+            skipped = rank_skip(name, rs, "sweep", max_rank)
+            return iter([skipped]) if skipped else fn(rs, gradings)
+
+        gated.max_rank = max_rank  # type: ignore[attr-defined]
+        SUITES[name] = gated
+        return gated
 
     return deco
 
@@ -84,9 +114,9 @@ def default_types(max_rank: int) -> list[str]:
     return out
 
 
-# Above rank 5, exhaustive grading sweeps stop being desk-sized; only the
-# suites that never enumerate cosets per grading stay on.
-SAFE_HIGH_RANK = ("rootsys", "threeroot", "grading", "appendix", "e7")
+# Above rank 5, exhaustive grading sweeps stop being desk-sized; the suites
+# that enumerate cosets, ideals or arrangements per grading are bounded there.
+SWEEP_MAX_RANK = 5
 
 
 def run(
@@ -97,17 +127,8 @@ def run(
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    results: list[CheckResult] = []
-    for rs, gradings in targets:
-        for name in names:
-            if rs.rank > 5 and name not in SAFE_HIGH_RANK:
-                results.append(CheckResult(
-                    name, str(rs.cartan_type), "sweep", True,
-                    "skipped above rank 5",
-                ))
-                continue
-            results.extend(SUITES[name](rs, gradings))
-    return results
+    return [row for rs, gradings in targets for name in names
+            for row in SUITES[name](rs, gradings)]
 
 
 def targets_for(type_names: Sequence[str]) -> list[tuple[RootSystem, list[Grading]]]:
@@ -187,12 +208,9 @@ def suite_rootsys(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
     )
 
 
-@suite("threeroot")
+@suite("threeroot", max_rank=4)
 def suite_threeroot(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     sub = str(rs.cartan_type)
-    if rs.rank > 4:
-        yield CheckResult("threeroot", sub, "witness-sweep", True, "skipped above rank 4")
-        return
     roots = rs.roots()
     checked = degenerate = 0
     bad = ""
@@ -282,7 +300,7 @@ def suite_grading(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
 # -- weight poset and ideals ---------------------------------------------
 
 
-@suite("ideals")
+@suite("ideals", max_rank=SWEEP_MAX_RANK)
 def suite_ideals(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     for g in gradings:
         sub = g.spec_string()
@@ -347,7 +365,7 @@ def suite_ideals(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
         else:
             yield CheckResult(
                 "ideals", sub, "self-dual-count-report", True,
-                f"self-dual {fixed}, M(-1) {m_alt} (compared, not asserted)",
+                f"self-dual {fixed}, M(-1) {m_alt} (compared, not asserted)", "info",
             )
         if g.is_standard:
             comps = g.simple_components().get(1, [])
@@ -365,12 +383,9 @@ def suite_ideals(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
 # -- Weyl group core -----------------------------------------------------
 
 
-@suite("weylcore")
+@suite("weylcore", max_rank=3)
 def suite_weylcore(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     sub = str(rs.cartan_type)
-    if rs.rank > 3:
-        yield CheckResult("weylcore", sub, "inversion-bijection", True, "skipped above rank 3")
-        return
     elements = list(weyl_mod.weyl_elements(rs))
     yield CheckResult(
         "weylcore", sub, "group-order",
@@ -408,19 +423,19 @@ def suite_weylcore(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Chec
     )
 
 
-@suite("km")
+@suite("km", max_rank=SWEEP_MAX_RANK)
 def suite_km(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
-    sub = str(rs.cartan_type)
-    if rs.rank <= 4:
+    skipped = rank_skip("km", rs, "length-generating-identity", 4)
+    if skipped:
+        yield skipped
+    else:
         lengths = [w.length for w in weyl_mod.weyl_elements(rs)]
         lhs = weyl_mod.poincare(lengths)
         rhs = weyl_mod.km_poly(rs)
         yield CheckResult(
-            "km", sub, "length-generating-identity",
+            "km", str(rs.cartan_type), "length-generating-identity",
             lhs == rhs, f"W(t) = {to_str(rhs)}",
         )
-    else:
-        yield CheckResult("km", sub, "length-generating-identity", True, "skipped above rank 4")
     for g in gradings:
         table = weyl_mod.enumerate_W0(g)
         levi = weyl_mod.km_order(rs) / len(table)
@@ -436,7 +451,7 @@ def suite_km(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResul
 # -- closures, fibers, minimal and maximal elements ----------------------
 
 
-@suite("biconvex")
+@suite("biconvex", max_rank=SWEEP_MAX_RANK)
 def suite_biconvex(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     for g in gradings:
         sub = g.spec_string()
@@ -465,7 +480,7 @@ def suite_biconvex(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Chec
         yield CheckResult("biconvex", sub, "closures-biconvex", not bad_convex, bad_convex)
 
 
-@suite("fibers")
+@suite("fibers", max_rank=SWEEP_MAX_RANK)
 def suite_fibers(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     for g in gradings:
         sub = g.spec_string()
@@ -503,7 +518,7 @@ def suite_fibers(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
         )
 
 
-@suite("minmax")
+@suite("minmax", max_rank=SWEEP_MAX_RANK)
 def suite_minmax(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     for g in gradings:
         sub = g.spec_string()
@@ -562,7 +577,7 @@ def suite_minmax(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
                 )
 
 
-@suite("involution")
+@suite("involution", max_rank=SWEEP_MAX_RANK)
 def suite_involution(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     for g in gradings:
         sub = g.spec_string()
@@ -614,7 +629,7 @@ def suite_involution(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Ch
             )
 
 
-@suite("extreme")
+@suite("extreme", max_rank=SWEEP_MAX_RANK)
 def suite_extreme(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     for g in gradings:
         sub = g.spec_string()
@@ -632,7 +647,7 @@ def suite_extreme(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
         yield CheckResult("extreme", sub, "extreme-roots-match-poset", not bad, bad)
 
 
-@suite("eta")
+@suite("eta", max_rank=SWEEP_MAX_RANK)
 def suite_eta(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     for g in gradings:
         if g.k_standard != 1:
@@ -663,7 +678,7 @@ def suite_eta(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResu
             )
 
 
-@suite("classes")
+@suite("classes", max_rank=SWEEP_MAX_RANK)
 def suite_classes(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     h = rs.coxeter_number
     for g in gradings:
@@ -716,7 +731,7 @@ def suite_classes(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
 # -- arrangements --------------------------------------------------------
 
 
-@suite("regions")
+@suite("regions", max_rank=SWEEP_MAX_RANK)
 def suite_regions(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     for g in gradings:
         sub = g.spec_string()
@@ -755,10 +770,12 @@ def suite_regions(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
         yield CheckResult("regions", sub, "distance-is-length", not bad, bad)
 
 
-@suite("signs")
+@suite("signs", max_rank=SWEEP_MAX_RANK)
 def suite_signs(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
-    sub = str(rs.cartan_type)
-    if rs.rank <= 3 and gradings:
+    skipped = rank_skip("signs", rs, "oracle-matches-inversions", 3)
+    if skipped:
+        yield skipped
+    elif gradings:
         g = gradings[0]
         normals = rs.positive_roots
         bad = ""
@@ -771,7 +788,8 @@ def suite_signs(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckRe
                     break
             if bad:
                 break
-        yield CheckResult("signs", sub, "oracle-matches-inversions", not bad, bad)
+        yield CheckResult("signs", str(rs.cartan_type), "oracle-matches-inversions",
+                          not bad, bad)
     for g in gradings:
         normals = arr_mod.sub_arrangement_01(g).normals
         bad = ""
@@ -789,7 +807,7 @@ def suite_signs(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckRe
         )
 
 
-@suite("counting")
+@suite("counting", max_rank=SWEEP_MAX_RANK)
 def suite_counting(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     strict = arr_mod.is_proved_family(rs)
     for g in gradings:
@@ -805,11 +823,11 @@ def suite_counting(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Chec
             yield CheckResult(
                 "counting", sub, "height-product-formula-report", True,
                 f"product {formula}, enumeration {count}"
-                + ("" if formula == count else " (differ; not asserted here)"),
+                + ("" if formula == count else " (differ; not asserted here)"), "info",
             )
 
 
-@suite("charpoly")
+@suite("charpoly", max_rank=arr_mod.CHAR_POLY_MAX_RANK)
 def suite_charpoly(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     sub = str(rs.cartan_type)
     strict = arr_mod.is_proved_family(rs)
@@ -857,17 +875,13 @@ def suite_charpoly(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Chec
         else:
             yield CheckResult(
                 "charpoly", gsub, "dual-partition-factorisation-report", True,
-                f"factors over the dual partition: {factors}",
+                f"factors over the dual partition: {factors}", "info",
             )
 
 
-@suite("appendix")
+@suite("appendix", max_rank=arr_mod.UPPER_IDEAL_MAX_RANK)
 def suite_appendix(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     sub = str(rs.cartan_type)
-    if rs.rank > 5:
-        yield CheckResult("appendix", sub, "complement-heights-partition", True,
-                          "skipped above rank 5")
-        return
     report = arr_mod.upper_ideal_partition_check(rs)
     yield CheckResult(
         "appendix", sub, "complement-heights-partition",
@@ -965,5 +979,5 @@ def suite_e7(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResul
     yield CheckResult(
         "e7", sub, "stated-count-verdict", True,
         f"direct enumeration {rep['ideal_count']} vs {rep['stated_count_in_source']} "
-        "quoted in the source example (reported, not asserted)",
+        "quoted in the source example (reported, not asserted)", "info",
     )

@@ -42,10 +42,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("--csv", action="store_true", help="emit CSV")
     p.add_argument("--out", metavar="PATH", help="write output to a file")
-    p.add_argument(
-        "--allow-huge", action="store_true",
-        help="permit rank-8 inputs (E8 sweeps are not desk-sized)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,8 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arrangement", help="regions, height partition, exponents")
     p.add_argument("spec")
-    p.add_argument("--charpoly", action="store_true",
-                   help="force the characteristic polynomial (rank must allow point counting)")
     p.add_argument("--max-rank", type=int, default=7)
     _common_flags(p)
 
@@ -116,14 +110,8 @@ def _grading_from_spec(args: argparse.Namespace) -> Grading:
 
 
 def _guard_rank(rs: RootSystem, args: argparse.Namespace) -> None:
-    if getattr(args, "allow_huge", False):
-        return
-    limit = getattr(args, "max_rank", 7)
-    if rs.rank > limit:
-        raise UsageError(
-            f"rank {rs.rank} exceeds --max-rank {limit}; "
-            "raise the bound or pass --allow-huge"
-        )
+    if rs.rank > args.max_rank:
+        raise UsageError(f"rank {rs.rank} exceeds --max-rank {args.max_rank}; raise the bound")
 
 
 # -- rendering -----------------------------------------------------------
@@ -356,13 +344,7 @@ def cmd_element(args: argparse.Namespace) -> int:
 
 def cmd_arrangement(args: argparse.Namespace) -> int:
     g = _grading_from_spec(args)
-    try:
-        payload = arr_mod.arrangement_report(
-            g, with_char=True if args.charpoly else None
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit(args, payload)
+    _emit(args, arr_mod.arrangement_report(g))
     return 0
 
 
@@ -389,21 +371,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
             rs = build(parse_cartan_type(name))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        if rs.rank > 7 and not args.allow_huge:
-            raise UsageError(f"{name}: rank-8 sweeps need --allow-huge")
+        if rs.rank > max(7, args.max_rank):
+            raise UsageError(f"{name}: rank-{rs.rank} sweeps need --max-rank {rs.rank}")
         targets.append((rs, checks.sweep_gradings(rs)))
     if not targets:
         raise UsageError("nothing to verify: pass types/gradings or --all")
     results = checks.run(targets, suites)
-    failures = [r for r in results if not r.ok]
+    failures = sum(not r.ok for r in results)
+    skipped = sum(r.status == "skip" for r in results)
     payload = {
         "suites": suites if suites else sorted(checks.SUITES),
         "targets": [str(rs.cartan_type) for rs, _ in targets],
         "total": len(results),
-        "failures": len(failures),
+        "failures": failures,
+        "skipped": skipped,
         "checks": [
             {"suite": r.suite, "subject": r.subject, "name": r.name,
-             "ok": r.ok, "detail": r.detail}
+             "ok": r.ok, "status": r.status, "detail": r.detail}
             for r in results
         ],
     }
@@ -411,13 +395,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not (args.json or args.csv):
         lines = []
         for r in results:
-            status = "  ok  " if r.ok else " FAIL "
-            tail = f" -- {r.detail}" if (r.detail and not r.ok) else ""
-            lines.append(f"[{status}] {r.suite:<10} {r.subject:<16} {r.name}{tail}")
-        lines.append(f"{len(results)} checks, {len(failures)} failures")
+            tag = _STATUS_TAGS[r.status]
+            tail = f" -- {r.detail}" if (r.detail and r.status != "pass") else ""
+            lines.append(f"[{tag}] {r.suite:<10} {r.subject:<16} {r.name}{tail}")
+        lines.append(f"{len(results)} checks, {failures} failures, {skipped} skipped")
     _emit(args, payload, payload["checks"], lines)
     return 1 if failures else 0
 
+
+_STATUS_TAGS = {"pass": "  ok  ", "fail": " FAIL ", "skip": " skip ", "info": " info "}
 
 _COMMANDS = {
     "show": cmd_show,

@@ -164,7 +164,7 @@ def test_criterion_10_deterministic_json(capsys):
         ["show", "B2:es", "--json"],
         ["ideals", "F4:es", "--json", "--list"],
         ["weyl", "A3:0,1,0", "--json", "--min", "--max"],
-        ["arrangement", "G2:es", "--json", "--charpoly"],
+        ["arrangement", "G2:es", "--json"],
         ["verify", "--suite", "ideals", "--json", "B3:0,1,0"],
     ]
     for argv in commands:

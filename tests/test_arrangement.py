@@ -159,7 +159,7 @@ def test_conjecture_check_strict_case():
 
 def test_conjecture_check_reporting_case():
     # exceptional types outside G2 are informational, not strict
-    out = conjecture_check(parse_grading_spec("F4:1,0,0,0"), with_char=False)
+    out = conjecture_check(parse_grading_spec("F4:1,0,0,0"))
     assert out["strict"] is False
     assert out["sum_ok"]
 

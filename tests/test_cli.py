@@ -100,7 +100,7 @@ def test_element_rejects_non_ideal(capsys):
 
 
 def test_arrangement_report(capsys):
-    code, out, _ = run_cli(["arrangement", "G2:es", "--json", "--charpoly"], capsys)
+    code, out, _ = run_cli(["arrangement", "G2:es", "--json"], capsys)
     data = json.loads(out)
     assert code == 0
     assert data["region_count"] == 5
@@ -136,6 +136,46 @@ def test_verify_exit_one_on_failure(capsys):
         assert "FAIL" in out
     finally:
         del checks.SUITES["zz-always-red"]
+
+
+def test_verify_reports_skip_above_bound(capsys):
+    code, out, _ = run_cli(["verify", "E6", "--suite", "appendix"], capsys)
+    assert code == 0
+    assert out == ("[ skip ] appendix   E6               sweep -- rank 6 exceeds the bound 5\n"
+                   "1 checks, 0 failures, 1 skipped\n")
+    code, out, _ = run_cli(["verify", "E6", "--suite", "appendix", "--json"], capsys)
+    data = json.loads(out)
+    assert code == 0
+    assert (data["total"], data["failures"], data["skipped"]) == (1, 0, 1)
+    assert data["checks"][0]["status"] == "skip"
+
+
+def test_verify_shows_info_detail(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "counting", "F4:1,0,0,0"], capsys)
+    assert code == 0
+    assert out == ("[ info ] counting   F4:1,0,0,0       height-product-formula-report"
+                   " -- product 22, enumeration 22\n"
+                   "1 checks, 0 failures, 0 skipped\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", "A2:1,0", "--allow-huge"],
+    ["verify", "--allow-huge", "--suite", "rootsys", "A2"],
+    ["arrangement", "A2:1,0", "--charpoly"],
+])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_verify_rank_8_reads_max_rank(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "rootsys", "E8", "--max-rank", "8"], capsys)
+    assert code == 0
+    assert out.endswith("6 checks, 0 failures, 0 skipped\n")
+    code, out, err = run_cli(["verify", "--suite", "rootsys", "E8"], capsys)
+    assert code == 2 and out == ""
+    assert "--max-rank" in err
 
 
 def test_verify_unknown_suite(capsys):
