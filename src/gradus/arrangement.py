@@ -7,19 +7,21 @@ the level-0 subsystem are read off from the level-1 signs of the minimal
 coset representatives and are in bijection with the lower ideals of the
 weight poset.
 
-Characteristic polynomials are computed by exact point counts over small
-prime fields: a prime is safe as soon as it divides no minor of the normal
-matrix, because then every subset of normals has the same rank over F_q as
-over Q and the Whitney-style inclusion-exclusion count agrees with the
-characteristic polynomial.  The polynomial is interpolated from rank+1 safe
-primes and confirmed on one more.  A count never visits all of F_q^n: a
-nonempty central complement is stable under F_q^*, so only points whose
-first nonzero coordinate is 1 are counted, fibred over the last coordinate,
-for about q^(n-2) steps per normal.
+Characteristic polynomials are computed by exact point counts over the
+prime fields F_q with q above the Coxeter number h.  By Kamiya-Takemura-Terao
+(2010) the lcm period of the characteristic quasi-polynomial of a root-system
+arrangement is the lcm of the coefficients of the highest root theta, and
+that of any subset of Delta+ divides it, so the count at a prime dividing no
+coefficient of theta is chi(q).  Those coefficients are at most 6, and one
+above 2 occurs only where h >= 6, so every prime above h will do.  The
+polynomial is interpolated from rank+1 such primes and confirmed on one more.
+A count never visits all of F_q^n: a nonempty central complement is stable
+under F_q^*, so only points whose first nonzero coordinate is 1 are counted,
+fibred over the last coordinate, for about q^(n-2) steps per normal.
 
-The root poset, the safe primes and the characteristic polynomials depend
-only on the root system (memoised by build) and the normals, so each is a
-functools.cache and is computed once per process.
+The root poset and the characteristic polynomials depend only on the root
+system (memoised by build) and the normals, so each is a functools.cache and
+is computed once per process.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
-from math import comb
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -36,12 +37,14 @@ import numpy as np
 from . import ideals as ideals_mod
 from . import weyl as weyl_mod
 from .grading import Grading
-from .ideals import Ideal, iter_downclosed, order_masks, upclosure_masks
+from .ideals import Ideal, iter_downclosed, order_masks
 from .polys import Poly, from_int_roots, interpolate, value
 from .rootsys import Root, RootSystem, dual_partition
 
-# Above these ranks the safe-prime minor search and the sweep over all upper
-# ideals of the root poset stop being desk-sized.
+# Above rank 5 a char_poly is n + 2 point counts of about q^(n-2) * |A| steps
+# each (the E6 Coxeter arrangement: about 5 s over q = 13...41 on a 2-vCPU
+# VM), and the sweep over all upper ideals of the root poset stops being
+# desk-sized.
 CHAR_POLY_MAX_RANK = 5
 UPPER_IDEAL_MAX_RANK = 5
 
@@ -92,9 +95,8 @@ def ideal_arrangement(rs: RootSystem, upper_mask: int) -> Arrangement:
     """The arrangement whose normals are the positive roots outside an upper
     ideal of the root poset."""
     down = root_poset_down_masks(rs)
-    ups = upclosure_masks(down)
     for j in range(len(rs.positive_roots)):
-        if upper_mask >> j & 1 and ups[j] & ~upper_mask:
+        if not upper_mask >> j & 1 and down[j] & upper_mask:
             raise ValueError("mask is not an upper ideal of the root poset")
     picked = tuple(
         r for j, r in enumerate(rs.positive_roots) if not upper_mask >> j & 1
@@ -163,62 +165,13 @@ def geometric_sign_oracle(
 # -- characteristic polynomials by finite-field point counts ------------
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Gaussian elimination (Bareiss)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-@cache
-def _minor_prime_factors(rs: RootSystem) -> frozenset[int]:
-    """Primes dividing some minor of the positive-root coordinate matrix.
-    Any other prime preserves all subset ranks modulo p."""
-    n = rs.rank
-    rows = [r.coords for r in rs.positive_roots]
-    values: set[int] = set()
-    for k in range(1, n + 1):
-        for cols in combinations(range(n), k):
-            for picked in combinations(rows, k):
-                d = abs(_det([[row[c] for c in cols] for row in picked]))
-                if d > 1:
-                    values.add(d)
-    primes: set[int] = set()
-    for v in values:
-        p = 2
-        while p * p <= v:
-            if v % p == 0:
-                primes.add(p)
-                while v % p == 0:
-                    v //= p
-            p += 1
-        if v > 1:
-            primes.add(v)
-    return frozenset(primes)
-
-
 def good_primes(rs: RootSystem, count: int) -> list[int]:
-    """Primes above the Coxeter number that divide no minor of the root
-    coordinates; point counts at these primes match the rational answer."""
-    bad = _minor_prime_factors(rs)
+    """The first count primes above the Coxeter number; point counts at these
+    primes match the rational answer (see the module docstring)."""
     out: list[int] = []
     candidate = rs.coxeter_number + 1
     while len(out) < count:
-        if all(candidate % p for p in range(2, candidate)) and candidate not in bad:
+        if all(candidate % p for p in range(2, isqrt(candidate) + 1)):
             out.append(candidate)
         candidate += 1
     return out
@@ -260,16 +213,14 @@ def _point_count(normals: Sequence[Root], n: int, q: int) -> int:
 
 @cache
 def char_poly(arr: Arrangement) -> Poly:
-    """Characteristic polynomial via point counts over safe primes, with an
-    extra prime confirming the interpolation; computed once per arrangement."""
+    """Characteristic polynomial via point counts over primes above h, with
+    an extra prime confirming the interpolation; computed once per arrangement."""
     n = arr.rs.rank
     if n > CHAR_POLY_MAX_RANK:
-        m = len(arr.rs.positive_roots)
-        minors = sum(comb(m, k) * comb(n, k) for k in range(1, n + 1))
         raise ValueError(
-            f"rank {n} exceeds the char_poly bound {CHAR_POLY_MAX_RANK}: {minors:,} minors "
-            f"to find safe primes q > {arr.rs.coxeter_number}, then {n + 2} "
-            f"point counts of about q^{n - 2} * {len(arr.normals)} steps"
+            f"rank {n} exceeds the char_poly bound {CHAR_POLY_MAX_RANK}: {n + 2} point "
+            f"counts at primes q > {arr.rs.coxeter_number}, each of about "
+            f"q^{n - 2} * {len(arr.normals)} steps"
         )
     primes = good_primes(arr.rs, n + 2)
     points = [(q, _point_count(arr.normals, n, q)) for q in primes[: n + 1]]
@@ -287,7 +238,7 @@ def zaslavsky_regions(chi: Sequence[int]) -> int:
     return (-1) ** (len(chi) - 1) * value(chi, -1)
 
 
-# -- height partitions and the exponent conjecture ----------------------
+# -- height partitions and the exponents ---------------------------------
 
 
 def height_partition(roots: Iterable[Root]) -> tuple[int, ...]:
@@ -301,54 +252,16 @@ def height_partition(roots: Iterable[Root]) -> tuple[int, ...]:
 
 
 def conjectural_exponents(g: Grading) -> tuple[int, ...]:
-    """Dual of the height partition of the level-(0,1) normals, ascending;
-    conjecturally the exponents of the arrangement."""
+    """Dual of the height partition of the level-(0,1) normals, ascending.
+    These normals are an ideal subarrangement, so by the theorem of
+    Abe-Barakat-Cuntz-Hoge-Terao (ABCHT) they are its exponents."""
     return tuple(sorted(dual_partition(height_partition(sub_arrangement_01(g).normals))))
 
 
 def ideal_count_formula(g: Grading) -> Fraction:
     """Product over Delta(1) of (height+1)/height; equals the number of
-    lower ideals (proved for the classical families and G2)."""
+    lower ideals in every type, a theorem (ABCHT)."""
     return weyl_mod.km_order(g.rs, g.slice(1))
-
-
-def is_proved_family(rs: RootSystem) -> bool:
-    """Whether the ideal-count formula and the dual-partition factorisation
-    are theorems for this type: the classical families and G2.  Elsewhere
-    they are reported, not asserted."""
-    return rs.cartan_type.family in "ABCD" or str(rs.cartan_type) == "G2"
-
-
-def conjecture_check(g: Grading) -> dict:
-    """Necessary conditions for the conjectural exponents, plus the exact
-    polynomial comparison up to rank CHAR_POLY_MAX_RANK.
-
-    strict is set for the families where the factorisation is proved; for the
-    exceptional types outside G2 the verdicts are informational.
-    """
-    rs = g.rs
-    arr = sub_arrangement_01(g)
-    b = conjectural_exponents(g)
-    table = weyl_mod.enumerate_W0(g)
-    w0_order = weyl_mod.km_order(rs) / len(table)
-    assert w0_order.denominator == 1
-    ideal_count = ideals_mod.count_lower_ideals(ideals_mod.weight_poset(g, 1))
-    product = 1
-    for e in b:
-        product *= e + 1
-    report = {
-        "grading": g.spec_string(),
-        "exponents": list(b),
-        "sum_ok": sum(b) == len(arr.normals),
-        "product_over_levi": str(Fraction(product, int(w0_order))),
-        "ideal_product_ok": product == int(w0_order) * ideal_count,
-        "strict": is_proved_family(rs),
-    }
-    if rs.rank <= CHAR_POLY_MAX_RANK:
-        chi = char_poly(arr)
-        report["char_ok"] = chi == from_int_roots(b)
-        report["zaslavsky_ok"] = zaslavsky_regions(chi) == product
-    return report
 
 
 def arrangement_report(g: Grading) -> dict:

@@ -272,6 +272,17 @@ def suite_grading(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
             "grading", sub, "spec-string-roundtrip",
             parse_grading_spec(g.spec_string()).marks == g.marks, g.spec_string(),
         )
+        # Level never falls along a cover of the root poset, so the level-(0,1)
+        # normals are an ideal subarrangement: the hypothesis under which ABCHT
+        # prove what the counting and charpoly factorisation rows check.
+        normals = arr_mod.sub_arrangement_01(g).normals
+        upper = g.ge1_mask & ~g.delta1_mask
+        detail = f"{len(normals)} normals"
+        try:
+            same = arr_mod.ideal_arrangement(rs, upper).normals == normals
+        except ValueError as exc:
+            same, detail = False, str(exc)
+        yield CheckResult("grading", sub, "level-01-is-ideal-arrangement", same, detail)
         if g.k_standard == 1:
             tilde = g.pi(1)[0]
             yield CheckResult(
@@ -809,28 +820,18 @@ def suite_signs(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckRe
 
 @suite("counting", max_rank=SWEEP_MAX_RANK)
 def suite_counting(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
-    strict = arr_mod.is_proved_family(rs)
     for g in gradings:
-        sub = g.spec_string()
         count = ideals_mod.count_lower_ideals(ideals_mod.weight_poset(g, 1))
         formula = arr_mod.ideal_count_formula(g)
-        if strict:
-            yield CheckResult(
-                "counting", sub, "height-product-formula",
-                formula == count, f"product {formula}, enumeration {count}",
-            )
-        else:
-            yield CheckResult(
-                "counting", sub, "height-product-formula-report", True,
-                f"product {formula}, enumeration {count}"
-                + ("" if formula == count else " (differ; not asserted here)"), "info",
-            )
+        yield CheckResult(
+            "counting", g.spec_string(), "height-product-formula",
+            formula == count, f"product {formula}, enumeration {count}",
+        )
 
 
 @suite("charpoly", max_rank=arr_mod.CHAR_POLY_MAX_RANK)
 def suite_charpoly(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     sub = str(rs.cartan_type)
-    strict = arr_mod.is_proved_family(rs)
     chi_full = arr_mod.char_poly(arr_mod.coxeter_arrangement(rs))
     yield CheckResult(
         "charpoly", sub, "coxeter-factorisation",
@@ -866,17 +867,10 @@ def suite_charpoly(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Chec
             f"regions {arr_mod.zaslavsky_regions(chi)}, {levi}*{count}",
         )
         b = arr_mod.conjectural_exponents(g)
-        factors = chi == from_int_roots(b)
-        if strict:
-            yield CheckResult(
-                "charpoly", gsub, "dual-partition-factorisation",
-                factors, f"chi = {to_str(chi)}, predicted roots {b}",
-            )
-        else:
-            yield CheckResult(
-                "charpoly", gsub, "dual-partition-factorisation-report", True,
-                f"factors over the dual partition: {factors}", "info",
-            )
+        yield CheckResult(
+            "charpoly", gsub, "dual-partition-factorisation",
+            chi == from_int_roots(b), f"chi = {to_str(chi)}, predicted roots {b}",
+        )
 
 
 @suite("appendix", max_rank=arr_mod.UPPER_IDEAL_MAX_RANK)

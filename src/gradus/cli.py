@@ -356,14 +356,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         names = checks.default_types(args.max_rank)
     elif not args.scope and suites == ["e7"]:
         names = ["E7"]
+
+    # The suites bound their own work, so only rank 8 needs --max-rank.
+    def guard(label: str, rs: RootSystem) -> RootSystem:
+        if rs.rank > max(7, args.max_rank):
+            raise UsageError(f"{label}: rank-{rs.rank} sweeps need --max-rank {rs.rank}")
+        return rs
+
     for token in args.scope:
         if ":" in token:
             try:
                 g = parse_grading_spec(token)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-            _guard_rank(g.rs, args)
-            targets.append((g.rs, [g]))
+            targets.append((guard(token, g.rs), [g]))
         else:
             names.append(token)
     for name in names:
@@ -371,9 +377,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             rs = build(parse_cartan_type(name))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        if rs.rank > max(7, args.max_rank):
-            raise UsageError(f"{name}: rank-{rs.rank} sweeps need --max-rank {rs.rank}")
-        targets.append((rs, checks.sweep_gradings(rs)))
+        targets.append((guard(name, rs), checks.sweep_gradings(rs)))
     if not targets:
         raise UsageError("nothing to verify: pass types/gradings or --all")
     results = checks.run(targets, suites)

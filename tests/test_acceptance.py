@@ -60,7 +60,7 @@ def test_criterion_02_theorem_suite_rank_4():
 def test_criterion_03_counting_formula_exact():
     checked = 0
     for name in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
-                 "D3", "D4", "G2"]:
+                 "D3", "D4", "G2", "F4"]:
         rs = build(name)
         top = 3 if rs.rank <= 3 else 2
         for marks in itertools.product(range(top + 1), repeat=rs.rank):
@@ -72,7 +72,7 @@ def test_criterion_03_counting_formula_exact():
             enumerated = count_lower_ideals(weight_poset(g))
             assert Fraction(enumerated) == ideal_count_formula(g), g.spec_string()
             checked += 1
-    _passed(3, f"height-product formula exact on {checked} classical/G2 gradings")
+    _passed(3, f"height-product formula exact on {checked} gradings of rank <= 4")
 
 
 EXTRA_SPECIAL_IDEALS = {

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import combinations
+from math import prod
+from typing import Sequence
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +14,6 @@ from gradus.arrangement import (
     arrangement_report,
     char_poly,
     conjectural_exponents,
-    conjecture_check,
     coxeter_arrangement,
     deleted_arrangement,
     geometric_sign_oracle,
@@ -30,7 +32,7 @@ from gradus.checks import default_types, sweep_gradings
 from gradus.grading import parse_grading_spec
 from gradus.ideals import count_lower_ideals, weight_poset
 from gradus.polys import from_int_roots
-from gradus.rootsys import build
+from gradus.rootsys import RootSystem, build
 from gradus.weyl import enumerate_W0, km_order, weyl_elements
 
 # chi of the full reflection arrangement factors over the exponents
@@ -97,6 +99,112 @@ def test_good_primes_pinned():
         assert all(q > rs.coxeter_number for q in good_primes(rs, 3))
 
 
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Fraction-free Gaussian elimination (Bareiss)."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+@cache
+def _minor_prime_factors(rs: RootSystem) -> frozenset[int]:
+    """Primes dividing some minor of the positive-root coordinate matrix.
+    Any other prime preserves all subset ranks modulo p."""
+    n = rs.rank
+    rows = [r.coords for r in rs.positive_roots]
+    values: set[int] = set()
+    for k in range(1, n + 1):
+        for cols in combinations(range(n), k):
+            for picked in combinations(rows, k):
+                d = abs(_det([[row[c] for c in cols] for row in picked]))
+                if d > 1:
+                    values.add(d)
+    primes: set[int] = set()
+    for v in values:
+        p = 2
+        while p * p <= v:
+            if v % p == 0:
+                primes.add(p)
+                while v % p == 0:
+                    v //= p
+            p += 1
+        if v > 1:
+            primes.add(v)
+    return frozenset(primes)
+
+
+@pytest.mark.parametrize("name", default_types(4))
+def test_minor_search_finds_only_theta_primes(name):
+    # The primes where some subset of normals drops rank mod p are those of
+    # the coefficients of theta (Kamiya-Takemura-Terao), all at most h, so
+    # the floor q > h alone keeps every count exact.
+    rs = build(name)
+    theta_primes = {p for c in rs.theta.coords for p in range(2, c + 1)
+                    if c % p == 0 and all(p % d for d in range(2, p))}
+    assert _minor_prime_factors(rs) == theta_primes
+    assert all(p <= rs.coxeter_number for p in theta_primes)
+
+
+# good_primes(rs, rank + 2) as the minor search returned it: no prime above h
+# was ever rejected.
+PRIMES_ABOVE_H = {
+    "A1": [3, 5, 7],
+    "A2": [5, 7, 11, 13],
+    "B2": [5, 7, 11, 13],
+    "C2": [5, 7, 11, 13],
+    "G2": [7, 11, 13, 17],
+    "A3": [5, 7, 11, 13, 17],
+    "B3": [7, 11, 13, 17, 19],
+    "C3": [7, 11, 13, 17, 19],
+    "D3": [5, 7, 11, 13, 17],
+    "A4": [7, 11, 13, 17, 19, 23],
+    "B4": [11, 13, 17, 19, 23, 29],
+    "C4": [11, 13, 17, 19, 23, 29],
+    "D4": [7, 11, 13, 17, 19, 23],
+    "F4": [13, 17, 19, 23, 29, 31],
+    "A5": [7, 11, 13, 17, 19, 23, 29],
+    "B5": [11, 13, 17, 19, 23, 29, 31],
+    "C5": [11, 13, 17, 19, 23, 29, 31],
+    "D5": [11, 13, 17, 19, 23, 29, 31],
+    "A6": [11, 13, 17, 19, 23, 29, 31, 37],
+    "B6": [13, 17, 19, 23, 29, 31, 37, 41],
+    "C6": [13, 17, 19, 23, 29, 31, 37, 41],
+    "D6": [11, 13, 17, 19, 23, 29, 31, 37],
+    "E6": [13, 17, 19, 23, 29, 31, 37, 41],
+    "A7": [11, 13, 17, 19, 23, 29, 31, 37, 41],
+    "B7": [17, 19, 23, 29, 31, 37, 41, 43, 47],
+    "C7": [17, 19, 23, 29, 31, 37, 41, 43, 47],
+    "D7": [13, 17, 19, 23, 29, 31, 37, 41, 43],
+    "E7": [19, 23, 29, 31, 37, 41, 43, 47, 53],
+    "A8": [11, 13, 17, 19, 23, 29, 31, 37, 41, 43],
+    "B8": [17, 19, 23, 29, 31, 37, 41, 43, 47, 53],
+    "C8": [17, 19, 23, 29, 31, 37, 41, 43, 47, 53],
+    "D8": [17, 19, 23, 29, 31, 37, 41, 43, 47, 53],
+    "E8": [31, 37, 41, 43, 47, 53, 59, 61, 67, 71],
+}
+
+
+def test_good_primes_are_the_primes_above_h():
+    assert list(PRIMES_ABOVE_H) == default_types(8)
+    for name, primes in PRIMES_ABOVE_H.items():
+        rs = build(name)
+        assert good_primes(rs, rs.rank + 2) == primes, name
+
+
 def test_char_poly_is_monic_with_unit_chi_one():
     # chi(1) = 0 whenever there is at least one wall
     for name in ["A2", "B3", "G2"]:
@@ -149,19 +257,22 @@ def test_ideal_count_formula_values():
     assert ideal_count_formula(parse_grading_spec("B3:0,1,0")) == Fraction(10)
 
 
-def test_conjecture_check_strict_case():
-    out = conjecture_check(parse_grading_spec("G2:es"))
-    assert out["strict"] is True
-    assert out["sum_ok"] and out["ideal_product_ok"]
-    assert out["char_ok"] and out["zaslavsky_ok"]
-    assert out["exponents"] == [1, 4]
-
-
-def test_conjecture_check_reporting_case():
-    # exceptional types outside G2 are informational, not strict
-    out = conjecture_check(parse_grading_spec("F4:1,0,0,0"))
-    assert out["strict"] is False
-    assert out["sum_ok"]
+@pytest.mark.parametrize("spec, exponents", [("G2:es", (1, 4)),
+                                             ("F4:1,0,0,0", (1, 5, 7, 10))],
+                         ids=["G2:es", "F4:1,0,0,0"])
+def test_level_01_exponents_factor_chi(spec, exponents):
+    g = parse_grading_spec(spec)
+    rep = arrangement_report(g)
+    b = conjectural_exponents(g)
+    assert b == exponents == tuple(sorted(rep["dual_partition"]))
+    assert sum(b) == len(sub_arrangement_01(g).normals)
+    assert rep["exponents_match"]
+    levi = km_order(g.rs) / len(enumerate_W0(g))
+    regions = zaslavsky_regions(rep["char_poly"])
+    assert regions == prod(e + 1 for e in b) == levi * rep["ideal_count"]
+    rows = checks.run([(g.rs, [g])], ["charpoly"])
+    status = {r.name: r.status for r in rows if r.subject == g.spec_string()}
+    assert status["region-count-two-ways"] == status["dual-partition-factorisation"] == "pass"
 
 
 def test_arrangement_report_shape():

@@ -3,7 +3,7 @@
 import pytest
 
 from gradus import arrangement, checks, ideals, weyl
-from gradus.checks import CheckResult
+from gradus.checks import CheckResult, sweep_gradings
 from gradus.grading import grade
 from gradus.rootsys import RootSystem, build
 
@@ -16,10 +16,7 @@ BOUNDS = {
     "appendix": arrangement.UPPER_IDEAL_MAX_RANK, "e7": None,
 }
 
-REPORT_ROWS = {
-    "self-dual-count-report", "height-product-formula-report",
-    "dual-partition-factorisation-report", "stated-count-verdict",
-}
+REPORT_ROWS = {"self-dual-count-report", "stated-count-verdict"}
 
 
 def test_bounds_are_declared_at_registration():
@@ -67,6 +64,23 @@ def test_report_rows_are_info():
     rows += checks.SUITES["e7"](build("E7"), [])
     assert {r.name for r in rows if r.status == "info"} == REPORT_ROWS
     assert {r.status for r in rows if r.name not in REPORT_ROWS} == {"pass"}
+    assert {r.name for r in rows if r.suite in ("counting", "charpoly")} >= {
+        "height-product-formula", "dual-partition-factorisation"}
+
+
+def test_level_01_is_ideal_arrangement_row_per_grading(monkeypatch):
+    rs = build("F4")
+    gradings = sweep_gradings(rs)
+    rows = [r for r in checks.SUITES["grading"](rs, gradings)
+            if r.name == "level-01-is-ideal-arrangement"]
+    assert [r.subject for r in rows] == [g.spec_string() for g in gradings]
+    assert {r.status for r in rows} == {"pass"}
+    # the row compares against the walls the arrangement layer picks
+    monkeypatch.setattr(arrangement, "sub_arrangement_01",
+                        lambda g: arrangement.coxeter_arrangement(g.rs))
+    (row,) = [r for r in checks.SUITES["grading"](rs, [grade(rs, (1, 0, 0, 0))])
+              if r.name == "level-01-is-ideal-arrangement"]
+    assert row.status == "fail" and row.detail == "24 normals"
 
 
 def test_row_bounds_skip_through_the_shared_helper():

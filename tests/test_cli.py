@@ -151,10 +151,14 @@ def test_verify_reports_skip_above_bound(capsys):
 
 
 def test_verify_shows_info_detail(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "ideals", "B2:es"], capsys)
+    assert code == 0
+    assert ("[ info ] ideals     B2:0,1           self-dual-count-report"
+            " -- self-dual 1, M(-1) 1 (compared, not asserted)\n") in out
+    assert out.endswith("7 checks, 0 failures, 0 skipped\n")
     code, out, _ = run_cli(["verify", "--suite", "counting", "F4:1,0,0,0"], capsys)
     assert code == 0
-    assert out == ("[ info ] counting   F4:1,0,0,0       height-product-formula-report"
-                   " -- product 22, enumeration 22\n"
+    assert out == ("[  ok  ] counting   F4:1,0,0,0       height-product-formula\n"
                    "1 checks, 0 failures, 0 skipped\n")
 
 
@@ -176,6 +180,15 @@ def test_verify_rank_8_reads_max_rank(capsys):
     code, out, err = run_cli(["verify", "--suite", "rootsys", "E8"], capsys)
     assert code == 2 and out == ""
     assert "--max-rank" in err
+
+
+def test_verify_grading_token_follows_the_type_rule(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "rootsys", "E6:1,0,0,0,0,0"], capsys)
+    assert code == 0
+    assert out.endswith("6 checks, 0 failures, 0 skipped\n")
+    code, out, err = run_cli(["verify", "--suite", "rootsys", "E8:1,0,0,0,0,0,0,0"], capsys)
+    assert code == 2 and out == ""
+    assert "need --max-rank 8" in err
 
 
 def test_verify_unknown_suite(capsys):
