@@ -5,7 +5,9 @@ Delta(1), the full Coxeter arrangement Delta+, and the arrangements that
 drop an upper ideal of the root poset.  Regions inside the dominant cone of
 the level-0 subsystem are read off from the level-1 signs of the minimal
 coset representatives and are in bijection with the lower ideals of the
-weight poset.
+weight poset.  geometric_signs is a second route to those signs: it reads
+an interior point of each chamber off the permutation of w and takes the
+signs of a whole batch from one integer product, without an inversion set.
 
 Characteristic polynomials are computed by exact point counts over the
 prime fields F_q with q above the Coxeter number h.  By Kamiya-Takemura-Terao
@@ -19,9 +21,9 @@ A count never visits all of F_q^n: a nonempty central complement is stable
 under F_q^*, so only points whose first nonzero coordinate is 1 are counted,
 fibred over the last coordinate, for about q^(n-2) steps per normal.
 
-The root poset and the characteristic polynomials depend only on the root
-system (memoised by build) and the normals, so each is a functools.cache and
-is computed once per process.
+The root poset, the signed heights and the characteristic polynomials depend
+only on the root system (memoised by build) and the normals, so each is a
+functools.cache and is computed once per process.
 """
 
 from __future__ import annotations
@@ -137,29 +139,50 @@ def regions_in_dominant_chamber(g: Grading) -> list[Region]:
     return out
 
 
-def geometric_sign_oracle(
-    g: Grading, w: weyl_mod.WeylElement, normals: Optional[Sequence[Root]] = None
-) -> tuple[int, ...]:
-    """Signs of the chamber w^(-1)(dominant) against each hyperplane, from an
-    interior point: the inverse image of the sum of fundamental coweights.
+@cache
+def _signed_heights(rs: RootSystem) -> tuple[int, ...]:
+    """Height of each root of rs.roots(), indexed as permutations index it."""
+    heights = tuple(r.height for r in rs.positive_roots)
+    return heights + tuple(-h for h in heights)
 
-    In coweight coordinates that point is the vector of column sums of the
-    matrix of w (the heights of the w(alpha_j)), so each sign is an exact
-    integer dot product.  It reads only w.matrix, never the inversion set,
-    so it is a second route to the signs that inversion masks give.
+
+def geometric_signs(
+    g: Grading,
+    elements: Sequence[weyl_mod.WeylElement],
+    normals: Optional[Sequence[Root]] = None,
+) -> np.ndarray:
+    """Signs of each chamber w^(-1)(dominant) against each hyperplane, from
+    an interior point: the inverse image of the sum of fundamental coweights.
+    Row r holds the signs of elements[r], column c those against normals[c].
+
+    In coweight coordinates that point has coordinates ht(w(alpha_j)), read
+    off the permutation of w at the simple roots, so every sign of the batch
+    comes from one integer product, points x normals^T; it is exact in int64,
+    each entry being at most rank * h * 6 in size.  It never reads an
+    inversion set, so it is a second route to the signs that inversion masks
+    give.
     """
     if normals is None:
         normals = sub_arrangement_01(g).normals
-    n = g.rs.rank
-    m = w.matrix
-    point = tuple(sum(m[i][j] for i in range(n)) for j in range(n))
-    signs = []
-    for gamma in normals:
-        val = sum(x * c for x, c in zip(point, gamma.coords))
-        if val == 0:
-            raise ValueError(f"chamber point lies on the hyperplane of {gamma}")
-        signs.append(1 if val > 0 else -1)
-    return tuple(signs)
+    rs = g.rs
+    heights = _signed_heights(rs)
+    points = np.array(
+        [[heights[w.perm[k]] for k in rs.simple_indices] for w in elements],
+        dtype=np.int64,
+    ).reshape(len(elements), rs.rank)
+    coords = np.array([gamma.coords for gamma in normals], dtype=np.int64)
+    values = points @ coords.reshape(len(normals), rs.rank).T
+    if not values.all():
+        _, c = np.argwhere(values == 0)[0]
+        raise ValueError(f"chamber point lies on the hyperplane of {normals[c]}")
+    return np.sign(values)
+
+
+def geometric_sign_oracle(
+    g: Grading, w: weyl_mod.WeylElement, normals: Optional[Sequence[Root]] = None
+) -> tuple[int, ...]:
+    """The signs of geometric_signs for the single element w."""
+    return tuple(int(s) for s in geometric_signs(g, [w], normals)[0])
 
 
 # -- characteristic polynomials by finite-field point counts ------------

@@ -25,8 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from . import arrangement as arr_mod
 from . import ideals as ideals_mod
@@ -69,9 +72,14 @@ def rank_skip(suite: str, rs: RootSystem, name: str,
 def suite(name: str, max_rank: Optional[int] = None) -> Callable[[Suite], Suite]:
     """Register a suite, gated at max_rank (None: no bound)."""
     def deco(fn: Suite) -> Suite:
+        # a generator function like the suites it gates, so that tracing by
+        # function kind sees its rows
         def gated(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
             skipped = rank_skip(name, rs, "sweep", max_rank)
-            return iter([skipped]) if skipped else fn(rs, gradings)
+            if skipped:
+                yield skipped
+            else:
+                yield from fn(rs, gradings)
 
         gated.max_rank = max_rank  # type: ignore[attr-defined]
         SUITES[name] = gated
@@ -208,23 +216,38 @@ def suite_rootsys(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
     )
 
 
+@cache
+def _root_sums(rs: RootSystem) -> tuple[dict[int, int], ...]:
+    """Row a maps each b with root_a + root_b a root to the index of that
+    sum, indices being those of rs.roots(), in increasing b."""
+    roots = rs.roots()
+    where = {r.coords: k for k, r in enumerate(roots)}
+    return tuple(
+        {
+            b: where[s]
+            for b, nu in enumerate(roots)
+            if (s := tuple(x + y for x, y in zip(mu.coords, nu.coords))) in where
+        }
+        for mu in roots
+    )
+
+
 @suite("threeroot", max_rank=4)
 def suite_threeroot(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     sub = str(rs.cartan_type)
     roots = rs.roots()
+    npos = len(rs.positive_roots)
+    sums = _root_sums(rs)
+    where = {r.coords: k for k, r in enumerate(roots)}
     checked = degenerate = 0
     bad = ""
-    for nu1 in roots:
-        for nu2 in roots:
-            if not rs.is_root(tuple(a + b for a, b in zip(nu1.coords, nu2.coords))):
-                continue
-            for mu in roots:
-                total = tuple(
-                    a + b + c for a, b, c in zip(mu.coords, nu1.coords, nu2.coords)
-                )
-                if not rs.is_root(total):
-                    continue
-                if mu == -nu1 or mu == -nu2:
+    # nu1 + nu2 runs over the roots c, and mu over the roots with mu + c one
+    for a, nu1 in enumerate(roots):
+        for b, c in sums[a].items():
+            nu2 = roots[b]
+            for m in sums[c]:
+                mu = roots[m]
+                if m == (a + npos) % (2 * npos) or m == (b + npos) % (2 * npos):
                     degenerate += 1
                     try:
                         rs.three_root_witness(mu, nu1, nu2)
@@ -238,9 +261,10 @@ def suite_threeroot(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Che
                 except ValueError:
                     bad = bad or f"no witness for {mu}; {nu1}; {nu2}"
                     continue
-                if rs.add_roots(mu, w) is None:
+                k = where.get(w.coords)
+                if k is None or k not in sums[m]:
                     bad = bad or f"bad witness {w} for {mu}; {nu1}; {nu2}"
-                elif w != nu1 and rs.add_roots(mu, nu1) is not None:
+                elif k != a and a in sums[m]:
                     bad = bad or f"tie not resolved to first choice: {mu}; {nu1}; {nu2}"
     yield CheckResult(
         "threeroot", sub, "witness-sweep", not bad,
@@ -768,17 +792,32 @@ def suite_regions(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
             "regions", sub, "chambers-partition",
             total == len(weyl_mod.enumerate_W0(g)), f"{total} chambers",
         )
-        normals = arr_mod.coxeter_arrangement(rs).normals
-        bad = ""
-        for r in regions:
-            for w in r.chambers:
-                signs = arr_mod.geometric_sign_oracle(g, w, normals)
-                if sum(1 for s in signs if s < 0) != w.length:
-                    bad = f"wall distance of {w} differs from its length"
-                    break
-            if bad:
-                break
+        chambers = [w for r in regions for w in r.chambers]
+        signs = arr_mod.geometric_signs(g, chambers, rs.positive_roots)
+        walls = (signs < 0).sum(axis=1)
+        bad = next(
+            (f"wall distance of {w} differs from its length"
+             for w, d in zip(chambers, walls) if d != w.length),
+            "",
+        )
         yield CheckResult("regions", sub, "distance-is-length", not bad, bad)
+
+
+def _sign_mismatch(
+    rs: RootSystem, elements: Sequence[weyl_mod.WeylElement], normals: Sequence,
+    signs: np.ndarray,
+) -> Optional[tuple[int, int]]:
+    """The first (element, normal) position, row by row, where a negative
+    sign disagrees with membership in the element's inversion set."""
+    width = (len(rs.positive_roots) + 7) // 8
+    raw = b"".join(w.inversion_mask.to_bytes(width, "little") for w in elements)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(elements), width),
+        axis=1, bitorder="little",
+    )
+    columns = [rs.index[gamma.coords] for gamma in normals]
+    wrong = np.argwhere((signs < 0) != bits[:, columns].astype(bool))
+    return (int(wrong[0][0]), int(wrong[0][1])) if len(wrong) else None
 
 
 @suite("signs", max_rank=SWEEP_MAX_RANK)
@@ -787,32 +826,22 @@ def suite_signs(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckRe
     if skipped:
         yield skipped
     elif gradings:
-        g = gradings[0]
         normals = rs.positive_roots
+        elements = weyl_mod.weyl_elements(rs)
+        signs = arr_mod.geometric_signs(gradings[0], elements, normals)
+        at = _sign_mismatch(rs, elements, normals, signs)
         bad = ""
-        for w in weyl_mod.weyl_elements(rs):
-            signs = arr_mod.geometric_sign_oracle(g, w, normals)
-            for gamma, s in zip(normals, signs):
-                inv = w.inversion_mask >> rs.index[gamma.coords] & 1
-                if (s < 0) != bool(inv):
-                    bad = f"{w} at {gamma}: sign {s}, inversion {bool(inv)}"
-                    break
-            if bad:
-                break
+        if at is not None:
+            w, gamma, s = elements[at[0]], normals[at[1]], int(signs[at])
+            bad = f"{w} at {gamma}: sign {s}, inversion {s > 0}"
         yield CheckResult("signs", str(rs.cartan_type), "oracle-matches-inversions",
                           not bad, bad)
     for g in gradings:
         normals = arr_mod.sub_arrangement_01(g).normals
-        bad = ""
-        for e in weyl_mod.enumerate_W0(g).entries:
-            signs = arr_mod.geometric_sign_oracle(g, e.element, normals)
-            for gamma, s in zip(normals, signs):
-                inv = e.element.inversion_mask >> rs.index[gamma.coords] & 1
-                if (s < 0) != bool(inv):
-                    bad = f"{e.element} at {gamma}"
-                    break
-            if bad:
-                break
+        elements = weyl_mod.enumerate_W0(g).elements()
+        at = _sign_mismatch(rs, elements, normals,
+                            arr_mod.geometric_signs(g, elements, normals))
+        bad = "" if at is None else f"{elements[at[0]]} at {normals[at[1]]}"
         yield CheckResult(
             "signs", g.spec_string(), "coset-signs-match-inversions", not bad, bad,
         )

@@ -6,9 +6,9 @@ levels Delta(i).  Standard gradings have marks in {0,1}; the abelian ones
 are those of maximal level 1 and the extra-special ones those of maximal
 level 2 with a single root on top.
 
-What a grading derives once (its level masks, its weight posets and its
-coset table) is a cached_property of the Grading, so it lives exactly as
-long as the grading does.
+What a grading derives once (its level masks, its weight posets, its
+coset table and the extremes of its fibers) is a cached_property of the
+Grading, so it lives exactly as long as the grading does.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .rootsys import Root, RootSystem, build, parse_cartan_type
 
 if TYPE_CHECKING:
     from .ideals import WeightPoset
-    from .weyl import CosetTable
+    from .weyl import CosetTable, WeylElement
 
 
 class Grading:
@@ -101,9 +101,18 @@ class Grading:
     def coset_table(self) -> CosetTable:
         """The minimal coset representatives W0, kept for the life of the
         grading."""
-        from .weyl import CosetTable
+        from .weyl import CosetTable, WeylElement
 
         return CosetTable(self)
+
+    @cached_property
+    def fiber_extremes(self) -> Callable[[int, bool], WeylElement]:
+        """fiber_extremes(mask, top) is w_max (top) or w_min of the lower
+        ideal of Delta(1) with positive-root mask `mask`, peeled on first use
+        and kept for the life of the grading."""
+        from .weyl import fiber_extreme
+
+        return cache(partial(fiber_extreme, self))
 
     @property
     def is_standard(self) -> bool:
@@ -136,6 +145,7 @@ class Grading:
         if not self.is_standard:
             raise ValueError("simple components are defined for standard gradings")
         rs = self.rs
+        level0_simples = [rs.simple_indices[j] for j in self.pi0]
         out: dict[int, list[tuple[Root, ...]]] = {}
         for i in range(1, self.max_level + 1):
             members = [k for k, lv in enumerate(self.levels) if lv == i]
@@ -147,15 +157,12 @@ class Grading:
                     k = parent[k]
                 return k
 
-            member_set = set(members)
+            # gamma + alpha_j keeps the level of gamma, so it is a member
+            # whenever it is a root at all
             for k in members:
-                for j in self.pi0:
-                    s = tuple(
-                        c + (1 if t == j else 0)
-                        for t, c in enumerate(rs.positive_roots[k].coords)
-                    )
-                    other = rs.index.get(s)
-                    if other in member_set:
+                for j in level0_simples:
+                    other = rs.sum_table.get((j, k) if j <= k else (k, j))
+                    if other is not None:
                         parent[find(k)] = find(other)
             groups: dict[int, list[int]] = {}
             for k in members:

@@ -9,14 +9,17 @@ set N(w) = {gamma > 0 : w(gamma) < 0} is stored as a bitmask over the
 canonical positive-root order.  A subset of the positive roots is an
 inversion set iff it and its complement are closed under root addition
 (bi-convexity); such masks are converted back to group elements by
-repeatedly peeling a simple root, which also produces a reduced word.
+repeatedly peeling a simple root, which produces a reduced word and the
+permutation together.
 
 The minimal coset representatives W0 = {w : N(w) avoids the level-0 roots}
 are enumerated without touching the rest of W, by breadth-first search that
 prepends s_i whenever w^(-1)(alpha_i) is a positive root of positive level;
 the breadth-first depth equals the length of the representative.  The
-table is a cached_property of its grading, and longest elements are cached
-per root system and generator tuple.
+table is a cached_property of its grading, and so are the minimal and
+maximal elements of its fibers (Grading.fiber_extremes, keyed by the
+ideal's positive-root mask and peeled once each); longest elements are
+cached per root system and generator tuple.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .ideals import Antichain, Ideal
 from .polys import Poly, divexact, from_exponent_counts, mul
 from .rootsys import Root, RootSystem
 
-Matrix = tuple[tuple[int, ...], ...]
 Perm = tuple[int, ...]
 
 # Whole-group enumeration stops here: |W(E7)| = 2,903,040 elements.
@@ -91,13 +93,6 @@ class WeylElement:
         return WeylElement(self.rs, tuple(inv))
 
     @property
-    def matrix(self) -> Matrix:
-        """Integer matrix in the simple-root basis: column j holds the
-        coordinates of w(alpha_j)."""
-        cols = [self.apply(a).coords for a in self.rs.simple_roots]
-        return tuple(zip(*cols))
-
-    @property
     def inversion_mask(self) -> int:
         if self._inv_mask is None:
             npos = len(self.rs.positive_roots)
@@ -115,10 +110,10 @@ class WeylElement:
     @property
     def word(self) -> tuple[int, ...]:
         if self._word is None:
-            word = _peel_word(self.rs, self.inversion_mask)
-            if word is None:
+            peeled = _peel(self.rs, self.inversion_mask)
+            if peeled is None:
                 raise AssertionError("inversion sets of group elements always peel")
-            self._word = word
+            self._word = peeled[1]
         return self._word
 
     def __eq__(self, other: object) -> bool:
@@ -167,38 +162,42 @@ def is_biconvex(rs: RootSystem, mask: int) -> bool:
     return biconvex_violation(rs, mask) is None
 
 
-def _peel_word(rs: RootSystem, mask: int) -> Optional[tuple[int, ...]]:
-    """Reduced word for the element with inversion set `mask`, or None if
-    peeling gets stuck (the mask is not an inversion set)."""
+def _peel(rs: RootSystem, mask: int) -> Optional[tuple[Perm, tuple[int, ...]]]:
+    """The permutation and a reduced word of the element w with inversion
+    set `mask`, or None if peeling gets stuck (the mask is not an inversion
+    set).
+
+    Each step peels the first simple root alpha_i, in canonical order, that
+    is an inversion of the rest w Q, where Q = s_(i0) ... s_(im) is what has
+    been peeled so far; that holds iff w(Q(alpha_i)) < 0, i.e. iff Q(alpha_i)
+    is a positive root in the mask or a negative root whose negative is not.
+    After all |mask| steps w Q is the identity, so w is Q^(-1).
+    """
+    npos = len(rs.positive_roots)
     simple_positions = rs.simple_indices
     order = sorted(range(rs.rank), key=lambda i: simple_positions[i])
+    q = _identity_perm(rs)
     word_rev: list[int] = []
-    cur = mask
-    while cur:
-        pick = next(
-            (i for i in order if cur >> simple_positions[i] & 1), None
-        )
-        if pick is None:
+    for _ in range(bin(mask).count("1")):
+        for i in order:
+            k = q[simple_positions[i]]
+            if (mask >> k & 1) if k < npos else not mask >> (k - npos) & 1:
+                break
+        else:
             return None
-        word_rev.append(pick)
-        cur &= ~(1 << simple_positions[pick])
-        # s_pick permutes the positive roots other than alpha_pick
-        refl = rs.reflection_table[pick]
-        nxt = 0
-        rest = cur
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            nxt |= 1 << refl[k]
-        cur = nxt
-    return tuple(reversed(word_rev))
+        word_rev.append(i)
+        q = _compose(q, rs.reflection_table[i])
+    perm = [0] * len(q)
+    for k, image in enumerate(q):
+        perm[image] = k
+    return tuple(perm), tuple(reversed(word_rev))
 
 
 def element_from_inversions(rs: RootSystem, mask: int) -> WeylElement:
     """The unique w with N(w) = mask; raises with a violating pair when the
     mask is not bi-convex."""
-    word = _peel_word(rs, mask)
-    if word is None:
+    peeled = _peel(rs, mask)
+    if peeled is None:
         witness = biconvex_violation(rs, mask)
         if witness is None:
             raise AssertionError("peeling failed on a bi-convex mask")
@@ -207,8 +206,7 @@ def element_from_inversions(rs: RootSystem, mask: int) -> WeylElement:
         raise ValueError(
             f"not an inversion set ({reason}): {pos[i]} + {pos[j]} = {pos[k]}"
         )
-    w = from_word(rs, word)
-    w._word = word
+    w = WeylElement(rs, *peeled)
     if w.inversion_mask != mask:
         raise AssertionError("reconstructed element has the wrong inversions")
     return w
@@ -440,17 +438,23 @@ def closure_mask(rs: RootSystem, mask: int) -> int:
 def w_min(g: Grading, ideal: Ideal) -> WeylElement:
     """The unique shortest representative with level-1 inversions the ideal:
     its inversion set is the additive closure of the ideal."""
-    pos = ideal.poset.positive_mask(ideal.mask)
-    return element_from_inversions(g.rs, closure_mask(g.rs, pos))
+    return g.fiber_extremes(ideal.poset.positive_mask(ideal.mask), False)
 
 
 def w_max(g: Grading, ideal: Ideal) -> WeylElement:
     """The unique longest representative: inversions are the positive levels
     minus the additive closure of the complementary upper ideal."""
-    comp = ideal.poset.positive_mask(ideal.complement_mask)
-    return element_from_inversions(
-        g.rs, g.ge1_mask & ~closure_mask(g.rs, comp)
-    )
+    return g.fiber_extremes(ideal.poset.positive_mask(ideal.mask), True)
+
+
+def fiber_extreme(g: Grading, mask: int, top: bool) -> WeylElement:
+    """w_max (top) or w_min of the lower ideal of Delta(1) with positive-root
+    mask `mask`, peeled from its inversion set.  Callers go through the
+    grading's memo, g.fiber_extremes."""
+    if not top:
+        return element_from_inversions(g.rs, closure_mask(g.rs, mask))
+    comp = g.delta1_mask & ~mask
+    return element_from_inversions(g.rs, g.ge1_mask & ~closure_mask(g.rs, comp))
 
 
 def W0_min(g: Grading) -> list[WeylElement]:

@@ -17,6 +17,7 @@ from gradus.arrangement import (
     coxeter_arrangement,
     deleted_arrangement,
     geometric_sign_oracle,
+    geometric_signs,
     good_primes,
     height_partition,
     ideal_arrangement,
@@ -30,10 +31,13 @@ from gradus.arrangement import (
 from gradus import arrangement, checks, weyl
 from gradus.checks import default_types, sweep_gradings
 from gradus.grading import parse_grading_spec
-from gradus.ideals import count_lower_ideals, weight_poset
+from gradus.ideals import count_lower_ideals, iter_lower_ideals, weight_poset
 from gradus.polys import from_int_roots
-from gradus.rootsys import RootSystem, build
-from gradus.weyl import enumerate_W0, km_order, weyl_elements
+from gradus.rootsys import Root, RootSystem, build
+from gradus.weyl import (
+    WeylElement, enumerate_W0, fiber, km_order, w_max, w_min, weyl_elements,
+)
+from test_weyl import _matrix
 
 # chi of the full reflection arrangement factors over the exponents
 COXETER_CHI = {
@@ -231,6 +235,84 @@ def test_region_chambers_sorted_by_distance():
     for region in regions_in_dominant_chamber(g):
         lengths = [w.length for w in region.chambers]
         assert lengths == sorted(lengths)
+
+
+def _matrix_sign_oracle(g, w, normals=None):
+    """Signs of the chamber w^(-1)(dominant) against each hyperplane, from an
+    interior point: the inverse image of the sum of fundamental coweights.
+
+    In coweight coordinates that point is the vector of column sums of the
+    matrix of w (the heights of the w(alpha_j)), so each sign is an exact
+    integer dot product.  It reads only the matrix of w, never the inversion
+    set, so it is a second route to the signs that inversion masks give.
+    """
+    if normals is None:
+        normals = sub_arrangement_01(g).normals
+    n = g.rs.rank
+    m = _matrix(w)
+    point = tuple(sum(m[i][j] for i in range(n)) for j in range(n))
+    signs = []
+    for gamma in normals:
+        val = sum(x * c for x, c in zip(point, gamma.coords))
+        if val == 0:
+            raise ValueError(f"chamber point lies on the hyperplane of {gamma}")
+        signs.append(1 if val > 0 else -1)
+    return tuple(signs)
+
+
+@pytest.mark.parametrize("name", default_types(4))
+def test_batched_signs_match_the_matrix_route(name):
+    rs = build(name)
+    gradings = sweep_gradings(rs)
+    elements = weyl_elements(rs)
+    signs = geometric_signs(gradings[0], elements, rs.positive_roots)
+    assert signs.shape == (len(elements), len(rs.positive_roots))
+    for w, row in zip(elements, signs.tolist()):
+        assert tuple(row) == _matrix_sign_oracle(gradings[0], w, rs.positive_roots)
+    for g in gradings:
+        cosets = enumerate_W0(g).elements()
+        signs = geometric_signs(g, cosets)
+        assert signs.shape == (len(cosets), len(sub_arrangement_01(g).normals))
+        for w, row in zip(cosets, signs.tolist()):
+            assert tuple(row) == _matrix_sign_oracle(g, w)
+            assert geometric_sign_oracle(g, w) == tuple(row)
+
+
+def test_chamber_point_on_a_wall_raises():
+    g = parse_grading_spec("A2:1,0")
+    ident = WeylElement.identity(g.rs)
+    # The identity's chamber point (1, 1) lies on the plane of a1 - a2.
+    with pytest.raises(ValueError, match="hyperplane of a1-a2"):
+        geometric_signs(g, [ident], [g.rs.positive_roots[0], Root((1, -1))])
+    with pytest.raises(ValueError, match="hyperplane of a1-a2"):
+        geometric_sign_oracle(g, ident, [Root((1, -1))])
+    with pytest.raises(ValueError, match="hyperplane of a1-a2"):
+        _matrix_sign_oracle(g, ident, [Root((1, -1))])
+
+
+def test_signs_of_no_elements_or_no_normals():
+    g = parse_grading_spec("B2:0,1")
+    assert geometric_signs(g, [], g.rs.positive_roots).shape == (0, 4)
+    assert geometric_signs(g, weyl_elements(g.rs), []).shape == (8, 0)
+
+
+@pytest.mark.slow
+def test_e6_signs_and_fiber_extremes():
+    # Every E6 grading, by the library directly: the batched signs against
+    # the inversion masks of the cosets, and w_min/w_max against the ends of
+    # each fiber.
+    rs = build("E6")
+    for g in sweep_gradings(rs):
+        normals = sub_arrangement_01(g).normals
+        columns = [rs.index[gamma.coords] for gamma in normals]
+        table = enumerate_W0(g)
+        signs = geometric_signs(g, table.elements(), normals)
+        for e, row in zip(table.entries, signs.tolist()):
+            mask = e.element.inversion_mask
+            assert [s < 0 for s in row] == [bool(mask >> k & 1) for k in columns]
+        for ideal in iter_lower_ideals(weight_poset(g, 1)):
+            fib = fiber(g, ideal)
+            assert w_min(g, ideal) == fib[0] and w_max(g, ideal) == fib[-1]
 
 
 def test_geometric_sign_oracle_matches_inversions():

@@ -1,5 +1,7 @@
 """The rank gate of the check suites and the status of their rows."""
 
+import inspect
+
 import pytest
 
 from gradus import arrangement, checks, ideals, weyl
@@ -21,6 +23,12 @@ REPORT_ROWS = {"self-dual-count-report", "stated-count-verdict"}
 
 def test_bounds_are_declared_at_registration():
     assert {name: s.max_rank for name, s in checks.SUITES.items()} == BOUNDS
+
+
+def test_gated_suites_are_generator_functions():
+    # A tracer that wraps generator functions step by step sees their rows
+    # and the time spent making them, not just the call that starts them.
+    assert all(inspect.isgeneratorfunction(s) for s in checks.SUITES.values())
 
 
 def test_status_follows_ok_unless_given():
@@ -92,3 +100,98 @@ def test_row_bounds_skip_through_the_shared_helper():
     rs = build("A5")
     (km,) = [r for r in checks.SUITES["km"](rs, []) if r.name == "length-generating-identity"]
     assert km.status == "skip" and km.detail == "rank 5 exceeds the bound 4"
+
+
+# The witness-sweep detail of the threeroot suite, as the coordinate-tuple
+# sweep reported it.
+WITNESS_SWEEP = {
+    "A1": "0 triples, 0 degenerate rejected",
+    "A2": "0 triples, 24 degenerate rejected",
+    "B2": "32 triples, 48 degenerate rejected",
+    "C2": "32 triples, 48 degenerate rejected",
+    "G2": "192 triples, 120 degenerate rejected",
+    "A3": "96 triples, 96 degenerate rejected",
+    "B3": "576 triples, 240 degenerate rejected",
+    "C3": "624 triples, 240 degenerate rejected",
+    "D3": "96 triples, 96 degenerate rejected",
+    "A4": "480 triples, 240 degenerate rejected",
+    "B4": "2880 triples, 672 degenerate rejected",
+    "C4": "3072 triples, 672 degenerate rejected",
+    "D4": "1152 triples, 384 degenerate rejected",
+    "F4": "12672 triples, 1632 degenerate rejected",
+}
+
+
+@pytest.mark.parametrize("name", checks.default_types(4))
+def test_witness_sweep_detail_pinned(name):
+    (row,) = checks.SUITES["threeroot"](build(name), [])
+    assert row.status == "pass" and row.detail == WITNESS_SWEEP[name]
+
+
+@pytest.mark.parametrize("name", ["B2", "G2", "A3", "B3", "C3"])
+def test_witness_sweep_visits_the_coordinate_triples_in_order(name, monkeypatch):
+    rs = RootSystem(build(name).cartan_type)  # a private instance to patch
+    roots = rs.roots()
+    expected = [
+        (mu, nu1, nu2)
+        for nu1 in roots
+        for nu2 in roots
+        if rs.is_root(tuple(a + b for a, b in zip(nu1.coords, nu2.coords)))
+        for mu in roots
+        if rs.is_root(tuple(a + b + c for a, b, c in
+                            zip(mu.coords, nu1.coords, nu2.coords)))
+    ]
+    seen = []
+    real = rs.three_root_witness
+
+    def recording(mu, nu1, nu2):
+        seen.append((mu, nu1, nu2))
+        return real(mu, nu1, nu2)
+
+    monkeypatch.setattr(rs, "three_root_witness", recording)
+    (row,) = checks.SUITES["threeroot"](rs, [])
+    assert row.status == "pass"
+    assert seen == expected
+
+
+def test_witness_sweep_reports_a_wrong_witness(monkeypatch):
+    rs = RootSystem(build("B2").cartan_type)
+    real = rs.three_root_witness
+    monkeypatch.setattr(rs, "three_root_witness",
+                        lambda mu, nu1, nu2: real(mu, nu1, nu2) and rs.theta)
+    (row,) = checks.SUITES["threeroot"](rs, [])
+    assert row.status == "fail" and row.detail.startswith("bad witness a1+2a2 for ")
+
+
+def test_witness_sweep_reports_a_tie_not_resolved_to_nu1(monkeypatch):
+    rs = RootSystem(build("C3").cartan_type)  # C3 has triples where both do
+    real = rs.three_root_witness
+
+    def second_choice(mu, nu1, nu2):
+        w = real(mu, nu1, nu2)
+        return nu2 if rs.add_roots(mu, nu2) is not None else w
+
+    monkeypatch.setattr(rs, "three_root_witness", second_choice)
+    (row,) = checks.SUITES["threeroot"](rs, [])
+    assert row.status == "fail"
+    assert row.detail.startswith("tie not resolved to first choice: ")
+
+
+def test_sign_rows_fail_on_a_flipped_sign(monkeypatch):
+    real = arrangement.geometric_signs
+
+    def flipped(g, elements, normals=None):
+        signs = real(g, elements, normals).copy()
+        signs[-1, -1] *= -1
+        return signs
+
+    monkeypatch.setattr(arrangement, "geometric_signs", flipped)
+    rs = build("B2")
+    gradings = sweep_gradings(rs)
+    rows = list(checks.SUITES["signs"](rs, gradings))
+    assert rows and all(r.status == "fail" for r in rows)
+    assert rows[0].detail == "s2 s1 s2 s1 at a1+2a2: sign 1, inversion True"
+    rows = list(checks.SUITES["regions"](rs, gradings))
+    bad = [r for r in rows if r.status == "fail"]
+    assert {r.name for r in bad} == {"distance-is-length"}
+    assert len(bad) == len(gradings)

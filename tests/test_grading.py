@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from gradus.checks import default_types
 from gradus.grading import extra_special, grade, parse_grading_spec
 from gradus.rootsys import build
 
@@ -151,3 +154,47 @@ def test_level_masks_cover_positives():
         assert full & mask == 0
         full |= mask
     assert full == (1 << len(g.rs.positive_roots)) - 1
+
+
+def _components_by_coordinates(g):
+    """Simple components rebuilt from coordinate tuples: each (member, level-0
+    simple) pair is summed coordinatewise and looked up in the root index."""
+    rs = g.rs
+    out = {}
+    for i in range(1, g.max_level + 1):
+        members = [k for k, lv in enumerate(g.levels) if lv == i]
+        parent = {k: k for k in members}
+
+        def find(k):
+            while parent[k] != k:
+                parent[k] = parent[parent[k]]
+                k = parent[k]
+            return k
+
+        member_set = set(members)
+        for k in members:
+            for j in g.pi0:
+                s = tuple(
+                    c + (1 if t == j else 0)
+                    for t, c in enumerate(rs.positive_roots[k].coords)
+                )
+                other = rs.index.get(s)
+                if other in member_set:
+                    parent[find(k)] = find(other)
+        groups = {}
+        for k in members:
+            groups.setdefault(find(k), []).append(k)
+        out[i] = [
+            tuple(rs.positive_roots[k] for k in sorted(grp))
+            for grp in sorted(groups.values(), key=min)
+        ]
+    return out
+
+
+@pytest.mark.parametrize("name", default_types(6))
+def test_simple_components_match_the_coordinate_route(name):
+    rs = build(name)
+    for marks in product((0, 1), repeat=rs.rank):
+        if any(marks):
+            g = grade(rs, marks)
+            assert g.simple_components() == _components_by_coordinates(g)

@@ -15,6 +15,7 @@ from gradus.ideals import (
     weight_poset,
 )
 from gradus.rootsys import build
+from test_weyl import _matrix
 from gradus.weyl import (
     closure_mask,
     element_from_inversions,
@@ -106,9 +107,9 @@ def test_extreme_elements_hit_the_ideal(bundle):
 def test_word_and_inversion_round_trips(name, word):
     rs = build(name)
     w = from_word(rs, tuple(i % rs.rank for i in word))
-    assert from_word(rs, w.word).matrix == w.matrix
+    assert _matrix(from_word(rs, w.word)) == _matrix(w)
     assert len(w.word) == w.length
-    assert element_from_inversions(rs, w.inversion_mask).matrix == w.matrix
+    assert _matrix(element_from_inversions(rs, w.inversion_mask)) == _matrix(w)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,13 +1,18 @@
+import gc
+import weakref
+
 import pytest
 from fractions import Fraction
 
-from gradus.checks import default_types
+from gradus import weyl
+from gradus.checks import default_types, sweep_gradings
 from gradus.grading import parse_grading_spec
-from gradus.ideals import lower_ideal_from_roots, weight_poset
+from gradus.ideals import iter_lower_ideals, lower_ideal_from_roots, weight_poset
 from gradus.rootsys import build
 from gradus.weyl import (
     W0_max,
     W0_min,
+    biconvex_violation,
     closure_layers,
     closure_mask,
     element_from_inversions,
@@ -27,6 +32,7 @@ from gradus.weyl import (
     w_max,
     w_min,
     weyl_elements,
+    WeylElement,
 )
 
 ORDERS = {"A1": 2, "A2": 6, "B2": 8, "G2": 12, "A3": 24, "B3": 48, "C3": 48}
@@ -54,6 +60,13 @@ def _matrix_of_word(rs, word):
     return m
 
 
+def _matrix(w):
+    """Integer matrix of w in the simple-root basis: column j holds the
+    coordinates of w(alpha_j)."""
+    cols = [w.apply(a).coords for a in w.rs.simple_roots]
+    return tuple(zip(*cols))
+
+
 @pytest.mark.parametrize("name", default_types(4))
 def test_permutations_agree_with_the_matrix_route(name):
     rs = build(name)
@@ -61,8 +74,8 @@ def test_permutations_agree_with_the_matrix_route(name):
     assert len(elements) == km_order(rs)
     mats = [_matrix_of_word(rs, w.word) for w in elements]
     for w, m in zip(elements, mats):
-        assert w.matrix == m
-        assert w.inverse().matrix == _matrix_of_word(rs, w.word[::-1])
+        assert _matrix(w) == m
+        assert _matrix(w.inverse()) == _matrix_of_word(rs, w.word[::-1])
         negative = 0
         for k, r in enumerate(rs.positive_roots):
             image = _matmul(m, tuple((c,) for c in r.coords))
@@ -71,7 +84,7 @@ def test_permutations_agree_with_the_matrix_route(name):
         assert w.inversion_mask == negative
     for k, u in enumerate(elements):
         j = (7 * k + 3) % len(elements)
-        assert (u * elements[j]).matrix == _matmul(mats[k], mats[j])
+        assert _matrix(u * elements[j]) == _matmul(mats[k], mats[j])
 
 
 @pytest.mark.parametrize("name", sorted(ORDERS))
@@ -88,8 +101,8 @@ def test_inversion_sets_biject_with_elements(name):
     for w in elems:
         assert w.length == bin(w.inversion_mask).count("1")
         assert len(w.word) == w.length
-        assert from_word(rs, w.word).matrix == w.matrix
-        assert element_from_inversions(rs, w.inversion_mask).matrix == w.matrix
+        assert _matrix(from_word(rs, w.word)) == _matrix(w)
+        assert _matrix(element_from_inversions(rs, w.inversion_mask)) == _matrix(w)
 
 
 def test_inversion_roots_against_direct_application():
@@ -240,7 +253,7 @@ def test_fiber_is_weak_interval():
         fib = fiber(g, ideal)
         total += len(fib)
         lo, hi = w_min(g, ideal), w_max(g, ideal)
-        assert fib[0].matrix == lo.matrix and fib[-1].matrix == hi.matrix
+        assert _matrix(fib[0]) == _matrix(lo) and _matrix(fib[-1]) == _matrix(hi)
         members = {w.inversion_mask for w in fib}
         for e in table.entries:
             between = (e.element.inversion_mask & lo.inversion_mask
@@ -256,7 +269,7 @@ def test_involution_pinned_and_involutive():
     words = {(): (1, 0, 1), (1,): (0, 1)}
     for e in enumerate_W0(g).entries:
         iw = involution(g, e.element)
-        assert involution(g, iw).matrix == e.element.matrix
+        assert _matrix(involution(g, iw)) == _matrix(e.element)
         if e.element.word in words:
             assert iw.word == words[e.element.word]
 
@@ -264,10 +277,10 @@ def test_involution_pinned_and_involutive():
 def test_involution_swaps_min_and_max():
     for spec in ["A3:0,1,0", "B3:0,1,0", "G2:es"]:
         g = parse_grading_spec(spec)
-        mins = {w.matrix for w in W0_min(g)}
-        maxs = {w.matrix for w in W0_max(g)}
-        assert {involution(g, w).matrix for w in W0_min(g)} == maxs
-        assert {involution(g, w).matrix for w in W0_max(g)} == mins
+        mins = {_matrix(w) for w in W0_min(g)}
+        maxs = {_matrix(w) for w in W0_max(g)}
+        assert {_matrix(involution(g, w)) for w in W0_min(g)} == maxs
+        assert {_matrix(involution(g, w)) for w in W0_max(g)} == mins
 
 
 def test_eta_pinned_table():
@@ -304,9 +317,107 @@ def test_apply_product_and_inverse():
     assert s0.apply(a).coords == tuple(-c for c in a.coords)
     with pytest.raises(ValueError, match="not a root"):
         s0.apply(rs.root((2, 0, 0)))
-    assert (s0 * s1).matrix == from_word(rs, (0, 1)).matrix
+    assert _matrix(s0 * s1) == _matrix(from_word(rs, (0, 1)))
     for w in (s0, s1, from_word(rs, (0, 1, 2, 1))):
         wi = w.inverse()
         for r in rs.positive_roots:
             assert wi.apply(w.apply(r)) == r
         assert (w * wi).inversion_mask == 0
+
+
+def _old_peel_word(rs, mask):
+    """Reduced word for the element with inversion set `mask`, or None if
+    peeling gets stuck: the mask-transforming route that built words before
+    element_from_inversions tracked the permutation instead."""
+    simple_positions = rs.simple_indices
+    order = sorted(range(rs.rank), key=lambda i: simple_positions[i])
+    word_rev = []
+    cur = mask
+    while cur:
+        pick = next(
+            (i for i in order if cur >> simple_positions[i] & 1), None
+        )
+        if pick is None:
+            return None
+        word_rev.append(pick)
+        cur &= ~(1 << simple_positions[pick])
+        refl = rs.reflection_table[pick]
+        nxt = 0
+        rest = cur
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            nxt |= 1 << refl[k]
+        cur = nxt
+    return tuple(reversed(word_rev))
+
+
+@pytest.mark.parametrize("name", default_types(4))
+def test_peel_gives_the_words_of_the_mask_route(name):
+    rs = build(name)
+    for w in weyl_elements(rs):
+        got = element_from_inversions(rs, w.inversion_mask)
+        old = _old_peel_word(rs, w.inversion_mask)
+        assert got == from_word(rs, old) == w
+        assert got.word == old
+        assert WeylElement(rs, w.perm).word == old
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_peel_refuses_exactly_the_masks_the_mask_route_refuses(name):
+    rs = build(name)
+    for mask in range(1 << len(rs.positive_roots)):
+        if _old_peel_word(rs, mask) is None:
+            assert biconvex_violation(rs, mask) is not None
+            with pytest.raises(ValueError, match="not an inversion set"):
+                element_from_inversions(rs, mask)
+        else:
+            assert element_from_inversions(rs, mask).inversion_mask == mask
+
+
+def test_fiber_extremes_are_peeled_once_per_ideal(monkeypatch):
+    calls = []
+    real = weyl.element_from_inversions
+
+    def counting(rs, mask):
+        calls.append(mask)
+        return real(rs, mask)
+
+    monkeypatch.setattr(weyl, "element_from_inversions", counting)
+    g = parse_grading_spec("B3:es")  # not abelian: fibers have several chambers
+    ideals = list(iter_lower_ideals(weight_poset(g, 1)))
+    first = [(w_min(g, i), w_max(g, i)) for i in ideals]
+    assert len(calls) == 2 * len(ideals)
+    assert len(set(calls)) < len(calls)  # some fibers are a single chamber
+    for i, (lo, hi) in zip(ideals, first):
+        assert w_min(g, i) is lo and w_max(g, i) is hi
+    assert W0_min(g) == [lo for lo, _ in first]
+    assert W0_max(g) == [hi for _, hi in first]
+    assert len(calls) == 2 * len(ideals)
+    # A grading with the same marks has its own memo.
+    other = parse_grading_spec("B3:es")
+    W0_min(other)
+    assert len(calls) == 3 * len(ideals)
+
+
+def test_fiber_extremes_die_with_their_grading():
+    g = parse_grading_spec("B3:0,1,0")
+    p = weight_poset(g, 1)
+    W0_min(g)
+    W0_max(g)
+    for ideal in iter_lower_ideals(p):
+        w_min(g, ideal)
+        w_max(g, ideal)
+    ref = weakref.ref(g)
+    del g, p, ideal
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("name", default_types(4))
+def test_fiber_extremes_are_the_fiber_endpoints(name):
+    rs = build(name)
+    for g in sweep_gradings(rs):
+        for ideal in iter_lower_ideals(weight_poset(g, 1)):
+            fib = fiber(g, ideal)
+            assert w_min(g, ideal) == fib[0] and w_max(g, ideal) == fib[-1]
