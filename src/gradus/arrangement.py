@@ -127,16 +127,15 @@ def regions_in_dominant_chamber(g: Grading) -> list[Region]:
     """Group the minimal coset representatives by their level-1 signs; each
     group is one region, labelled by a lower ideal."""
     table = weyl_mod.enumerate_W0(g)
+    elements = table.elements()
     p = ideals_mod.weight_poset(g, 1)
-    out = []
-    for tau_mask in sorted(table.by_tau):
-        out.append(
-            Region(
-                ideal=Ideal(p, p.poset_mask(tau_mask)),
-                chambers=[table.entries[k].element for k in table.by_tau[tau_mask]],
-            )
+    return [
+        Region(
+            ideal=Ideal(p, p.poset_mask(tau_mask)),
+            chambers=[elements[k] for k in table.by_tau[tau_mask]],
         )
-    return out
+        for tau_mask in sorted(table.by_tau)
+    ]
 
 
 @cache

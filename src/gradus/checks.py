@@ -532,10 +532,8 @@ def suite_fibers(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
             seen += len(fib)
             a, b = lo.inversion_mask, hi.inversion_mask
             interval = {
-                e.element
-                for e in table.entries
-                if e.element.inversion_mask & a == a
-                and e.element.inversion_mask | b == b
+                w for w in table.elements()
+                if w.inversion_mask & a == a and w.inversion_mask | b == b
             }
             if interval != set(fib):
                 bad_interval = bad_interval or f"fiber of {ideal} is not the interval"
@@ -561,17 +559,15 @@ def suite_minmax(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
         count = ideals_mod.count_lower_ideals(ideals_mod.weight_poset(g, 1))
         by_def_min = set(weyl_mod.W0_min(g))
         by_def_max = set(weyl_mod.W0_max(g))
-        by_level_min = {e.element for e in table.entries if e.is_min}
-        by_level_max = {e.element for e in table.entries if e.is_max}
         yield CheckResult(
             "minmax", sub, "min-characterisation",
-            by_def_min == by_level_min and len(by_def_min) == count,
-            f"{len(by_def_min)} minimal vs {len(by_level_min)} by levels",
+            by_def_min == table.minimal and len(by_def_min) == count,
+            f"{len(by_def_min)} minimal vs {len(table.minimal)} by levels",
         )
         yield CheckResult(
             "minmax", sub, "max-characterisation",
-            by_def_max == by_level_max and len(by_def_max) == count,
-            f"{len(by_def_max)} maximal vs {len(by_level_max)} by levels",
+            by_def_max == table.maximal and len(by_def_max) == count,
+            f"{len(by_def_max)} maximal vs {len(table.maximal)} by levels",
         )
         mp = ideals_mod.m_polynomial(ideals_mod.weight_poset(g, 1))
         tau_min = weyl_mod.poincare(
@@ -587,12 +583,12 @@ def suite_minmax(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
         if g.is_abelian:
             yield CheckResult(
                 "minmax", sub, "abelian-all-extreme",
-                by_def_min == by_def_max == {e.element for e in table.entries}, "",
+                by_def_min == by_def_max == set(table.elements()), "",
             )
         else:
             pmin = weyl_mod.poincare(w.length for w in by_def_min)
             pmax = weyl_mod.poincare(w.length for w in by_def_max)
-            whole = {e.element for e in table.entries}
+            whole = set(table.elements())
             yield CheckResult(
                 "minmax", sub, "nonabelian-proper-distinct",
                 by_def_min != by_def_max and by_def_min < whole and by_def_max < whole
@@ -630,20 +626,19 @@ def suite_involution(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Ch
         yield CheckResult(
             "involution", sub, "parabolic-longest-fixes-levels", ok_levels, "",
         )
-        flags = {e.element: (e.is_min, e.is_max) for e in table.entries}
+        image = {w: weyl_mod.involution(g, w) for w in table.elements()}
+        ideal_of = {w: weyl_mod.tau(g, w) for w in table.elements()}
         bad = ""
         fixed = 0
-        for e in table.entries:
-            w = e.element
-            iw = weyl_mod.involution(g, w)
-            if iw not in flags:
+        for w, iw in image.items():
+            if iw not in image:
                 bad = bad or f"image of {w} leaves the coset set"
                 continue
-            if weyl_mod.involution(g, iw) != w:
+            if image[iw] != w:
                 bad = bad or f"not involutive at {w}"
-            if weyl_mod.tau(g, iw) != ideals_mod.dual_ideal(p, weyl_mod.tau(g, w)):
+            if ideal_of[iw] != ideals_mod.dual_ideal(p, ideal_of[w]):
                 bad = bad or f"dual ideal mismatch at {w}"
-            if flags[w][0] != flags[iw][1]:
+            if (w in table.minimal) != (iw in table.maximal):
                 bad = bad or f"minimal flag not swapped at {w}"
             if iw == w:
                 fixed += 1
@@ -656,7 +651,7 @@ def suite_involution(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Ch
                 break
         yield CheckResult("involution", sub, "min-to-max-of-dual", not bad, bad)
         if g.is_abelian:
-            w0poly = weyl_mod.poincare(e.length for e in table.entries)
+            w0poly = weyl_mod.poincare(w.length for w in table.elements())
             yield CheckResult(
                 "involution", sub, "fixed-points-alternating-sum",
                 fixed == value(w0poly, -1),
@@ -689,7 +684,7 @@ def suite_eta(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResu
             continue
         sub = g.spec_string()
         table = weyl_mod.enumerate_W0(g)
-        vectors = [weyl_mod.eta(g, e.element) for e in table.entries]
+        vectors = [weyl_mod.eta(g, w) for w in table.elements()]
         yield CheckResult(
             "eta", sub, "eta-injective",
             len(set(vectors)) == len(vectors), f"{len(vectors)} elements",
@@ -731,7 +726,7 @@ def suite_classes(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
             )
             yield CheckResult(
                 "classes", sub, "abelian-poincare-is-ideal-polynomial",
-                weyl_mod.poincare(e.length for e in table.entries)
+                weyl_mod.poincare(w.length for w in table.elements())
                 == ideals_mod.m_polynomial(p),
                 "",
             )
@@ -750,13 +745,13 @@ def suite_classes(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
             theta = rs.theta
             simples = set(rs.simple_roots)
             bad = ""
-            for e in table.entries:
-                img = e.element.apply(theta)
-                if e.is_min != (-img not in simples):
-                    bad = f"minimal test fails at {e.element}"
+            for w in table.elements():
+                img = w.apply(theta)
+                if (w in table.minimal) != (-img not in simples):
+                    bad = f"minimal test fails at {w}"
                     break
-                if e.is_max != (img not in simples):
-                    bad = f"maximal test fails at {e.element}"
+                if (w in table.maximal) != (img not in simples):
+                    bad = f"maximal test fails at {w}"
                     break
             yield CheckResult(
                 "classes", sub, "extraspecial-theta-test", not bad, bad,

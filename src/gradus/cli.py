@@ -270,11 +270,11 @@ def cmd_weyl(args: argparse.Namespace) -> int:
     p = ideals_mod.weight_poset(g, 1)
     minimal = weyl_mod.W0_min(g)
     maximal = weyl_mod.W0_max(g)
-    fixed = sum(1 for e in table.entries if weyl_mod.involution(g, e.element) == e.element)
+    fixed = sum(1 for w in table.elements() if weyl_mod.involution(g, w) == w)
     payload = {
         "grading": g.spec_string(),
         "coset_count": len(table),
-        "poincare": list(weyl_mod.poincare(e.length for e in table.entries)),
+        "poincare": list(weyl_mod.poincare(w.length for w in table.elements())),
         "min_count": len(minimal),
         "max_count": len(maximal),
         "min_poincare": list(weyl_mod.poincare(w.length for w in minimal)),
@@ -299,8 +299,8 @@ def cmd_weyl(args: argparse.Namespace) -> int:
         if g.k_standard != 1:
             raise UsageError("--eta needs a grading with a single marked node")
         payload["eta"] = [
-            {"word": str(e.element), "eta": list(weyl_mod.eta(g, e.element))}
-            for e in table.entries
+            {"word": str(w), "eta": list(weyl_mod.eta(g, w))}
+            for w in table.elements()
         ]
         rows = [
             {"word": r["word"], "eta": " ".join(map(str, r["eta"]))}

@@ -101,7 +101,7 @@ class Grading:
     def coset_table(self) -> CosetTable:
         """The minimal coset representatives W0, kept for the life of the
         grading."""
-        from .weyl import CosetTable, WeylElement
+        from .weyl import CosetTable
 
         return CosetTable(self)
 

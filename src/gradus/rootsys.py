@@ -300,12 +300,6 @@ class RootSystem:
         return tuple(sorted(m))
 
     @cached_property
-    def fundamental_coweights(self) -> tuple[tuple[Q, ...], ...]:
-        """Vectors w_i with (w_i, alpha_j) = delta_ij, in root coordinates."""
-        inv = _invert(self.gram)
-        return tuple(tuple(row[i] for row in inv) for i in range(self.rank))
-
-    @cached_property
     def reflection_table(self) -> tuple[tuple[int, ...], ...]:
         """Row i maps the index of each root in roots() to the index of its
         image under s_i; index k + N is the negative of positive root k."""
@@ -352,22 +346,6 @@ def dual_partition(counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(
         sum(1 for c in counts if c >= i) for i in range(1, max(counts) + 1)
     )
-
-
-def _invert(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
-    n = len(matrix)
-    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def build(cartan_type: CartanType | str) -> RootSystem:

@@ -15,8 +15,12 @@ permutation together.
 The minimal coset representatives W0 = {w : N(w) avoids the level-0 roots}
 are enumerated without touching the rest of W, by breadth-first search that
 prepends s_i whenever w^(-1)(alpha_i) is a positive root of positive level;
-the breadth-first depth equals the length of the representative.  The
-table is a cached_property of its grading, and so are the minimal and
+the breadth-first depth equals the length of the representative.  A coset
+is its WeylElement: the table keeps the elements as one tuple, the minimal
+and maximal elements of the fibers as two frozensets of them, and the
+fibers as positions in the tuple keyed by level-1 inversion mask.  With
+every node marked W(0) is trivial, so the same walk enumerates W itself.
+The table is a cached_property of its grading, and so are the minimal and
 maximal elements of its fibers (Grading.fiber_extremes, keyed by the
 ideal's positive-root mask and peeled once each); longest elements are
 cached per root system and generator tuple.
@@ -25,7 +29,6 @@ cached per root system and generator tuple.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Optional, Sequence
@@ -215,28 +218,15 @@ def element_from_inversions(rs: RootSystem, mask: int) -> WeylElement:
 # -- group enumeration --------------------------------------------------
 
 
-def weyl_elements(rs: RootSystem) -> list[WeylElement]:
-    """The Weyl group, by breadth-first search in the weak order."""
+def weyl_elements(rs: RootSystem) -> tuple[WeylElement, ...]:
+    """The Weyl group in breadth-first order: the coset table of the grading
+    with every node marked, where W(0) is trivial and so W0 = W."""
     if rs.rank > WEYL_ELEMENTS_MAX_RANK:
         raise ValueError(
             f"rank {rs.rank} exceeds the enumeration bound {WEYL_ELEMENTS_MAX_RANK}; "
             "work with minimal coset representatives"
         )
-    ident = WeylElement.identity(rs)
-    out = [ident]
-    seen = {ident.perm}
-    queue: deque[WeylElement] = deque([ident])
-    while queue:
-        w = queue.popleft()
-        for i in range(rs.rank):
-            perm = _compose(rs.reflection_table[i], w.perm)
-            if perm in seen:
-                continue
-            seen.add(perm)
-            new = WeylElement(rs, perm, word=(i,) + w.word)
-            out.append(new)
-            queue.append(new)
-    return out
+    return CosetTable(Grading(rs, (1,) * rs.rank)).elements()
 
 
 def longest_element(rs: RootSystem, indices: Optional[Iterable[int]] = None) -> WeylElement:
@@ -291,18 +281,14 @@ def km_order(rs: RootSystem, roots: Optional[Iterable[Root]] = None) -> Fraction
 # -- minimal coset representatives --------------------------------------
 
 
-@dataclass
-class CosetEntry:
-    element: WeylElement
-    length: int
-    tau_mask: int  # inversions at level 1, as a positive-root mask
-    is_min: bool
-    is_max: bool
-
-
 class CosetTable:
     """All minimal-length representatives of W modulo the level-0 parabolic,
-    in breadth-first (hence length-sorted) order."""
+    in breadth-first (hence length-sorted) order.
+
+    elements() is the tuple of representatives, each built with its word and
+    inversion mask; `minimal` and `maximal` hold those whose w^(-1)(alpha_j)
+    all have level >= -1, resp. <= 1, over the simple roots alpha_j; by_tau
+    maps a level-1 inversion mask to the positions of its fiber."""
 
     def __init__(self, grading: Grading):
         rs = grading.rs
@@ -310,7 +296,10 @@ class CosetTable:
         simple_positions = rs.simple_indices
         refl = rs.reflection_table
         ident = _identity_perm(rs)
-        entries: list[CosetEntry] = []
+        elements: list[WeylElement] = []
+        minimal: list[WeylElement] = []
+        maximal: list[WeylElement] = []
+        self.by_tau: dict[int, list[int]] = {}
         seen = {ident}
         # (permutation of w, permutation of w^(-1), word, inversion mask)
         queue: deque[tuple[Perm, Perm, tuple[int, ...], int]] = deque(
@@ -318,18 +307,16 @@ class CosetTable:
         )
         while queue:
             perm, inv, word, inv_mask = queue.popleft()
+            w = WeylElement(rs, perm, word=word, inv_mask=inv_mask)
             # w^(-1)(alpha_j) for each simple root alpha_j
             preimages = [inv[k] for k in simple_positions]
             levels = [_signed_level(grading, k) for k in preimages]
-            entries.append(
-                CosetEntry(
-                    element=WeylElement(rs, perm, word=word, inv_mask=inv_mask),
-                    length=len(word),
-                    tau_mask=inv_mask & grading.delta1_mask,
-                    is_min=all(lv >= -1 for lv in levels),
-                    is_max=all(lv <= 1 for lv in levels),
-                )
-            )
+            if all(lv >= -1 for lv in levels):
+                minimal.append(w)
+            if all(lv <= 1 for lv in levels):
+                maximal.append(w)
+            self.by_tau.setdefault(inv_mask & grading.delta1_mask, []).append(len(elements))
+            elements.append(w)
             for i, gained in enumerate(preimages):
                 # s_i w is a longer representative iff w^(-1)(alpha_i) is a
                 # positive root of positive level; at level 0 it is in the
@@ -349,19 +336,18 @@ class CosetTable:
                     )
                 )
         expected = km_order(rs) / km_order(rs, grading.slice(0)[: len(grading.slice(0)) // 2])
-        if Fraction(len(entries)) != expected:
+        if Fraction(len(elements)) != expected:
             raise AssertionError("coset count disagrees with the order formula")
         self.grading = grading
-        self.entries = entries
-        self.by_tau: dict[int, list[int]] = {}
-        for pos, e in enumerate(entries):
-            self.by_tau.setdefault(e.tau_mask, []).append(pos)
+        self._elements = tuple(elements)
+        self.minimal = frozenset(minimal)
+        self.maximal = frozenset(maximal)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._elements)
 
-    def elements(self) -> list[WeylElement]:
-        return [e.element for e in self.entries]
+    def elements(self) -> tuple[WeylElement, ...]:
+        return self._elements
 
 
 def _signed_level(g: Grading, k: int) -> int:
@@ -395,8 +381,9 @@ def fiber(g: Grading, ideal: Ideal) -> list[WeylElement]:
     """All minimal coset representatives whose level-1 inversions equal the
     ideal, in increasing length."""
     table = enumerate_W0(g)
+    elements = table.elements()
     key = ideal.poset.positive_mask(ideal.mask)
-    return [table.entries[k].element for k in table.by_tau.get(key, [])]
+    return [elements[k] for k in table.by_tau.get(key, [])]
 
 
 # -- closures and the minimal/maximal elements of a fiber ----------------

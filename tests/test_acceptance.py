@@ -102,11 +102,11 @@ def test_criterion_05_abelian_identities():
             p = weight_poset(g)
             table = enumerate_W0(g)
             n_ideals = count_lower_ideals(p)
-            assert n_ideals == len(table.entries)
+            assert n_ideals == len(table.elements())
             assert Fraction(n_ideals) == km_order(rs) / km_order(
                 rs, [r for r in rs.positive_roots if g.level(r) == 0])
             mp = m_polynomial(p)
-            assert poincare(e.length for e in table.entries) == mp
+            assert poincare(w.length for w in table.elements()) == mp
             assert value(mp, -1) == self_dual_count(p)
             seen += 1
     assert count_lower_ideals(weight_poset(parse_grading_spec("A3:0,1,0"))) == 6

@@ -227,7 +227,7 @@ def test_regions_biject_with_ideals(spec):
     masks = {r.ideal.mask for r in regions}
     assert len(masks) == len(regions)
     total = sum(len(r.chambers) for r in regions)
-    assert total == len(enumerate_W0(g).entries)
+    assert total == len(enumerate_W0(g).elements())
 
 
 def test_region_chambers_sorted_by_distance():
@@ -307,8 +307,8 @@ def test_e6_signs_and_fiber_extremes():
         columns = [rs.index[gamma.coords] for gamma in normals]
         table = enumerate_W0(g)
         signs = geometric_signs(g, table.elements(), normals)
-        for e, row in zip(table.entries, signs.tolist()):
-            mask = e.element.inversion_mask
+        for w, row in zip(table.elements(), signs.tolist()):
+            mask = w.inversion_mask
             assert [s < 0 for s in row] == [bool(mask >> k & 1) for k in columns]
         for ideal in iter_lower_ideals(weight_poset(g, 1)):
             fib = fiber(g, ideal)

@@ -41,10 +41,10 @@ def test_no_global_cache_holds_a_grading():
     p = weight_poset(g, 1)
     for ideal in iter_lower_ideals(p):
         dual_ideal(p, ideal)
-    for e in enumerate_W0(g).entries:
-        involution(g, e.element)
+    for w in enumerate_W0(g).elements():
+        involution(g, w)
     ref = weakref.ref(g)
-    del g, p, ideal, e
+    del g, p, ideal, w
     gc.collect()
     assert ref() is None
 

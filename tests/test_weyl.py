@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import deque
 
 import pytest
 from fractions import Fraction
@@ -10,6 +11,7 @@ from gradus.grading import parse_grading_spec
 from gradus.ideals import iter_lower_ideals, lower_ideal_from_roots, weight_poset
 from gradus.rootsys import build
 from gradus.weyl import (
+    WEYL_ELEMENTS_MAX_RANK,
     W0_max,
     W0_min,
     biconvex_violation,
@@ -33,6 +35,7 @@ from gradus.weyl import (
     w_min,
     weyl_elements,
     WeylElement,
+    _compose,
 )
 
 ORDERS = {"A1": 2, "A2": 6, "B2": 8, "G2": 12, "A3": 24, "B3": 48, "C3": 48}
@@ -85,6 +88,43 @@ def test_permutations_agree_with_the_matrix_route(name):
     for k, u in enumerate(elements):
         j = (7 * k + 3) % len(elements)
         assert _matrix(u * elements[j]) == _matmul(mats[k], mats[j])
+
+
+def _weyl_elements_bfs(rs):
+    """The Weyl group, by breadth-first search in the weak order: the walk
+    weyl_elements made on its own before it became the coset table of the
+    all-marked grading, kept as the oracle for it."""
+    if rs.rank > WEYL_ELEMENTS_MAX_RANK:
+        raise ValueError(
+            f"rank {rs.rank} exceeds the enumeration bound {WEYL_ELEMENTS_MAX_RANK}; "
+            "work with minimal coset representatives"
+        )
+    ident = WeylElement.identity(rs)
+    out = [ident]
+    seen = {ident.perm}
+    queue: deque[WeylElement] = deque([ident])
+    while queue:
+        w = queue.popleft()
+        for i in range(rs.rank):
+            perm = _compose(rs.reflection_table[i], w.perm)
+            if perm in seen:
+                continue
+            seen.add(perm)
+            new = WeylElement(rs, perm, word=(i,) + w.word)
+            out.append(new)
+            queue.append(new)
+    return out
+
+
+def test_weyl_elements_walk_matches_the_plain_bfs():
+    total = 0
+    for name in default_types(4):
+        rs = build(name)
+        new, old = weyl_elements(rs), _weyl_elements_bfs(rs)
+        assert [w.perm for w in new] == [w.perm for w in old], name
+        assert [w.word for w in new] == [w.word for w in old], name
+        total += len(new)
+    assert total == 2412
 
 
 @pytest.mark.parametrize("name", sorted(ORDERS))
@@ -143,16 +183,17 @@ def test_km_identity_small():
 def test_coset_table_abelian_case():
     g = parse_grading_spec("A2:1,0")
     table = enumerate_W0(g)
-    assert [e.element.word for e in table.entries] == [(), (0,), (1, 0)]
-    assert all(e.is_min and e.is_max for e in table.entries)
-    for e in table.entries:
-        assert in_W0(g, e.element)
+    assert [w.word for w in table.elements()] == [(), (0,), (1, 0)]
+    assert table.minimal == table.maximal == set(table.elements())
+    for w in table.elements():
+        assert in_W0(g, w)
 
 
 def test_coset_table_extra_special_case():
     g = parse_grading_spec("B2:es")
     table = enumerate_W0(g)
-    rows = [(e.element.word, e.length, e.is_min, e.is_max) for e in table.entries]
+    rows = [(w.word, w.length, w in table.minimal, w in table.maximal)
+            for w in table.elements()]
     assert rows == [
         ((), 0, True, True),
         ((1,), 1, True, False),
@@ -165,7 +206,7 @@ def test_coset_table_extra_special_case():
 
 def test_coset_table_rank3_words_pinned():
     table = enumerate_W0(parse_grading_spec("B3:es"))
-    rows = [(e.element.word, e.is_min, e.is_max) for e in table.entries]
+    rows = [(w.word, w in table.minimal, w in table.maximal) for w in table.elements()]
     assert rows == [
         ((), True, True),
         ((1,), True, True),
@@ -204,9 +245,9 @@ def test_tau_reads_level_one_inversions():
     g = parse_grading_spec("B2:es")
     p = weight_poset(g)
     table = enumerate_W0(g)
-    for e in table.entries:
-        ideal = tau(g, e.element)
-        assert p.positive_mask(ideal.mask) == e.element.inversion_mask & g.level_mask(1)
+    for w in table.elements():
+        ideal = tau(g, w)
+        assert p.positive_mask(ideal.mask) == w.inversion_mask & g.level_mask(1)
 
 
 def test_w_min_w_max_pinned():
@@ -235,43 +276,39 @@ def test_closure_layers_pinned():
 def test_closure_is_w_min_inversion_set():
     g = parse_grading_spec("G2:es")
     p = weight_poset(g)
-    for e in enumerate_W0(g).entries:
-        if not e.is_min:
-            continue
-        ideal = tau(g, e.element)
-        assert closure_mask(g.rs, p.positive_mask(ideal.mask)) == \
-            e.element.inversion_mask
+    for w in enumerate_W0(g).minimal:
+        ideal = tau(g, w)
+        assert closure_mask(g.rs, p.positive_mask(ideal.mask)) == w.inversion_mask
 
 
 def test_fiber_is_weak_interval():
     g = parse_grading_spec("G2:es")
     table = enumerate_W0(g)
     total = 0
-    for ideal_mask in {e.tau_mask for e in table.entries}:
-        entry = next(e for e in table.entries if e.tau_mask == ideal_mask)
-        ideal = tau(g, entry.element)
+    level1 = g.level_mask(1)
+    for ideal_mask in {w.inversion_mask & level1 for w in table.elements()}:
+        first = next(w for w in table.elements() if w.inversion_mask & level1 == ideal_mask)
+        ideal = tau(g, first)
         fib = fiber(g, ideal)
         total += len(fib)
         lo, hi = w_min(g, ideal), w_max(g, ideal)
         assert _matrix(fib[0]) == _matrix(lo) and _matrix(fib[-1]) == _matrix(hi)
         members = {w.inversion_mask for w in fib}
-        for e in table.entries:
-            between = (e.element.inversion_mask & lo.inversion_mask
-                       == lo.inversion_mask) and \
-                      (e.element.inversion_mask | hi.inversion_mask
-                       == hi.inversion_mask)
-            assert between == (e.element.inversion_mask in members)
-    assert total == len(table.entries)
+        for w in table.elements():
+            between = (w.inversion_mask & lo.inversion_mask == lo.inversion_mask) and \
+                      (w.inversion_mask | hi.inversion_mask == hi.inversion_mask)
+            assert between == (w.inversion_mask in members)
+    assert total == len(table.elements())
 
 
 def test_involution_pinned_and_involutive():
     g = parse_grading_spec("B2:es")
     words = {(): (1, 0, 1), (1,): (0, 1)}
-    for e in enumerate_W0(g).entries:
-        iw = involution(g, e.element)
-        assert _matrix(involution(g, iw)) == _matrix(e.element)
-        if e.element.word in words:
-            assert iw.word == words[e.element.word]
+    for w in enumerate_W0(g).elements():
+        iw = involution(g, w)
+        assert _matrix(involution(g, iw)) == _matrix(w)
+        if w.word in words:
+            assert iw.word == words[w.word]
 
 
 def test_involution_swaps_min_and_max():
@@ -285,7 +322,7 @@ def test_involution_swaps_min_and_max():
 
 def test_eta_pinned_table():
     g = parse_grading_spec("B2:0,1")
-    got = {e.element.word: eta(g, e.element) for e in enumerate_W0(g).entries}
+    got = {w.word: eta(g, w) for w in enumerate_W0(g).elements()}
     assert got == {
         (): (0, 1),
         (1,): (2, -1),
@@ -299,7 +336,7 @@ def test_eta_identity_equals_marks():
     for spec in ["A3:0,1,0", "C3:1,0,0", "G2:es"]:
         g = parse_grading_spec(spec)
         table = enumerate_W0(g)
-        ident = next(e.element for e in table.entries if e.length == 0)
+        ident = next(w for w in table.elements() if w.length == 0)
         assert eta(g, ident) == g.marks
 
 
@@ -307,7 +344,7 @@ def test_eta_needs_single_marked_node():
     g = parse_grading_spec("A2:1,1")
     table = enumerate_W0(g)
     with pytest.raises(ValueError):
-        eta(g, table.entries[0].element)
+        eta(g, table.elements()[0])
 
 
 def test_apply_product_and_inverse():
