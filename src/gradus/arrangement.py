@@ -15,8 +15,9 @@ prime fields F_q with q above the Coxeter number h.  By Kamiya-Takemura-Terao
 arrangement is the lcm of the coefficients of the highest root theta, and
 that of any subset of Delta+ divides it, so the count at a prime dividing no
 coefficient of theta is chi(q).  Those coefficients are at most 6, and one
-above 2 occurs only where h >= 6, so every prime above h will do.  The
-polynomial is interpolated from rank+1 such primes and confirmed on one more.
+above 2 occurs only where h >= 6, so every prime above h will do.  As
+chi = (t - 1) * chibar with chibar monic, rank-1 such primes interpolate it,
+its t^(n-1) coefficient must be -|A|, and one more prime confirms it.
 A count never visits all of F_q^n: a nonempty central complement is stable
 under F_q^*, so only points whose first nonzero coordinate is 1 are counted,
 fibred over the last coordinate, for about q^(n-2) steps per normal.
@@ -40,11 +41,11 @@ from . import ideals as ideals_mod
 from . import weyl as weyl_mod
 from .grading import Grading
 from .ideals import Ideal, iter_downclosed, order_masks
-from .polys import Poly, from_int_roots, interpolate, value
+from .polys import Poly, from_int_roots, interpolate, mul, value
 from .rootsys import Root, RootSystem, dual_partition
 
-# Above rank 5 a char_poly is n + 2 point counts of about q^(n-2) * |A| steps
-# each (the E6 Coxeter arrangement: about 5 s over q = 13...41 on a 2-vCPU
+# Above rank 5 a char_poly is n point counts of about q^(n-2) * |A| steps
+# each (the E6 Coxeter arrangement: about 2 s over q = 13...31 on a 2-vCPU
 # VM), and the sweep over all upper ideals of the root poset stops being
 # desk-sized.
 CHAR_POLY_MAX_RANK = 5
@@ -235,21 +236,26 @@ def _point_count(normals: Sequence[Root], n: int, q: int) -> int:
 
 @cache
 def char_poly(arr: Arrangement) -> Poly:
-    """Characteristic polynomial via point counts over primes above h, with
-    an extra prime confirming the interpolation; computed once per arrangement."""
+    """Characteristic polynomial from n point counts at primes above h: the
+    count over q - 1 at n - 1 primes interpolates chibar - t^(n-1) (see the
+    module docstring); computed once per arrangement."""
     n = arr.rs.rank
     if n > CHAR_POLY_MAX_RANK:
         raise ValueError(
-            f"rank {n} exceeds the char_poly bound {CHAR_POLY_MAX_RANK}: {n + 2} point "
+            f"rank {n} exceeds the char_poly bound {CHAR_POLY_MAX_RANK}: {n} point "
             f"counts at primes q > {arr.rs.coxeter_number}, each of about "
             f"q^{n - 2} * {len(arr.normals)} steps"
         )
-    primes = good_primes(arr.rs, n + 2)
-    points = [(q, _point_count(arr.normals, n, q)) for q in primes[: n + 1]]
-    chi = interpolate(points)
-    if len(chi) != n + 1 or chi[-1] != 1:
-        raise AssertionError("characteristic polynomial must be monic of full degree")
-    q_check = primes[n + 1]
+    if not arr.normals:
+        return (0,) * n + (1,)
+    *primes, q_check = good_primes(arr.rs, n)
+    low = interpolate(
+        [(q, _point_count(arr.normals, n, q) // (q - 1) - q ** (n - 1)) for q in primes]
+    )
+    # chibar is low padded to n - 1 coefficients (none at n = 1), then t^(n-1)
+    chi = mul((-1, 1), (low + (0,) * n)[: n - 1] + (1,))
+    if chi[n - 1] != -len(arr.normals):
+        raise AssertionError("characteristic polynomial must be t^n - |A| t^(n-1) + ...")
     if value(chi, q_check) != _point_count(arr.normals, n, q_check):
         raise AssertionError("interpolated polynomial fails at the verification prime")
     return chi

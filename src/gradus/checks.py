@@ -474,9 +474,7 @@ def suite_km(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResul
     for g in gradings:
         table = weyl_mod.enumerate_W0(g)
         levi = weyl_mod.km_order(rs) / len(table)
-        product = weyl_mod.km_order(
-            rs, [r for r in g.slice(0) if r.is_positive]
-        )
+        product = weyl_mod.levi_order(g)
         yield CheckResult(
             "km", g.spec_string(), "levi-order-product",
             levi == product, f"#W/#W0 = {levi}, height product {product}",
@@ -717,12 +715,11 @@ def suite_classes(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
         p = ideals_mod.weight_poset(g, 1)
         count = ideals_mod.count_lower_ideals(p)
         if g.is_abelian:
-            order = weyl_mod.km_order(rs)
-            levi = weyl_mod.km_order(rs, [r for r in g.slice(0) if r.is_positive])
+            index = weyl_mod.km_order(rs) / weyl_mod.levi_order(g)
             yield CheckResult(
                 "classes", sub, "abelian-counts",
-                count == len(table) == order / levi,
-                f"ideals {count}, cosets {len(table)}, index {order / levi}",
+                count == len(table) == index,
+                f"ideals {count}, cosets {len(table)}, index {index}",
             )
             yield CheckResult(
                 "classes", sub, "abelian-poincare-is-ideal-polynomial",
@@ -884,7 +881,7 @@ def suite_charpoly(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Chec
             )
         chi = arr_mod.char_poly(arr)
         count = ideals_mod.count_lower_ideals(ideals_mod.weight_poset(g, 1))
-        levi = weyl_mod.km_order(rs) / len(weyl_mod.enumerate_W0(g))
+        levi = weyl_mod.levi_order(g)
         yield CheckResult(
             "charpoly", gsub, "region-count-two-ways",
             arr_mod.zaslavsky_regions(chi) == levi * count,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 Poly = tuple[int, ...]
@@ -25,28 +24,22 @@ def mul(a: Sequence[int], b: Sequence[int]) -> Poly:
 
 
 def divexact(num: Sequence[int], den: Sequence[int]) -> Poly:
-    """Quotient num/den; raises ValueError unless it divides exactly over Z."""
+    """Quotient num/den by long division over Z; raises ValueError unless exact."""
     den = trimmed(den)
     if den == (0,):
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in trimmed(num)]
-    if len(rem) < len(den):
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return (0,)
-    quot = [Fraction(0)] * (len(rem) - len(den) + 1)
-    lead = Fraction(den[-1])
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + len(den) - 1] / lead
+    rem = list(trimmed(num))
+    quot = [0] * max(1, len(rem) - len(den) + 1)
+    for k in range(len(rem) - len(den), -1, -1):
+        c, r = divmod(rem[k + len(den) - 1], den[-1])
+        if r:
+            raise ValueError("quotient is not an integer polynomial")
         quot[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                rem[k + j] -= c * dj
+        for j, dj in enumerate(den):
+            rem[k + j] -= c * dj
     if any(rem):
         raise ValueError("inexact polynomial division")
-    if any(c.denominator != 1 for c in quot):
-        raise ValueError("quotient is not an integer polynomial")
-    return trimmed(int(c) for c in quot)
+    return trimmed(quot)
 
 
 def value(p: Sequence[int], x):
@@ -77,29 +70,24 @@ def from_int_roots(roots: Iterable[int]) -> Poly:
 
 
 def interpolate(points: Sequence[tuple[int, int]]) -> Poly:
-    """Exact Lagrange interpolation; raises if the result is not integral."""
+    """Exact interpolation by Newton divided differences in integers; raises
+    unless the interpolant is an integer polynomial.  At integer nodes the
+    divided differences of an integer polynomial are integers, and a Newton
+    form with integer coefficients and nodes is one, so a divided difference
+    that is not an integer occurs exactly when the interpolant is not."""
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] -= c * xj
-                nxt[k + 1] += c
-            basis = nxt
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
-    if any(c.denominator != 1 for c in coeffs):
-        raise ValueError("interpolant is not an integer polynomial")
-    return trimmed(int(c) for c in coeffs)
+    diffs = [y for _, y in points]  # diffs[i] becomes f[x_0, ..., x_i]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            diffs[i], r = divmod(diffs[i] - diffs[i - 1], xs[i] - xs[i - k])
+            if r:
+                raise ValueError("interpolant is not an integer polynomial")
+    out = [0]
+    for x, c in zip(reversed(xs), reversed(diffs)):  # Horner on the Newton form
+        out = [c - x * out[0]] + [a - x * b for a, b in zip(out, out[1:])] + [out[-1]]
+    return trimmed(out)
 
 
 def to_str(p: Sequence[int], var: str = "t") -> str:

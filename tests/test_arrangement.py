@@ -9,6 +9,7 @@ from typing import Sequence
 from hypothesis import given, settings, strategies as st
 
 from gradus.arrangement import (
+    CHAR_POLY_MAX_RANK,
     Arrangement,
     _point_count,
     arrangement_report,
@@ -32,7 +33,7 @@ from gradus import arrangement, checks, weyl
 from gradus.checks import default_types, sweep_gradings
 from gradus.grading import parse_grading_spec
 from gradus.ideals import count_lower_ideals, iter_lower_ideals, weight_poset
-from gradus.polys import from_int_roots
+from gradus.polys import Poly, from_int_roots, interpolate, trimmed, value
 from gradus.rootsys import Root, RootSystem, build
 from gradus.weyl import (
     WeylElement, enumerate_W0, fiber, km_order, w_max, w_min, weyl_elements,
@@ -315,6 +316,19 @@ def test_e6_signs_and_fiber_extremes():
             assert w_min(g, ideal) == fib[0] and w_max(g, ideal) == fib[-1]
 
 
+@pytest.mark.slow
+def test_e6_coxeter_and_deleted_char_poly(monkeypatch):
+    # Six counts each, at q = 13 ... 31; the default bound stays at rank 5.
+    monkeypatch.setattr(arrangement, "CHAR_POLY_MAX_RANK", 6)
+    rs = build("E6")
+    m = rs.exponents
+    try:
+        assert char_poly(coxeter_arrangement(rs)) == from_int_roots(m)
+        assert char_poly(deleted_arrangement(rs)) == from_int_roots(list(m[:-1]) + [m[-1] - 1])
+    finally:
+        char_poly.cache_clear()  # at the default bound E6 must raise again
+
+
 def test_geometric_sign_oracle_matches_inversions():
     g = parse_grading_spec("B2:0,1")
     rs = g.rs
@@ -493,3 +507,133 @@ def test_point_count_rank_one_and_empty():
         assert _brute_point_count(rs.positive_roots, 1, q) == q - 1
     for n, q in [(1, 5), (2, 7), (4, 13)]:
         assert _point_count((), n, q) == q**n == _brute_point_count((), n, q)
+
+
+# -- the (n+2)-count char_poly and Fraction Lagrange interpolation -------
+# The previous implementation, kept verbatim as an oracle for the n-count
+# char_poly and the integer Newton interpolation.
+
+
+def _lagrange_interpolate(points: Sequence[tuple[int, int]]) -> Poly:
+    """Exact Lagrange interpolation; raises if the result is not integral."""
+    xs = [x for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                nxt[k] -= c * xj
+                nxt[k + 1] += c
+            basis = nxt
+            denom *= xi - xj
+        scale = Fraction(yi) / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += scale * c
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError("interpolant is not an integer polynomial")
+    return trimmed(int(c) for c in coeffs)
+
+
+@cache
+def _char_poly_n_plus_2(arr: Arrangement) -> Poly:
+    """Characteristic polynomial via point counts over primes above h, with
+    an extra prime confirming the interpolation; computed once per arrangement."""
+    n = arr.rs.rank
+    if n > CHAR_POLY_MAX_RANK:
+        raise ValueError(
+            f"rank {n} exceeds the char_poly bound {CHAR_POLY_MAX_RANK}: {n + 2} point "
+            f"counts at primes q > {arr.rs.coxeter_number}, each of about "
+            f"q^{n - 2} * {len(arr.normals)} steps"
+        )
+    primes = good_primes(arr.rs, n + 2)
+    points = [(q, _point_count(arr.normals, n, q)) for q in primes[: n + 1]]
+    chi = _lagrange_interpolate(points)
+    if len(chi) != n + 1 or chi[-1] != 1:
+        raise AssertionError("characteristic polynomial must be monic of full degree")
+    q_check = primes[n + 1]
+    if value(chi, q_check) != _point_count(arr.normals, n, q_check):
+        raise AssertionError("interpolated polynomial fails at the verification prime")
+    return chi
+
+
+@pytest.mark.parametrize("name", default_types(4))
+def test_char_poly_matches_the_n_plus_2_count_oracle(name):
+    rs = build(name)
+    arrangements = [coxeter_arrangement(rs), deleted_arrangement(rs)]
+    arrangements += [sub_arrangement_01(g) for g in sweep_gradings(rs)]
+    for arr in arrangements:
+        assert char_poly(arr) == _char_poly_n_plus_2(arr), arr.normals
+
+
+@pytest.mark.parametrize("name", ["A5", "B5", "C5", "D5"])
+def test_rank_5_coxeter_char_poly_matches_the_oracle(name):
+    arr = coxeter_arrangement(build(name))
+    assert char_poly(arr) == _char_poly_n_plus_2(arr) == from_int_roots(arr.rs.exponents)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["A4", "B4", "D4", "F4"]), st.data())
+def test_char_poly_matches_the_oracle_on_root_subsets(name, data):
+    # Mostly not ideal arrangements, so nothing factors; the counts still
+    # give chi at every prime above h.
+    rs = build(name)
+    picked = data.draw(
+        st.lists(st.sampled_from(rs.positive_roots), min_size=1, unique=True)
+    )
+    arr = Arrangement(rs, tuple(picked))
+    chi = char_poly(arr)
+    assert chi == _char_poly_n_plus_2(arr)
+    assert chi[-2] == -len(picked) and value(chi, 1) == 0
+
+
+def test_char_poly_of_a1_and_of_the_empty_arrangement(monkeypatch):
+    rs = build("A1")
+    assert char_poly(coxeter_arrangement(rs)) == (-1, 1) == _char_poly_n_plus_2(
+        coxeter_arrangement(rs)
+    )
+    monkeypatch.setattr(arrangement, "_point_count", None)  # no count is made
+    for name in ["A1", "B3", "F4"]:
+        empty = Arrangement(build(name), ())
+        assert char_poly(empty) == from_int_roots([0] * build(name).rank)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=7, unique=True),
+    st.lists(st.integers(-10**6, 10**6), min_size=7, max_size=7),
+)
+def test_interpolate_matches_lagrange_on_random_data(xs, ys):
+    # Random values: mostly not an integer polynomial, so both must raise.
+    points = list(zip(xs, ys))
+    try:
+        expected = _lagrange_interpolate(points)
+    except ValueError:
+        with pytest.raises(ValueError, match="not an integer polynomial"):
+            interpolate(points)
+    else:
+        assert interpolate(points) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=7),
+    st.lists(st.integers(-30, 30), min_size=7, max_size=9, unique=True),
+)
+def test_interpolate_recovers_integer_polynomials(coeffs, xs):
+    points = [(x, value(coeffs, x)) for x in xs]
+    assert interpolate(points) == _lagrange_interpolate(points) == trimmed(coeffs)
+
+
+def test_interpolate_edge_cases():
+    assert interpolate([(3, 5)]) == (5,) == _lagrange_interpolate([(3, 5)])
+    with pytest.raises(ValueError, match="distinct"):
+        interpolate([(1, 2), (1, 3)])
+    with pytest.raises(ValueError, match="not an integer polynomial"):
+        interpolate([(0, 0), (2, 1)])  # t/2
+    assert interpolate([]) == (0,)

@@ -62,7 +62,7 @@ def test_equal_arrangement_reuses_the_polynomial(monkeypatch):
     monkeypatch.setattr(arrangement, "_point_count", counting)
     first = Arrangement(rs, rs.positive_roots)
     chi = char_poly(first)
-    assert len(calls) == rs.rank + 2  # rank+1 interpolation primes and a check
+    assert len(calls) == rs.rank  # rank-1 interpolation primes and a check
     calls.clear()
     again = Arrangement(rs, tuple(rs.positive_roots))
     assert again is not first and again == first

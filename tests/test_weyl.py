@@ -4,11 +4,13 @@ from collections import deque
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from gradus import weyl
 from gradus.checks import default_types, sweep_gradings
 from gradus.grading import parse_grading_spec
 from gradus.ideals import iter_lower_ideals, lower_ideal_from_roots, weight_poset
+from gradus.polys import divexact, mul, trimmed
 from gradus.rootsys import build
 from gradus.weyl import (
     WEYL_ELEMENTS_MAX_RANK,
@@ -28,6 +30,7 @@ from gradus.weyl import (
     is_biconvex,
     km_order,
     km_poly,
+    levi_order,
     longest_element,
     poincare,
     tau,
@@ -178,6 +181,89 @@ def test_km_identity_small():
         lengths = [w.length for w in weyl_elements(rs)]
         assert poincare(lengths) == km_poly(rs)
         assert km_order(rs) == Fraction(ORDERS[name])
+
+
+def _divexact_fractions(num, den):
+    """Quotient num/den; raises ValueError unless it divides exactly over Z."""
+    den = trimmed(den)
+    if den == (0,):
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in trimmed(num)]
+    if len(rem) < len(den):
+        if any(rem):
+            raise ValueError("inexact polynomial division")
+        return (0,)
+    quot = [Fraction(0)] * (len(rem) - len(den) + 1)
+    lead = Fraction(den[-1])
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(den) - 1] / lead
+        quot[k] = c
+        if c:
+            for j, dj in enumerate(den):
+                rem[k + j] -= c * dj
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    if any(c.denominator != 1 for c in quot):
+        raise ValueError("quotient is not an integer polynomial")
+    return trimmed(int(c) for c in quot)
+
+
+def _divexact_both(num, den):
+    """divexact and the Fraction long division: the same quotient, or both
+    raise ValueError."""
+    try:
+        expected = _divexact_fractions(num, den)
+    except ValueError:
+        with pytest.raises(ValueError):
+            divexact(num, den)
+        return None
+    assert divexact(num, den) == expected
+    return expected
+
+
+@pytest.mark.parametrize("name", default_types(6))
+def test_km_poly_division_matches_the_fraction_route(name):
+    num, den = (1,), (1,)
+    for r in build(name).positive_roots:
+        num = mul(num, (1,) + (0,) * r.height + (-1,))
+        den = mul(den, (1,) + (0,) * (r.height - 1) + (-1,))
+    assert _divexact_both(num, den) == km_poly(build(name))
+    assert _divexact_both(den, num) is None  # a lower degree and nonzero
+
+
+small_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_polys, small_polys, small_polys)
+def test_divexact_matches_the_fraction_route(den, quot, rem):
+    if trimmed(den) == (0,):
+        with pytest.raises(ZeroDivisionError):
+            divexact(quot, den)
+        return
+    # exact, exact with a remainder added, and a random pair
+    assert _divexact_both(mul(den, quot), den) == trimmed(quot)
+    num = [a + b for a, b in zip(mul(den, quot) + (0,) * len(rem), rem + [0] * 99)]
+    _divexact_both(num, den)
+    _divexact_both(quot, den)
+
+
+def test_divexact_rejects_a_rational_quotient():
+    for num, den in [((0, 1), (0, 2)), ((1,), (2,)), ((3, 0, 5), (2,))]:
+        with pytest.raises(ValueError, match="not an integer polynomial"):
+            divexact(num, den)
+        with pytest.raises(ValueError):
+            _divexact_fractions(num, den)
+    assert divexact((0,), (1, 2)) == (0,) == _divexact_fractions((0,), (1, 2))
+
+
+def test_levi_order_is_the_order_of_the_level_0_group():
+    for name in ["A3", "B3", "G2", "F4"]:
+        rs = build(name)
+        for g in sweep_gradings(rs):
+            assert levi_order(g) * len(enumerate_W0(g)) == km_order(rs)
+    assert levi_order(parse_grading_spec("A3:1,1,1")) == 1
+    assert levi_order(parse_grading_spec("A3:0,1,0")) == 4  # S2 x S2
 
 
 def test_coset_table_abelian_case():
