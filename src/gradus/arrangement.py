@@ -142,8 +142,7 @@ def regions_in_dominant_chamber(g: Grading) -> list[Region]:
 @cache
 def _signed_heights(rs: RootSystem) -> tuple[int, ...]:
     """Height of each root of rs.roots(), indexed as permutations index it."""
-    heights = tuple(r.height for r in rs.positive_roots)
-    return heights + tuple(-h for h in heights)
+    return tuple(r.height for r in rs.roots())
 
 
 def geometric_signs(
@@ -280,10 +279,12 @@ def height_partition(roots: Iterable[Root]) -> tuple[int, ...]:
 
 
 def conjectural_exponents(g: Grading) -> tuple[int, ...]:
-    """Dual of the height partition of the level-(0,1) normals, ascending.
-    These normals are an ideal subarrangement, so by the theorem of
-    Abe-Barakat-Cuntz-Hoge-Terao (ABCHT) they are its exponents."""
-    return tuple(sorted(dual_partition(height_partition(sub_arrangement_01(g).normals))))
+    """Dual of the height partition of the level-(0,1) normals, padded with
+    zeros to the rank, ascending.  These normals are an ideal subarrangement,
+    so by the theorem of Abe-Barakat-Cuntz-Hoge-Terao (ABCHT) they are its
+    exponents; a zero for each dimension the normals do not span."""
+    dual = dual_partition(height_partition(sub_arrangement_01(g).normals))
+    return (0,) * (g.rs.rank - len(dual)) + tuple(sorted(dual))
 
 
 def ideal_count_formula(g: Grading) -> Fraction:
@@ -312,7 +313,7 @@ def arrangement_report(g: Grading) -> dict:
     if g.rs.rank <= CHAR_POLY_MAX_RANK:
         chi = char_poly(arr)
         report["char_poly"] = list(chi)
-        report["exponents_match"] = chi == from_int_roots(sorted(dual))
+        report["exponents_match"] = chi == from_int_roots(conjectural_exponents(g))
     return report
 
 

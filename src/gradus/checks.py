@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import product as iproduct
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -216,29 +215,12 @@ def suite_rootsys(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
     )
 
 
-@cache
-def _root_sums(rs: RootSystem) -> tuple[dict[int, int], ...]:
-    """Row a maps each b with root_a + root_b a root to the index of that
-    sum, indices being those of rs.roots(), in increasing b."""
-    roots = rs.roots()
-    where = {r.coords: k for k, r in enumerate(roots)}
-    return tuple(
-        {
-            b: where[s]
-            for b, nu in enumerate(roots)
-            if (s := tuple(x + y for x, y in zip(mu.coords, nu.coords))) in where
-        }
-        for mu in roots
-    )
-
-
 @suite("threeroot", max_rank=4)
 def suite_threeroot(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     sub = str(rs.cartan_type)
     roots = rs.roots()
     npos = len(rs.positive_roots)
-    sums = _root_sums(rs)
-    where = {r.coords: k for k, r in enumerate(roots)}
+    sums = rs.sums
     checked = degenerate = 0
     bad = ""
     # nu1 + nu2 runs over the roots c, and mu over the roots with mu + c one
@@ -261,7 +243,7 @@ def suite_threeroot(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Che
                 except ValueError:
                     bad = bad or f"no witness for {mu}; {nu1}; {nu2}"
                     continue
-                k = where.get(w.coords)
+                k = rs.index.get(w.coords)
                 if k is None or k not in sums[m]:
                     bad = bad or f"bad witness {w} for {mu}; {nu1}; {nu2}"
                 elif k != a and a in sums[m]:
@@ -285,12 +267,13 @@ def suite_grading(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
             "grading", sub, "slices-partition-positives",
             total == len(rs.positive_roots), f"{total} vs {len(rs.positive_roots)}",
         )
-        bad = ""
-        for (i, j), k in rs.sum_table.items():
-            li = g.levels[i] + g.levels[j]
-            if li != g.levels[k]:
-                bad = f"level({rs.positive_roots[k]}) != {li}"
-                break
+        npos, lv = len(rs.positive_roots), g.levels
+        bad = next(
+            (f"level({rs.positive_roots[k]}) != {lv[i] + lv[j]}"
+             for i in range(npos) for j, k in rs.sums[i].items()
+             if i <= j < npos and lv[i] + lv[j] != lv[k]),
+            "",
+        )
         yield CheckResult("grading", sub, "level-additive", not bad, bad)
         yield CheckResult(
             "grading", sub, "spec-string-roundtrip",

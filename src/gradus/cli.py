@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -38,13 +39,18 @@ class UsageError(Exception):
 # -- argument plumbing ---------------------------------------------------
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--csv", action="store_true", help="emit CSV")
-    p.add_argument("--out", metavar="PATH", help="write output to a file")
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="emit JSON")
+    output.add_argument("--csv", action="store_true", help="emit CSV")
+    output.add_argument("--out", metavar="PATH", help="write output to a file")
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("spec", help='grading such as "B2:0,1", "G2:es", "A3:std=1,3"')
+    target.add_argument("--max-rank", type=int, default=7)
+    graded = [target, output]
+
     top = argparse.ArgumentParser(
         prog="gradus",
         description="Exact combinatorics of graded root systems: lower "
@@ -55,47 +61,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("show", help="summarize a graded root system")
-    p.add_argument("spec", help='grading such as "B2:0,1", "G2:es", "A3:std=1,3"')
-    p.add_argument("--max-rank", type=int, default=7)
-    _common_flags(p)
+    sub.add_parser("show", parents=graded, help="summarize a graded root system")
 
-    p = sub.add_parser("ideals", help="enumerate lower ideals of the level-1 poset")
-    p.add_argument("spec")
+    p = sub.add_parser("ideals", parents=graded,
+                       help="enumerate lower ideals of the level-1 poset")
     p.add_argument("--list", action="store_true", help="list every ideal")
     p.add_argument("--poly", action="store_true", help="include the rank generating polynomial")
-    p.add_argument("--max-rank", type=int, default=7)
-    _common_flags(p)
 
-    p = sub.add_parser("weyl", help="minimal coset representatives and their statistics")
-    p.add_argument("spec")
+    p = sub.add_parser("weyl", parents=graded,
+                       help="minimal coset representatives and their statistics")
     p.add_argument("--min", action="store_true", help="list the minimal elements per ideal")
     p.add_argument("--max", action="store_true", help="list the maximal elements per ideal")
     p.add_argument("--eta", action="store_true",
                    help="list the level vectors (single marked node only)")
-    p.add_argument("--max-rank", type=int, default=7)
-    _common_flags(p)
 
-    p = sub.add_parser("element", help="minimal and maximal representative of one ideal")
-    p.add_argument("spec")
+    p = sub.add_parser("element", parents=graded,
+                       help="minimal and maximal representative of one ideal")
     p.add_argument("--ideal", required=True, metavar="ROOTS",
                    help='comma separated roots, e.g. "a2,a1+a2"; empty for the empty ideal')
-    p.add_argument("--max-rank", type=int, default=7)
-    _common_flags(p)
 
-    p = sub.add_parser("arrangement", help="regions, height partition, exponents")
-    p.add_argument("spec")
-    p.add_argument("--max-rank", type=int, default=7)
-    _common_flags(p)
+    sub.add_parser("arrangement", parents=graded,
+                   help="regions, height partition, exponents")
 
-    p = sub.add_parser("verify", help="run check suites")
+    p = sub.add_parser("verify", parents=[output], help="run check suites")
     p.add_argument("scope", nargs="*",
                    help='gradings ("B2:es") or bare types ("B3"); types sweep all gradings')
     p.add_argument("--all", action="store_true", help="sweep every type up to --max-rank")
     p.add_argument("--max-rank", type=int, default=4)
-    p.add_argument("--suite", action="append", choices=sorted(checks.SUITES),
+    # The registry itself, not a copy: the parser outlives this call, and a
+    # suite registered later must still parse.
+    p.add_argument("--suite", action="append", choices=checks.SUITES,
                    help="restrict to one suite (repeatable)")
-    _common_flags(p)
 
     return top
 
@@ -140,8 +136,10 @@ def _human_lines(payload: dict, indent: str = "") -> list[str]:
 
 def _emit(args: argparse.Namespace, payload: dict,
           rows: Optional[list[dict]] = None,
-          lines: Optional[list[str]] = None) -> None:
-    """The one writer of --out and stdout: payload as JSON, CSV or text."""
+          lines: Optional[list[str]] = None,
+          columns: Optional[Sequence[str]] = None) -> None:
+    """The one writer of --out and stdout: payload as JSON, CSV or text.
+    The CSV header is `columns`, or the keys of the first row."""
     if args.json:
         text = json.dumps(payload, indent=1) + "\n"
     elif args.csv:
@@ -152,7 +150,7 @@ def _emit(args: argparse.Namespace, payload: dict,
                 for k, v in payload.items()
             ]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(table[0].keys()),
+        writer = csv.DictWriter(buf, fieldnames=columns or list(table[0]),
                                 lineterminator="\n")
         writer.writeheader()
         writer.writerows(table)
@@ -389,11 +387,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "total": len(results),
         "failures": failures,
         "skipped": skipped,
-        "checks": [
-            {"suite": r.suite, "subject": r.subject, "name": r.name,
-             "ok": r.ok, "status": r.status, "detail": r.detail}
-            for r in results
-        ],
+        "checks": [{c: getattr(r, c) for c in _CHECK_COLUMNS} for r in results],
     }
     lines = None
     if not (args.json or args.csv):
@@ -403,10 +397,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             tail = f" -- {r.detail}" if (r.detail and r.status != "pass") else ""
             lines.append(f"[{tag}] {r.suite:<10} {r.subject:<16} {r.name}{tail}")
         lines.append(f"{len(results)} checks, {failures} failures, {skipped} skipped")
-    _emit(args, payload, payload["checks"], lines)
+    _emit(args, payload, payload["checks"], lines, _CHECK_COLUMNS)
     return 1 if failures else 0
 
 
+_CHECK_COLUMNS = ("suite", "subject", "name", "ok", "status", "detail")
 _STATUS_TAGS = {"pass": "  ok  ", "fail": " FAIL ", "skip": " skip ", "info": " info "}
 
 _COMMANDS = {
@@ -426,10 +421,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("choose at most one of --json and --csv")
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"gradus {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"gradus {args.command}: {exc}", file=sys.stderr)
         return 2
 

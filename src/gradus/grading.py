@@ -161,7 +161,7 @@ class Grading:
             # whenever it is a root at all
             for k in members:
                 for j in level0_simples:
-                    other = rs.sum_table.get((j, k) if j <= k else (k, j))
+                    other = rs.sums[j].get(k)
                     if other is not None:
                         parent[find(k)] = find(other)
             groups: dict[int, list[int]] = {}

@@ -12,6 +12,10 @@ Conventions used throughout the package:
 - Positive roots are listed in "canonical order": by height, then
   lexicographically by coordinates.  Bitmask positions over the positive
   roots always refer to this order.
+- A root is also an index into roots(): positive root k keeps k, and its
+  negative is k + N.  `index` maps the coordinates of every root to its
+  index, and `sums` is the one table of root sums, so closures, convexity
+  and the three-root lemma are lookups, not coordinate arithmetic.
 
 Everything is integer or Fraction arithmetic; no floating point.
 """
@@ -155,10 +159,12 @@ class RootSystem:
             raise AssertionError(f"positive-root count mismatch for {cartan_type}")
         self._root_cache: dict[Coords, Root] = {}
         self.positive_roots: tuple[Root, ...] = tuple(self.root(c) for c in pos)
-        self.index: dict[Coords, int] = {c: k for k, c in enumerate(pos)}
-        self._all_coords = frozenset(pos) | frozenset(
-            tuple(-x for x in c) for c in pos
+        self._roots = self.positive_roots + tuple(
+            self.root(tuple(-x for x in c)) for c in pos
         )
+        # Every root's coordinates -> its index in roots(): positive root k
+        # keeps k, and its negative sits at k + N.
+        self.index: dict[Coords, int] = {r.coords: k for k, r in enumerate(self._roots)}
 
         top = self.positive_roots[-1]
         if len(pos) > 1 and top.height == self.positive_roots[-2].height:
@@ -220,11 +226,12 @@ class RootSystem:
 
     def is_root(self, coords: Sequence[int] | Root) -> bool:
         key = coords.coords if isinstance(coords, Root) else tuple(coords)
-        return key in self._all_coords
+        return key in self.index
 
     def roots(self) -> tuple[Root, ...]:
-        """All roots, positive then negative, each side in canonical order."""
-        return self.positive_roots + tuple(-r for r in self.positive_roots)
+        """All roots, positive then negative, each side in canonical order:
+        the negative of positive root k is root k + N."""
+        return self._roots
 
     def inner(self, x: Sequence, y: Sequence) -> Q:
         """Invariant form on coordinate vectors (entries int or Fraction)."""
@@ -255,8 +262,8 @@ class RootSystem:
         return self.root(tuple(m - k * g for m, g in zip(mu.coords, gamma.coords)))
 
     def add_roots(self, gamma: Root, mu: Root) -> Optional[Root]:
-        s = tuple(a + b for a, b in zip(gamma.coords, mu.coords))
-        return self.root(s) if s in self._all_coords else None
+        k = self.index.get(tuple(a + b for a, b in zip(gamma.coords, mu.coords)))
+        return None if k is None else self._roots[k]
 
     def is_long(self, gamma: Root) -> bool:
         return self.norm2(gamma) == 2
@@ -268,16 +275,19 @@ class RootSystem:
         for r in (mu, nu1, nu2):
             if not self.is_root(r):
                 raise ValueError(f"{r} is not a root")
-        if mu == -nu1 or mu == -nu2:
+        m, a, b = (self.index[r.coords] for r in (mu, nu1, nu2))
+        npos = len(self.positive_roots)
+        if m in ((a + npos) % (2 * npos), (b + npos) % (2 * npos)):
             raise ValueError("mu must not cancel nu1 or nu2")
-        if not self.is_root(tuple(a + b for a, b in zip(nu1.coords, nu2.coords))):
+        sums = self.sums
+        c = sums[a].get(b)
+        if c is None:
             raise ValueError("nu1 + nu2 must be a root")
-        total = tuple(m + a + b for m, a, b in zip(mu.coords, nu1.coords, nu2.coords))
-        if not self.is_root(total):
+        if m not in sums[c]:
             raise ValueError("mu + nu1 + nu2 must be a root")
-        if self.add_roots(mu, nu1) is not None:
+        if a in sums[m]:
             return nu1
-        if self.add_roots(mu, nu2) is not None:
+        if b in sums[m]:
             return nu2
         raise AssertionError("no witness despite valid input")
 
@@ -303,16 +313,14 @@ class RootSystem:
     def reflection_table(self) -> tuple[tuple[int, ...], ...]:
         """Row i maps the index of each root in roots() to the index of its
         image under s_i; index k + N is the negative of positive root k."""
-        roots = self.roots()
-        where = {r.coords: k for k, r in enumerate(roots)}
         rows = []
         for i, a in enumerate(self.cartan_matrix):
             row = []
-            for r in roots:
+            for r in self._roots:
                 # s_i(gamma) = gamma - <gamma, alpha_i^vee> alpha_i
                 c = list(r.coords)
                 c[i] -= sum(x * y for x, y in zip(a, r.coords))
-                row.append(where[tuple(c)])
+                row.append(self.index[tuple(c)])
             rows.append(tuple(row))
         return tuple(rows)
 
@@ -322,18 +330,19 @@ class RootSystem:
         return tuple(self.index[a.coords] for a in self.simple_roots)
 
     @cached_property
-    def sum_table(self) -> dict[tuple[int, int], int]:
-        """(i, j) -> k over positive-root indices with root_i+root_j = root_k,
-        stored for i <= j."""
-        table: dict[tuple[int, int], int] = {}
-        pos = self.positive_roots
-        for i in range(len(pos)):
-            for j in range(i, len(pos)):
-                s = tuple(a + b for a, b in zip(pos[i].coords, pos[j].coords))
-                k = self.index.get(s)
-                if k is not None:
-                    table[(i, j)] = k
-        return table
+    def sums(self) -> tuple[dict[int, int], ...]:
+        """Row a maps each b with root_a + root_b a root to the index of that
+        sum, indices being those of roots(), in increasing b; so the positive
+        partners of a positive root come first, and their sums are positive."""
+        index = self.index
+        return tuple(
+            {
+                b: index[s]
+                for b, nu in enumerate(self._roots)
+                if (s := tuple(x + y for x, y in zip(mu.coords, nu.coords))) in index
+            }
+            for mu in self._roots
+        )
 
     def __repr__(self) -> str:
         return f"RootSystem({self.cartan_type})"

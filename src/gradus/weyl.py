@@ -3,9 +3,11 @@ representatives of the level-0 parabolic, and the ideal <-> element maps.
 
 An element is stored as the permutation it induces on the root indices of
 rs.roots() (positives first, so index k + N is the negative of positive
-root k); the group acts faithfully on the roots, and every operation is a
-lookup in the simple-reflection table of the root system.  The inversion
-set N(w) = {gamma > 0 : w(gamma) < 0} is stored as a bitmask over the
+root k; rs.index maps a root's coordinates to its index); the group acts
+faithfully on the roots, and every operation is a lookup in the
+simple-reflection table of the root system.  Closures and bi-convexity
+read the root-sum table rs.sums.  The inversion set
+N(w) = {gamma > 0 : w(gamma) < 0} is stored as a bitmask over the
 canonical positive-root order.  A subset of the positive roots is an
 inversion set iff it and its complement are closed under root addition
 (bi-convexity); such masks are converted back to group elements by
@@ -77,14 +79,10 @@ class WeylElement:
         return cls(rs, _identity_perm(rs), word=())
 
     def apply(self, gamma: Root) -> Root:
-        pos, index = self.rs.positive_roots, self.rs.index
-        if gamma.coords in index:
-            k = self.perm[index[gamma.coords]]
-        elif (-gamma).coords in index:
-            k = self.perm[index[(-gamma).coords] + len(pos)]
-        else:
+        k = self.rs.index.get(gamma.coords)
+        if k is None:
             raise ValueError(f"{gamma} is not a root")
-        return pos[k] if k < len(pos) else -pos[k - len(pos)]
+        return self.rs.roots()[self.perm[k]]
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(self.rs, _compose(self.perm, other.perm))
@@ -151,13 +149,18 @@ def biconvex_violation(
     rs: RootSystem, mask: int
 ) -> Optional[tuple[str, int, int, int]]:
     """A witness (reason, i, j, k) against bi-convexity, or None."""
-    full = (1 << len(rs.positive_roots)) - 1
-    comp = full & ~mask
-    for (i, j), k in rs.sum_table.items():
-        if mask >> i & 1 and mask >> j & 1 and not mask >> k & 1:
-            return ("sum escapes the set", i, j, k)
-        if comp >> i & 1 and comp >> j & 1 and mask >> k & 1:
-            return ("complement is not closed", i, j, k)
+    npos = len(rs.positive_roots)
+    comp = (1 << npos) - 1 & ~mask
+    for i in range(npos):
+        for j, k in rs.sums[i].items():
+            if j >= npos:
+                break
+            if j < i:
+                continue
+            if mask >> i & 1 and mask >> j & 1 and not mask >> k & 1:
+                return ("sum escapes the set", i, j, k)
+            if comp >> i & 1 and comp >> j & 1 and mask >> k & 1:
+                return ("complement is not closed", i, j, k)
     return None
 
 
@@ -395,6 +398,7 @@ def fiber(g: Grading, ideal: Ideal) -> list[WeylElement]:
 
 def closure_layers(rs: RootSystem, mask: int) -> list[int]:
     """Layers I^1, I^2, ... with I^k = (I + I^(k-1)) meet the roots."""
+    sums = rs.sums
     layers = [mask]
     total = mask
     prev = mask
@@ -408,7 +412,7 @@ def closure_layers(rs: RootSystem, mask: int) -> list[int]:
             while other:
                 j = (other & -other).bit_length() - 1
                 other &= other - 1
-                k = rs.sum_table.get((i, j) if i <= j else (j, i))
+                k = sums[i].get(j)
                 if k is not None:
                     nxt |= 1 << k
         nxt &= ~total

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import combinations, product as iproduct
 from math import prod
 from typing import Sequence
 
@@ -31,7 +31,7 @@ from gradus.arrangement import (
 )
 from gradus import arrangement, checks, weyl
 from gradus.checks import default_types, sweep_gradings
-from gradus.grading import parse_grading_spec
+from gradus.grading import grade, parse_grading_spec
 from gradus.ideals import count_lower_ideals, iter_lower_ideals, weight_poset
 from gradus.polys import Poly, from_int_roots, interpolate, trimmed, value
 from gradus.rootsys import Root, RootSystem, build
@@ -345,6 +345,29 @@ def test_height_partition_and_exponents():
     assert height_partition(walls) == (2, 1, 1, 1)
     assert conjectural_exponents(g) == (1, 4)
     assert sum(conjectural_exponents(g)) == len(walls)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "D4"])
+def test_exponents_factor_chi_with_zeros_for_non_essential_arrangements(name):
+    # Marks up to 2 leave a simple root of mark 2 outside the level-(0,1)
+    # normals, so they need not span: every missing dimension is a zero.
+    rs = build(name)
+    gradings = [grade(rs, marks) for marks in iproduct((0, 1, 2), repeat=rs.rank)
+                if any(marks)]
+    gradings = [g for g in gradings if g.slice(1)]
+    for g in gradings:
+        b = conjectural_exponents(g)
+        assert len(b) == rs.rank
+        assert char_poly(sub_arrangement_01(g)) == from_int_roots(b), g.spec_string()
+    assert sum(0 in conjectural_exponents(g) for g in gradings) > 0
+
+
+def test_non_essential_report_and_charpoly_row():
+    g = parse_grading_spec("A2:2,1")
+    assert conjectural_exponents(g) == (0, 1)
+    assert arrangement_report(g)["exponents_match"] is True
+    rows = checks.run([(g.rs, [g])], ["charpoly"])
+    assert rows and all(r.ok for r in rows)
 
 
 def test_ideal_count_formula_values():

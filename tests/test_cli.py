@@ -138,6 +138,37 @@ def test_verify_exit_one_on_failure(capsys):
         del checks.SUITES["zz-always-red"]
 
 
+def test_parser_is_built_once_and_reads_the_live_suite_registry(capsys):
+    from gradus.cli import _build_parser
+
+    parser = _build_parser()
+    assert _build_parser() is parser
+
+    @checks.suite("zz-late")
+    def _late(rs, gradings):
+        yield checks.CheckResult("zz-late", "unit", "late", True)
+
+    try:
+        code, out, _ = run_cli(["verify", "--suite", "zz-late", "A2"], capsys)
+        assert code == 0 and out.endswith("1 checks, 0 failures, 0 skipped\n")
+    finally:
+        del checks.SUITES["zz-late"]
+
+
+def test_verify_csv_with_no_rows_prints_the_header(capsys):
+    code, out, err = run_cli(["verify", "--suite", "e7", "A3", "--csv"], capsys)
+    assert (code, out, err) == (0, "suite,subject,name,ok,status,detail\n", "")
+
+
+def test_non_essential_arrangement_matches_its_exponents(capsys):
+    code, out, _ = run_cli(["arrangement", "A2:2,1", "--json"], capsys)
+    data = json.loads(out)
+    assert code == 0
+    assert data["char_poly"] == [0, -1, 1] and data["exponents_match"] is True
+    code, out, _ = run_cli(["verify", "A2:2,1", "--suite", "charpoly"], capsys)
+    assert code == 0 and out.endswith(" 0 failures, 0 skipped\n")
+
+
 def test_verify_reports_skip_above_bound(capsys):
     code, out, _ = run_cli(["verify", "E6", "--suite", "appendix"], capsys)
     assert code == 0

@@ -1,7 +1,10 @@
 import pytest
 from fractions import Fraction
+from itertools import product
 
-from gradus.rootsys import CartanType, build, dual_partition, parse_cartan_type
+from gradus import weyl
+from gradus.checks import default_types
+from gradus.rootsys import CartanType, Root, build, dual_partition, parse_cartan_type
 
 EXPONENTS = {
     "A1": (1,),
@@ -193,3 +196,146 @@ def test_km_style_group_order_from_exponents():
         for m in rs.exponents:
             prod *= m + 1
         assert prod == order
+
+
+# -- the root index and the root-sum table, against the coordinate routes ----
+#
+# The three functions below are the coordinate implementations the index
+# lookups replaced, kept verbatim (self -> rs) as oracles.
+
+
+def _oracle_sum_table(rs):
+    table = {}
+    pos = rs.positive_roots
+    index = {r.coords: k for k, r in enumerate(pos)}
+    for i in range(len(pos)):
+        for j in range(i, len(pos)):
+            s = tuple(a + b for a, b in zip(pos[i].coords, pos[j].coords))
+            k = index.get(s)
+            if k is not None:
+                table[(i, j)] = k
+    return table
+
+
+def _oracle_root_sums(rs):
+    roots = rs.positive_roots + tuple(-r for r in rs.positive_roots)
+    where = {r.coords: k for k, r in enumerate(roots)}
+    return tuple(
+        {
+            b: where[s]
+            for b, nu in enumerate(roots)
+            if (s := tuple(x + y for x, y in zip(mu.coords, nu.coords))) in where
+        }
+        for mu in roots
+    )
+
+
+def _oracle_three_root_witness(rs, mu, nu1, nu2):
+    all_coords = frozenset(r.coords for r in rs.positive_roots) | frozenset(
+        (-r).coords for r in rs.positive_roots
+    )
+
+    def is_root(coords):
+        key = coords.coords if isinstance(coords, Root) else tuple(coords)
+        return key in all_coords
+
+    def add_roots(gamma, mu):
+        s = tuple(a + b for a, b in zip(gamma.coords, mu.coords))
+        return rs.root(s) if s in all_coords else None
+
+    for r in (mu, nu1, nu2):
+        if not is_root(r):
+            raise ValueError(f"{r} is not a root")
+    if mu == -nu1 or mu == -nu2:
+        raise ValueError("mu must not cancel nu1 or nu2")
+    if not is_root(tuple(a + b for a, b in zip(nu1.coords, nu2.coords))):
+        raise ValueError("nu1 + nu2 must be a root")
+    total = tuple(m + a + b for m, a, b in zip(mu.coords, nu1.coords, nu2.coords))
+    if not is_root(total):
+        raise ValueError("mu + nu1 + nu2 must be a root")
+    if add_roots(mu, nu1) is not None:
+        return nu1
+    if add_roots(mu, nu2) is not None:
+        return nu2
+    raise AssertionError("no witness despite valid input")
+
+
+SUM_TYPES = default_types(8) + ["A16", "B12", "D12"]
+
+
+@pytest.mark.parametrize("name", SUM_TYPES)
+def test_sums_match_the_coordinate_tables(name):
+    rs = build(name)
+    npos = len(rs.positive_roots)
+    assert [list(row.items()) for row in rs.sums] == [
+        list(row.items()) for row in _oracle_root_sums(rs)]
+    # the walk biconvex_violation and the level-additive row make
+    walk = [((i, j), k) for i in range(npos) for j, k in rs.sums[i].items()
+            if i <= j < npos]
+    assert walk == list(_oracle_sum_table(rs).items())
+
+
+@pytest.mark.parametrize("name", SUM_TYPES)
+def test_roots_are_one_tuple_and_the_index_covers_them(name):
+    rs = build(name)
+    roots = rs.roots()
+    npos = len(rs.positive_roots)
+    assert rs.roots() is roots and len(roots) == len(rs.index) == 2 * npos
+    assert roots[:npos] == rs.positive_roots
+    for k, r in enumerate(roots):
+        assert rs.index[r.coords] == k
+        assert rs.root(r.coords) is r
+    assert all(roots[k + npos] == -roots[k] for k in range(npos))
+
+
+@pytest.mark.parametrize("name", default_types(3))
+def test_index_witness_matches_the_coordinate_witness(name):
+    rs = build(name)
+    roots = rs.roots()
+    for mu, nu1, nu2 in product(roots, repeat=3):
+        try:
+            want = _oracle_three_root_witness(rs, mu, nu1, nu2)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                rs.three_root_witness(mu, nu1, nu2)
+            assert str(got.value) == str(exc)
+        else:
+            assert rs.three_root_witness(mu, nu1, nu2) is want
+
+
+def test_three_root_witness_rejects_a_non_root():
+    rs = build("B2")
+    bogus = Root((2, 0))
+    with pytest.raises(ValueError, match="2a1 is not a root"):
+        rs.three_root_witness(rs.root((1, 0)), bogus, rs.root((0, 1)))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_sum_table_readers_match_the_coordinate_table(name):
+    rs = build(name)
+    table = _oracle_sum_table(rs)
+    npos = len(rs.positive_roots)
+    for mask in range(1 << npos):
+        comp = (1 << npos) - 1 & ~mask
+        want = None
+        for (i, j), k in table.items():
+            if mask >> i & 1 and mask >> j & 1 and not mask >> k & 1:
+                want = ("sum escapes the set", i, j, k)
+                break
+            if comp >> i & 1 and comp >> j & 1 and mask >> k & 1:
+                want = ("complement is not closed", i, j, k)
+                break
+        assert weyl.biconvex_violation(rs, mask) == want
+        layers, total = [mask], mask
+        while True:
+            nxt = 0
+            for (i, j), k in table.items():
+                if (mask >> i & 1 and layers[-1] >> j & 1
+                        or mask >> j & 1 and layers[-1] >> i & 1):
+                    nxt |= 1 << k
+            nxt &= ~total
+            if not nxt:
+                break
+            layers.append(nxt)
+            total |= nxt
+        assert weyl.closure_layers(rs, mask) == layers
