@@ -22,8 +22,11 @@ A count never visits all of F_q^n: a nonempty central complement is stable
 under F_q^*, so only points whose first nonzero coordinate is 1 are counted,
 fibred over the last coordinate, for about q^(n-2) steps per normal.
 
+An arrangement is the pair (rs, mask): its normals are the positive roots
+whose bits are set, read off by RootSystem.roots_of, so equal sets of
+normals are equal arrangements and every constructor is a mask expression.
 The root poset, the signed heights and the characteristic polynomials depend
-only on the root system (memoised by build) and the normals, so each is a
+only on the root system (memoised by build) and the mask, so each is a
 functools.cache and is computed once per process.
 """
 
@@ -54,30 +57,27 @@ UPPER_IDEAL_MAX_RANK = 5
 
 @dataclass(frozen=True)
 class Arrangement:
-    """A central arrangement with root normals, in canonical order."""
+    """A central arrangement whose normals are the positive roots of a mask."""
 
     rs: RootSystem
-    normals: tuple[Root, ...]
+    mask: int
 
     def __post_init__(self) -> None:
-        if len(set(self.normals)) != len(self.normals):
-            raise ValueError("arrangement normals must be distinct")
-        for r in self.normals:
-            if not r.is_positive or not self.rs.is_root(r):
-                raise ValueError(f"normal {r} is not a positive root")
+        if not 0 <= self.mask < 1 << len(self.rs.positive_roots):
+            raise ValueError(f"{self.mask} is not a positive-root mask of {self.rs.cartan_type}")
+
+    @property
+    def normals(self) -> tuple[Root, ...]:
+        """The normals, in canonical order."""
+        return self.rs.roots_of(self.mask)
 
 
 def sub_arrangement_01(g: Grading) -> Arrangement:
-    picked = tuple(
-        r
-        for r, lv in zip(g.rs.positive_roots, g.levels)
-        if lv in (0, 1)
-    )
-    return Arrangement(g.rs, picked)
+    return Arrangement(g.rs, g.delta0_mask | g.delta1_mask)
 
 
 def coxeter_arrangement(rs: RootSystem) -> Arrangement:
-    return Arrangement(rs, rs.positive_roots)
+    return Arrangement(rs, (1 << len(rs.positive_roots)) - 1)
 
 
 @cache
@@ -101,10 +101,7 @@ def ideal_arrangement(rs: RootSystem, upper_mask: int) -> Arrangement:
     for j in range(len(rs.positive_roots)):
         if not upper_mask >> j & 1 and down[j] & upper_mask:
             raise ValueError("mask is not an upper ideal of the root poset")
-    picked = tuple(
-        r for j, r in enumerate(rs.positive_roots) if not upper_mask >> j & 1
-    )
-    return Arrangement(rs, picked)
+    return Arrangement(rs, (1 << len(rs.positive_roots)) - 1 & ~upper_mask)
 
 
 def deleted_arrangement(rs: RootSystem) -> Arrangement:
@@ -238,24 +235,24 @@ def char_poly(arr: Arrangement) -> Poly:
     """Characteristic polynomial from n point counts at primes above h: the
     count over q - 1 at n - 1 primes interpolates chibar - t^(n-1) (see the
     module docstring); computed once per arrangement."""
-    n = arr.rs.rank
+    n, normals = arr.rs.rank, arr.normals
     if n > CHAR_POLY_MAX_RANK:
         raise ValueError(
             f"rank {n} exceeds the char_poly bound {CHAR_POLY_MAX_RANK}: {n} point "
             f"counts at primes q > {arr.rs.coxeter_number}, each of about "
-            f"q^{n - 2} * {len(arr.normals)} steps"
+            f"q^{n - 2} * {len(normals)} steps"
         )
-    if not arr.normals:
+    if not normals:
         return (0,) * n + (1,)
     *primes, q_check = good_primes(arr.rs, n)
     low = interpolate(
-        [(q, _point_count(arr.normals, n, q) // (q - 1) - q ** (n - 1)) for q in primes]
+        [(q, _point_count(normals, n, q) // (q - 1) - q ** (n - 1)) for q in primes]
     )
     # chibar is low padded to n - 1 coefficients (none at n = 1), then t^(n-1)
     chi = mul((-1, 1), (low + (0,) * n)[: n - 1] + (1,))
-    if chi[n - 1] != -len(arr.normals):
+    if chi[n - 1] != -len(normals):
         raise AssertionError("characteristic polynomial must be t^n - |A| t^(n-1) + ...")
-    if value(chi, q_check) != _point_count(arr.normals, n, q_check):
+    if value(chi, q_check) != _point_count(normals, n, q_check):
         raise AssertionError("interpolated polynomial fails at the verification prime")
     return chi
 
@@ -325,9 +322,10 @@ def upper_ideal_partition_check(rs: RootSystem) -> dict:
         raise ValueError(f"upper-ideal sweep is bounded at rank {UPPER_IDEAL_MAX_RANK}")
     violations = []
     total = 0
+    full = (1 << len(rs.positive_roots)) - 1
     for upper in upper_ideals_of_root_poset(rs):
         total += 1
-        rest = [r for j, r in enumerate(rs.positive_roots) if not upper >> j & 1]
+        rest = rs.roots_of(full & ~upper)
         lam = height_partition(rest)
         ok = all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
         if rest:

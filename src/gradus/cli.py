@@ -209,8 +209,7 @@ def cmd_show(args: argparse.Namespace) -> int:
     slices = {}
     pis = {}
     for i in range(0, g.max_level + 1):
-        positive = [r for r in g.slice(i) if r.is_positive]
-        slices[str(i)] = _root_strs(positive)
+        slices[str(i)] = _root_strs(rs.roots_of(g.level_mask(i)))
         pi = g.pi(i)
         if pi:
             pis[str(i)] = [f"a{k + 1}" for k in pi]
@@ -264,6 +263,8 @@ def cmd_ideals(args: argparse.Namespace) -> int:
 
 def cmd_weyl(args: argparse.Namespace) -> int:
     g = _grading_from_spec(args)
+    if args.eta and g.k_standard != 1:
+        raise UsageError("--eta needs a grading with a single marked node")
     table = weyl_mod.enumerate_W0(g)
     p = ideals_mod.weight_poset(g, 1)
     minimal = weyl_mod.W0_min(g)
@@ -294,8 +295,6 @@ def cmd_weyl(args: argparse.Namespace) -> int:
             for w in maximal
         ]
     if args.eta:
-        if g.k_standard != 1:
-            raise UsageError("--eta needs a grading with a single marked node")
         payload["eta"] = [
             {"word": str(w), "eta": list(weyl_mod.eta(g, w))}
             for w in table.elements()

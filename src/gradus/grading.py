@@ -8,7 +8,9 @@ level 2 with a single root on top.
 
 What a grading derives once (its level masks, its weight posets, its
 coset table and the extremes of its fibers) is a cached_property of the
-Grading, so it lives exactly as long as the grading does.
+Grading, so it lives exactly as long as the grading does.  The level masks
+come from one pass over the levels; a slice, and every other set of
+positive roots a grading names, is read off a mask by RootSystem.roots_of.
 """
 
 from __future__ import annotations
@@ -46,40 +48,36 @@ class Grading:
 
     def slice(self, i: int) -> tuple[Root, ...]:
         """Delta(i); level 0 contains both signs, other levels one sign."""
-        if i == 0:
-            pos = tuple(r for r, lv in zip(self.rs.positive_roots, self.levels) if lv == 0)
-            return pos + tuple(-r for r in pos)
-        sign = 1 if i > 0 else -1
-        picked = tuple(
-            r for r, lv in zip(self.rs.positive_roots, self.levels) if lv == abs(i)
-        )
-        return picked if sign > 0 else tuple(-r for r in picked)
-
-    def level_mask(self, i: int) -> int:
-        """Bitmask of positive-root indices at level i >= 0."""
-        if i < 0:
-            raise ValueError("level masks cover positive roots only")
-        mask = 0
-        for k, lv in enumerate(self.levels):
-            if lv == i:
-                mask |= 1 << k
-        return mask
+        pos = self.rs.roots_of(self.level_mask(abs(i)))
+        if i > 0:
+            return pos
+        neg = tuple(-r for r in pos)
+        return pos + neg if i == 0 else neg
 
     @cached_property
+    def _level_masks(self) -> tuple[int, ...]:
+        masks = [0] * (self.max_level + 1)
+        for k, lv in enumerate(self.levels):
+            masks[lv] |= 1 << k
+        return tuple(masks)
+
+    def level_mask(self, i: int) -> int:
+        """Positive-root mask of the roots at level i >= 0 (0 above max_level)."""
+        if i < 0:
+            raise ValueError("level masks cover positive roots only")
+        return self._level_masks[i] if i <= self.max_level else 0
+
+    @property
     def delta0_mask(self) -> int:
         return self.level_mask(0)
 
-    @cached_property
+    @property
     def delta1_mask(self) -> int:
         return self.level_mask(1)
 
     @cached_property
     def ge1_mask(self) -> int:
-        mask = 0
-        for k, lv in enumerate(self.levels):
-            if lv >= 1:
-                mask |= 1 << k
-        return mask
+        return (1 << len(self.levels)) - 1 & ~self.delta0_mask
 
     def pi(self, i: int) -> tuple[int, ...]:
         """Simple-root indices at level i, i.e. with mark i (0-based)."""
@@ -148,7 +146,7 @@ class Grading:
         level0_simples = [rs.simple_indices[j] for j in self.pi0]
         out: dict[int, list[tuple[Root, ...]]] = {}
         for i in range(1, self.max_level + 1):
-            members = [k for k, lv in enumerate(self.levels) if lv == i]
+            members = [rs.index[r.coords] for r in rs.roots_of(self.level_mask(i))]
             parent = {k: k for k in members}
 
             def find(k: int) -> int:

@@ -101,16 +101,15 @@ class WeightPoset:
         if level < 1:
             raise ValueError("weight posets are defined for levels >= 1")
         rs = grading.rs
-        members = [k for k, lv in enumerate(grading.levels) if lv == level]
-        if not members:
+        self.elements: tuple[Root, ...] = rs.roots_of(grading.level_mask(level))
+        if not self.elements:
             raise ValueError(f"slice {level} of {grading.spec_string()} is empty")
         self.grading = grading
         self.level = level
-        self.elements: tuple[Root, ...] = tuple(rs.positive_roots[k] for k in members)
         self.index: dict[tuple[int, ...], int] = {
             r.coords: j for j, r in enumerate(self.elements)
         }
-        self.positive_index: tuple[int, ...] = tuple(members)
+        self.positive_index: tuple[int, ...] = tuple(rs.index[r.coords] for r in self.elements)
 
         self.covers_down, self.down_masks = order_masks(self.elements, grading.pi0)
         self.up_masks: tuple[int, ...] = tuple(upclosure_masks(self.down_masks))

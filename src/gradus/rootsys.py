@@ -11,7 +11,8 @@ Conventions used throughout the package:
   reflection acts by s_i(alpha_j) = alpha_j - a[i][j] alpha_i.
 - Positive roots are listed in "canonical order": by height, then
   lexicographically by coordinates.  Bitmask positions over the positive
-  roots always refer to this order.
+  roots always refer to this order, and a set of positive roots is held
+  as such a mask; roots_of is the one conversion from a mask to roots.
 - A root is also an index into roots(): positive root k keeps k, and its
   negative is k + N.  `index` maps the coordinates of every root to its
   index, and `sums` is the one table of root sums, so closures, convexity
@@ -268,6 +269,11 @@ class RootSystem:
     def is_long(self, gamma: Root) -> bool:
         return self.norm2(gamma) == 2
 
+    def roots_of(self, mask: int) -> tuple[Root, ...]:
+        """The positive roots whose bits are set in a positive-root mask, in
+        canonical order: the one conversion from a mask to roots."""
+        return tuple(r for k, r in enumerate(self.positive_roots) if mask >> k & 1)
+
     def three_root_witness(self, mu: Root, nu1: Root, nu2: Root) -> Root:
         """Given roots with nu1+nu2 and mu+nu1+nu2 roots, return nu_i with
         mu+nu_i a root, preferring nu1.  mu in {-nu1, -nu2} is outside the
@@ -276,6 +282,10 @@ class RootSystem:
             if not self.is_root(r):
                 raise ValueError(f"{r} is not a root")
         m, a, b = (self.index[r.coords] for r in (mu, nu1, nu2))
+        return nu1 if self.three_root_witness_index(m, a, b) == a else nu2
+
+    def three_root_witness_index(self, m: int, a: int, b: int) -> int:
+        """three_root_witness on indices into roots(): a or b, preferring a."""
         npos = len(self.positive_roots)
         if m in ((a + npos) % (2 * npos), (b + npos) % (2 * npos)):
             raise ValueError("mu must not cancel nu1 or nu2")
@@ -286,9 +296,9 @@ class RootSystem:
         if m not in sums[c]:
             raise ValueError("mu + nu1 + nu2 must be a root")
         if a in sums[m]:
-            return nu1
+            return a
         if b in sums[m]:
-            return nu2
+            return b
         raise AssertionError("no witness despite valid input")
 
     # -- derived data ---------------------------------------------------

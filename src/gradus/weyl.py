@@ -131,8 +131,7 @@ class WeylElement:
 
 
 def inversion_roots(w: WeylElement) -> tuple[Root, ...]:
-    mask = w.inversion_mask
-    return tuple(r for k, r in enumerate(w.rs.positive_roots) if mask >> k & 1)
+    return w.rs.roots_of(w.inversion_mask)
 
 
 def from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
@@ -283,7 +282,7 @@ def km_order(rs: RootSystem, roots: Optional[Iterable[Root]] = None) -> Fraction
 
 def levi_order(g: Grading) -> Fraction:
     """|W(0)|, the height product over the positive level-0 roots."""
-    return km_order(g.rs, (r for r, lv in zip(g.rs.positive_roots, g.levels) if lv == 0))
+    return km_order(g.rs, g.rs.roots_of(g.delta0_mask))
 
 
 # -- minimal coset representatives --------------------------------------

@@ -88,11 +88,25 @@ def test_sub_arrangement_01_walls():
 
 def test_arrangement_validation():
     rs = build("B2")
-    a1 = rs.root((1, 0))
-    with pytest.raises(ValueError):
-        Arrangement(rs, (a1, a1))
-    with pytest.raises(ValueError):
-        Arrangement(rs, (rs.root((-1, 0)),))
+    with pytest.raises(ValueError, match="not a positive-root mask of B2"):
+        Arrangement(rs, 1 << len(rs.positive_roots))
+    with pytest.raises(ValueError, match="not a positive-root mask of B2"):
+        Arrangement(rs, -1)
+
+
+@pytest.mark.parametrize("name", default_types(4))
+def test_an_arrangement_is_its_mask(name):
+    rs = build(name)
+    full = (1 << len(rs.positive_roots)) - 1
+    theta_bit = 1 << rs.index[rs.theta.coords]
+    deleted = deleted_arrangement(rs)
+    assert ideal_arrangement(rs, theta_bit) == deleted == Arrangement(rs, full & ~theta_bit)
+    assert deleted.normals == tuple(r for r in rs.positive_roots if r != rs.theta)
+    assert coxeter_arrangement(rs) == ideal_arrangement(rs, 0)
+    assert coxeter_arrangement(rs).normals == rs.positive_roots
+    # the normals of any mask come back in canonical order
+    odd = sum(1 << k for k in range(0, len(rs.positive_roots), 2))
+    assert Arrangement(rs, odd).normals == rs.positive_roots[::2]
 
 
 def test_good_primes_pinned():
@@ -609,7 +623,7 @@ def test_char_poly_matches_the_oracle_on_root_subsets(name, data):
     picked = data.draw(
         st.lists(st.sampled_from(rs.positive_roots), min_size=1, unique=True)
     )
-    arr = Arrangement(rs, tuple(picked))
+    arr = Arrangement(rs, sum(1 << rs.index[r.coords] for r in picked))
     chi = char_poly(arr)
     assert chi == _char_poly_n_plus_2(arr)
     assert chi[-2] == -len(picked) and value(chi, 1) == 0
@@ -622,7 +636,7 @@ def test_char_poly_of_a1_and_of_the_empty_arrangement(monkeypatch):
     )
     monkeypatch.setattr(arrangement, "_point_count", None)  # no count is made
     for name in ["A1", "B3", "F4"]:
-        empty = Arrangement(build(name), ())
+        empty = Arrangement(build(name), 0)
         assert char_poly(empty) == from_int_roots([0] * build(name).rank)
 
 

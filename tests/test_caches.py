@@ -60,11 +60,12 @@ def test_equal_arrangement_reuses_the_polynomial(monkeypatch):
         return real(normals, n, q)
 
     monkeypatch.setattr(arrangement, "_point_count", counting)
-    first = Arrangement(rs, rs.positive_roots)
+    first = Arrangement(rs, (1 << len(rs.positive_roots)) - 1)
     chi = char_poly(first)
     assert len(calls) == rs.rank  # rank-1 interpolation primes and a check
     calls.clear()
-    again = Arrangement(rs, tuple(rs.positive_roots))
+    # the same normals gathered in reverse order are the same key
+    again = Arrangement(rs, sum(1 << rs.index[r.coords] for r in reversed(rs.positive_roots)))
     assert again is not first and again == first
     assert char_poly(again) == chi
     assert calls == []

@@ -51,7 +51,7 @@ def test_direct_call_above_bound_skips_without_work(name, monkeypatch):
     for module, attr in ((weyl, "enumerate_W0"), (weyl, "weyl_elements"),
                          (ideals, "weight_poset"), (arrangement, "char_poly"),
                          (arrangement, "upper_ideal_partition_check"),
-                         (RootSystem, "three_root_witness")):
+                         (RootSystem, "three_root_witness_index")):
         monkeypatch.setattr(module, attr, no_work)
     rows = list(checks.SUITES[name](rs, gradings))
     assert rows == [CheckResult(name, f"A{bound + 1}", "sweep", True,
@@ -142,13 +142,13 @@ def test_witness_sweep_visits_the_coordinate_triples_in_order(name, monkeypatch)
                             zip(mu.coords, nu1.coords, nu2.coords)))
     ]
     seen = []
-    real = rs.three_root_witness
+    real = rs.three_root_witness_index
 
-    def recording(mu, nu1, nu2):
-        seen.append((mu, nu1, nu2))
-        return real(mu, nu1, nu2)
+    def recording(m, a, b):
+        seen.append((roots[m], roots[a], roots[b]))
+        return real(m, a, b)
 
-    monkeypatch.setattr(rs, "three_root_witness", recording)
+    monkeypatch.setattr(rs, "three_root_witness_index", recording)
     (row,) = checks.SUITES["threeroot"](rs, [])
     assert row.status == "pass"
     assert seen == expected
@@ -156,22 +156,27 @@ def test_witness_sweep_visits_the_coordinate_triples_in_order(name, monkeypatch)
 
 def test_witness_sweep_reports_a_wrong_witness(monkeypatch):
     rs = RootSystem(build("B2").cartan_type)
-    real = rs.three_root_witness
-    monkeypatch.setattr(rs, "three_root_witness",
-                        lambda mu, nu1, nu2: real(mu, nu1, nu2) and rs.theta)
+    real = rs.three_root_witness_index
+    theta = rs.index[rs.theta.coords]
+
+    def wrong(m, a, b):
+        real(m, a, b)
+        return theta
+
+    monkeypatch.setattr(rs, "three_root_witness_index", wrong)
     (row,) = checks.SUITES["threeroot"](rs, [])
     assert row.status == "fail" and row.detail.startswith("bad witness a1+2a2 for ")
 
 
 def test_witness_sweep_reports_a_tie_not_resolved_to_nu1(monkeypatch):
     rs = RootSystem(build("C3").cartan_type)  # C3 has triples where both do
-    real = rs.three_root_witness
+    real = rs.three_root_witness_index
 
-    def second_choice(mu, nu1, nu2):
-        w = real(mu, nu1, nu2)
-        return nu2 if rs.add_roots(mu, nu2) is not None else w
+    def second_choice(m, a, b):
+        w = real(m, a, b)
+        return b if b in rs.sums[m] else w
 
-    monkeypatch.setattr(rs, "three_root_witness", second_choice)
+    monkeypatch.setattr(rs, "three_root_witness_index", second_choice)
     (row,) = checks.SUITES["threeroot"](rs, [])
     assert row.status == "fail"
     assert row.detail.startswith("tie not resolved to first choice: ")

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gradus import checks
+from gradus import checks, weyl
 from gradus.cli import UsageError, main, parse_root, parse_root_list
 from gradus.rootsys import build
 
@@ -72,6 +72,16 @@ def test_weyl_counts(capsys):
     assert data["ideal_polynomial"] == [1, 1, 1]
     words = [row["word"] for row in data["minimal"]]
     assert words == ["e", "s2", "s2 s1 s2"]
+
+
+def test_weyl_eta_rejects_a_grading_before_any_work(capsys, monkeypatch):
+    def no_table(g):
+        raise AssertionError("coset table built before --eta was checked")
+
+    monkeypatch.setattr(weyl, "CosetTable", no_table)
+    code, out, err = run_cli(["weyl", "E6:1,1,1,1,1,1", "--eta"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "gradus weyl: --eta needs a grading with a single marked node\n"
 
 
 def test_element_pinned(capsys):

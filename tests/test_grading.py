@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from gradus.checks import default_types
+from gradus.checks import default_types, sweep_gradings
 from gradus.grading import extra_special, grade, parse_grading_spec
 from gradus.rootsys import build
 
@@ -154,6 +154,18 @@ def test_level_masks_cover_positives():
         assert full & mask == 0
         full |= mask
     assert full == (1 << len(g.rs.positive_roots)) - 1
+    for name in default_types(3):
+        for g in sweep_gradings(build(name)):
+            rs, top = g.rs, g.max_level + 1
+            assert g.level_mask(top) == 0
+            assert g.slice(top) == g.slice(-top) == ()
+            with pytest.raises(ValueError, match="positive roots only"):
+                g.level_mask(-1)
+            for i in range(-g.max_level, top):
+                pos = rs.roots_of(g.level_mask(abs(i)))
+                assert pos == tuple(r for r in rs.positive_roots if g.level(r) == abs(i))
+                neg = tuple(-r for r in pos)
+                assert g.slice(i) == (pos if i > 0 else neg if i < 0 else pos + neg)
 
 
 def _components_by_coordinates(g):
