@@ -55,17 +55,18 @@ class Grading:
         return pos + neg if i == 0 else neg
 
     @cached_property
-    def _level_masks(self) -> tuple[int, ...]:
-        masks = [0] * (self.max_level + 1)
+    def _level_masks(self) -> dict[int, int]:
+        # keyed by the levels that occur: marks, and so levels, are unbounded
+        masks: dict[int, int] = {}
         for k, lv in enumerate(self.levels):
-            masks[lv] |= 1 << k
-        return tuple(masks)
+            masks[lv] = masks.get(lv, 0) | 1 << k
+        return masks
 
     def level_mask(self, i: int) -> int:
-        """Positive-root mask of the roots at level i >= 0 (0 above max_level)."""
+        """Positive-root mask of the roots at level i >= 0 (0 where empty)."""
         if i < 0:
             raise ValueError("level masks cover positive roots only")
-        return self._level_masks[i] if i <= self.max_level else 0
+        return self._level_masks.get(i, 0)
 
     @property
     def delta0_mask(self) -> int:
@@ -146,7 +147,7 @@ class Grading:
         level0_simples = [rs.simple_indices[j] for j in self.pi0]
         out: dict[int, list[tuple[Root, ...]]] = {}
         for i in range(1, self.max_level + 1):
-            members = [rs.index[r.coords] for r in rs.roots_of(self.level_mask(i))]
+            members = rs.indices_of(self.level_mask(i))
             parent = {k: k for k in members}
 
             def find(k: int) -> int:

@@ -101,7 +101,8 @@ class WeightPoset:
         if level < 1:
             raise ValueError("weight posets are defined for levels >= 1")
         rs = grading.rs
-        self.elements: tuple[Root, ...] = rs.roots_of(grading.level_mask(level))
+        self.positive_index: tuple[int, ...] = rs.indices_of(grading.level_mask(level))
+        self.elements = tuple(rs.positive_roots[k] for k in self.positive_index)
         if not self.elements:
             raise ValueError(f"slice {level} of {grading.spec_string()} is empty")
         self.grading = grading
@@ -109,7 +110,6 @@ class WeightPoset:
         self.index: dict[tuple[int, ...], int] = {
             r.coords: j for j, r in enumerate(self.elements)
         }
-        self.positive_index: tuple[int, ...] = tuple(rs.index[r.coords] for r in self.elements)
 
         self.covers_down, self.down_masks = order_masks(self.elements, grading.pi0)
         self.up_masks: tuple[int, ...] = tuple(upclosure_masks(self.down_masks))
@@ -137,20 +137,12 @@ class WeightPoset:
 
     def positive_mask(self, mask: int) -> int:
         """Reinterpret a poset mask as a mask over all positive roots."""
-        out = 0
-        for j in range(self.size):
-            if mask >> j & 1:
-                out |= 1 << self.positive_index[j]
-        return out
+        return sum(1 << k for j, k in enumerate(self.positive_index) if mask >> j & 1)
 
     def poset_mask(self, pos_mask: int) -> int:
         """Restrict a mask over all positive roots to this slice, as a poset
         mask; the inverse of positive_mask."""
-        out = 0
-        for j, k in enumerate(self.positive_index):
-            if pos_mask >> k & 1:
-                out |= 1 << j
-        return out
+        return sum(1 << j for j, k in enumerate(self.positive_index) if pos_mask >> k & 1)
 
     @cached_property
     def dual_permutation(self) -> tuple[int, ...]:

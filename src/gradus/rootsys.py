@@ -269,10 +269,14 @@ class RootSystem:
     def is_long(self, gamma: Root) -> bool:
         return self.norm2(gamma) == 2
 
+    def indices_of(self, mask: int) -> tuple[int, ...]:
+        """The indices of the set bits of a positive-root mask, in order."""
+        return tuple(k for k in range(len(self.positive_roots)) if mask >> k & 1)
+
     def roots_of(self, mask: int) -> tuple[Root, ...]:
         """The positive roots whose bits are set in a positive-root mask, in
         canonical order: the one conversion from a mask to roots."""
-        return tuple(r for k, r in enumerate(self.positive_roots) if mask >> k & 1)
+        return tuple(self.positive_roots[k] for k in self.indices_of(mask))
 
     def three_root_witness(self, mu: Root, nu1: Root, nu2: Root) -> Root:
         """Given roots with nu1+nu2 and mu+nu1+nu2 roots, return nu_i with

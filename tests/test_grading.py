@@ -168,6 +168,16 @@ def test_level_masks_cover_positives():
                 assert g.slice(i) == (pos if i > 0 else neg if i < 0 else pos + neg)
 
 
+def test_a_huge_mark_costs_nothing_per_level():
+    g = parse_grading_spec("A2:1000000000000,1")
+    assert g.max_level == 1000000000001
+    p = g.weight_poset(1)
+    assert p.elements == (g.rs.simple_roots[1],)
+    assert p.positive_index == (g.rs.index[g.rs.simple_roots[1].coords],)
+    assert g.level_mask(g.max_level) == 1 << g.rs.index[g.rs.theta.coords]
+    assert g.level_mask(2) == 0 and g.ge1_mask == (1 << 3) - 1
+
+
 def _components_by_coordinates(g):
     """Simple components rebuilt from coordinate tuples: each (member, level-0
     simple) pair is summed coordinatewise and looked up in the root index."""
