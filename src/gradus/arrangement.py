@@ -84,7 +84,7 @@ def coxeter_arrangement(rs: RootSystem) -> Arrangement:
 def root_poset_down_masks(rs: RootSystem) -> tuple[int, ...]:
     """Down-sets in the root poset (Delta+, <=), covers being differences by
     a single simple root."""
-    return order_masks(rs.positive_roots, range(rs.rank))[1]
+    return order_masks(rs, range(len(rs.positive_roots)), range(rs.rank))[1]
 
 
 def upper_ideals_of_root_poset(rs: RootSystem) -> list[int]:
@@ -129,7 +129,7 @@ def regions_in_dominant_chamber(g: Grading) -> list[Region]:
     p = ideals_mod.weight_poset(g, 1)
     return [
         Region(
-            ideal=Ideal(p, p.poset_mask(tau_mask)),
+            ideal=Ideal(p, tau_mask),
             chambers=[elements[k] for k in table.by_tau[tau_mask]],
         )
         for tau_mask in sorted(table.by_tau)

@@ -152,14 +152,10 @@ def _catalan(rs: RootSystem) -> int:
     return int(acc)
 
 
-def _sub_ideal_count(p: ideals_mod.WeightPoset, subset: tuple[int, ...]) -> int:
-    """Lower-ideal count of the sub-poset induced on the given positions."""
-    place = {j: loc for loc, j in enumerate(subset)}
-    local = [
-        sum(1 << place[k] for k in subset if p.down_masks[j] >> k & 1)
-        for j in subset
-    ]
-    return sum(1 for _ in ideals_mod.iter_downclosed(local))
+def _sub_ideal_count(p: ideals_mod.WeightPoset, subset: int) -> int:
+    """Lower-ideal count of the sub-poset induced on a positive-root mask."""
+    down = [d & subset for k, d in zip(p.positive_index, p.down_masks) if subset >> k & 1]
+    return sum(1 for _ in ideals_mod.iter_downclosed(down))
 
 
 # -- root system level ---------------------------------------------------
@@ -262,7 +258,8 @@ def suite_threeroot(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Che
 def suite_grading(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     for g in gradings:
         sub = g.spec_string()
-        total = sum(len(g.slice(i)) for i in range(1, g.max_level + 1))
+        # walk only the levels that occur: marks, and so levels, are unbounded
+        total = sum(len(g.slice(i)) for i in set(g.levels) - {0})
         total += sum(1 for r in g.slice(0) if r.is_positive)
         yield CheckResult(
             "grading", sub, "slices-partition-positives",
@@ -302,9 +299,8 @@ def suite_grading(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
             comps = g.simple_components().get(1, [])
             p = ideals_mod.weight_poset(g, 1)
             minimal = {
-                p.elements[j]
-                for j in range(p.size)
-                if p.down_masks[j] == 1 << j
+                r for r, k, d in zip(p.elements, p.positive_index, p.down_masks)
+                if d == 1 << k
             }
             pi1 = {rs.simple_roots[i] for i in g.pi(1)}
             ok = len(comps) == len(pi1) and minimal == pi1
@@ -332,14 +328,13 @@ def suite_ideals(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
 
         all_ideals = ideals_mod.enumerate_lower_ideals(p)
         masks = [i.mask for i in all_ideals]
-        full = (1 << p.size) - 1
 
         def bit_word(mask: int) -> tuple[int, ...]:
-            return tuple(mask >> j & 1 for j in range(p.size))
+            return tuple(mask >> k & 1 for k in p.positive_index)
 
         yield CheckResult(
             "ideals", sub, "enumeration-complete",
-            len(set(masks)) == len(masks) and 0 in masks and full in masks
+            len(set(masks)) == len(masks) and 0 in masks and p.full_mask in masks
             and masks == sorted(masks, key=bit_word),
             f"{len(masks)} ideals",
         )
@@ -390,9 +385,7 @@ def suite_ideals(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
             comps = g.simple_components().get(1, [])
             prod = 1
             for comp in comps:
-                prod *= _sub_ideal_count(
-                    p, tuple(p.index[r.coords] for r in comp)
-                )
+                prod *= _sub_ideal_count(p, sum(1 << rs.index[r.coords] for r in comp))
             yield CheckResult(
                 "ideals", sub, "component-product",
                 prod == len(all_ideals), f"{prod} vs {len(all_ideals)}",
@@ -475,20 +468,19 @@ def suite_biconvex(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Chec
         p = ideals_mod.weight_poset(g, 1)
         bad_layer = bad_convex = ""
         for ideal in ideals_mod.iter_lower_ideals(p):
-            pos = p.positive_mask(ideal.mask)
-            layers = weyl_mod.closure_layers(rs, pos) if pos else []
+            layers = weyl_mod.closure_layers(rs, ideal.mask) if ideal.mask else []
             for k, layer in enumerate(layers, start=1):
                 if layer & ~g.level_mask(k):
                     bad_layer = bad_layer or f"{ideal}: layer {k} leaves level {k}"
                 elif k >= 1 and layer:
                     pk = ideals_mod.weight_poset(g, k)
-                    if not pk.is_lower_mask(pk.poset_mask(layer)):
+                    if not pk.is_lower_mask(layer):
                         bad_layer = bad_layer or f"{ideal}: layer {k} not a lower ideal"
-            closed = weyl_mod.closure_mask(rs, pos) if pos else 0
+            closed = weyl_mod.closure_mask(rs, ideal.mask) if ideal.mask else 0
             if not weyl_mod.is_biconvex(rs, closed):
                 v = weyl_mod.biconvex_violation(rs, closed)
                 bad_convex = bad_convex or f"closure of {ideal}: {v}"
-            comp = p.positive_mask(ideal.complement_mask)
+            comp = ideal.complement_mask
             upper = g.ge1_mask & ~(weyl_mod.closure_mask(rs, comp) if comp else 0)
             if not weyl_mod.is_biconvex(rs, upper):
                 v = weyl_mod.biconvex_violation(rs, upper)

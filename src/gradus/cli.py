@@ -208,7 +208,8 @@ def cmd_show(args: argparse.Namespace) -> int:
     rs = g.rs
     slices = {}
     pis = {}
-    for i in range(0, g.max_level + 1):
+    # level 0 and the levels that occur; marks, and so levels, are unbounded
+    for i in sorted({0, *g.levels}):
         slices[str(i)] = _root_strs(rs.roots_of(g.level_mask(i)))
         pi = g.pi(i)
         if pi:
@@ -225,7 +226,7 @@ def cmd_show(args: argparse.Namespace) -> int:
         "abelian": g.is_abelian,
         "extra_special": g.is_extra_special,
         "max_level": g.max_level,
-        "positive_slice_sizes": [len(slices[str(i)]) for i in range(g.max_level + 1)],
+        "positive_slice_sizes": [len(s) for s in slices.values()],
         "marked_simples_by_level": pis,
         "positive_slices": slices,
     }

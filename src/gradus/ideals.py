@@ -7,9 +7,12 @@ Both descriptions are computed and compared at construction time, by the
 same order builder that gives the root poset (Delta+, <=) with all simple
 roots as steps.  A grading builds each of its weight posets once.
 
-Subsets of a poset are bitmasks over its canonical element order.  Lower
-ideals are enumerated by depth-first search along that order, which is a
-linear extension, so each ideal is produced exactly once.
+A subset of a poset, an ideal or an antichain among them, is a
+positive-root mask like every other set of positive roots, and a cover is
+a root index.  The per-element tables (positive_index, covers_down,
+down_masks, up_masks) are listed in canonical order, which is a linear
+extension; lower ideals are enumerated by depth-first search along it, so
+each ideal is produced exactly once.
 """
 
 from __future__ import annotations
@@ -20,36 +23,16 @@ from typing import Iterable, Iterator, Sequence
 
 from .grading import Grading
 from .polys import Poly, trimmed
-from .rootsys import Root
-
-
-def downclosure_masks(covers_down: Sequence[Sequence[int]]) -> list[int]:
-    """Reflexive-transitive closure of a cover relation given as, for each
-    element, the indices of the elements it covers (all smaller)."""
-    masks: list[int] = []
-    for k, covered in enumerate(covers_down):
-        mask = 1 << k
-        for j in covered:
-            mask |= masks[j]
-        masks.append(mask)
-    return masks
-
-
-def upclosure_masks(down_masks: Sequence[int]) -> list[int]:
-    m = len(down_masks)
-    ups = [1 << k for k in range(m)]
-    for i, di in enumerate(down_masks):
-        for j in range(m):
-            if di >> j & 1:
-                ups[j] |= 1 << i
-    return ups
+from .rootsys import Root, RootSystem
 
 
 def iter_downclosed(down_masks: Sequence[int]) -> Iterator[int]:
-    """All downward-closed bitmasks, in depth-first order along the element
-    numbering (which must be a linear extension)."""
+    """All downward-closed bitmasks, in depth-first order along the elements
+    (which must be listed along a linear extension, each element's own bit
+    being the top bit of its down-set)."""
     m = len(down_masks)
-    strict = [down_masks[k] & ~(1 << k) for k in range(m)]
+    own = [1 << (d.bit_length() - 1) for d in down_masks]
+    strict = [d & ~b for d, b in zip(down_masks, own)]
 
     def rec(k: int, mask: int) -> Iterator[int]:
         if k == m:
@@ -57,41 +40,47 @@ def iter_downclosed(down_masks: Sequence[int]) -> Iterator[int]:
             return
         yield from rec(k + 1, mask)
         if strict[k] & ~mask == 0:
-            yield from rec(k + 1, mask | (1 << k))
+            yield from rec(k + 1, mask | own[k])
 
     return rec(0, 0)
 
 
 def order_masks(
-    elements: Sequence[Root], steps: Sequence[int]
+    rs: RootSystem, members: Sequence[int], steps: Sequence[int]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Covers and down-sets of the order on roots listed along a linear
-    extension, generated by subtracting the simple roots with the given
-    indices: each element covers those one step below it.
+    """Covers and down-sets of the order on the positive roots with the
+    given indices, listed along a linear extension, generated by subtracting
+    the simple roots with the given indices: each element covers the members
+    one step below it.  Covers are root indices and down-sets positive-root
+    masks, both listed in the order of `members`.
 
     The closure of the covers is checked against the arithmetic order
     (coordinatewise difference nonnegative) before it is returned.
     """
-    index = {r.coords: j for j, r in enumerate(elements)}
+    npos = len(rs.positive_roots)
+    minus = [rs.simple_indices[a] + npos for a in steps]
+    down: dict[int, int] = {}
     covers_down = []
-    for r in elements:
-        covered = []
-        for a in steps:
-            j = index.get(tuple(c - (1 if t == a else 0) for t, c in enumerate(r.coords)))
-            if j is not None:
-                covered.append(j)
-        covers_down.append(tuple(covered))
-    down_masks = tuple(downclosure_masks(covers_down))
-    for i, gi in enumerate(elements):
+    for k in members:
+        # gamma - alpha_a; a member below k is already placed
+        covered = tuple(
+            j for m in minus if (j := rs.sums[k].get(m)) is not None and j in down
+        )
+        covers_down.append(covered)
+        down[k] = 1 << k
+        for j in covered:
+            down[k] |= down[j]
+    roots = rs.positive_roots
+    for i in members:
         arith = 0
-        for j, gj in enumerate(elements):
-            if all(a - b >= 0 for a, b in zip(gi.coords, gj.coords)):
+        for j in members:
+            if all(a - b >= 0 for a, b in zip(roots[i].coords, roots[j].coords)):
                 arith |= 1 << j
-        if arith != down_masks[i]:
+        if arith != down[i]:
             raise AssertionError(
-                f"cover closure disagrees with the arithmetic order at {gi}"
+                f"cover closure disagrees with the arithmetic order at {roots[i]}"
             )
-    return tuple(covers_down), down_masks
+    return tuple(covers_down), tuple(down[k] for k in members)
 
 
 class WeightPoset:
@@ -101,64 +90,47 @@ class WeightPoset:
         if level < 1:
             raise ValueError("weight posets are defined for levels >= 1")
         rs = grading.rs
-        self.positive_index: tuple[int, ...] = rs.indices_of(grading.level_mask(level))
-        self.elements = tuple(rs.positive_roots[k] for k in self.positive_index)
+        self.full_mask = grading.level_mask(level)
+        self.positive_index: tuple[int, ...] = rs.indices_of(self.full_mask)
+        self.elements = rs.roots_of(self.full_mask)
         if not self.elements:
             raise ValueError(f"slice {level} of {grading.spec_string()} is empty")
         self.grading = grading
         self.level = level
-        self.index: dict[tuple[int, ...], int] = {
-            r.coords: j for j, r in enumerate(self.elements)
-        }
-
-        self.covers_down, self.down_masks = order_masks(self.elements, grading.pi0)
-        self.up_masks: tuple[int, ...] = tuple(upclosure_masks(self.down_masks))
         self.size = len(self.elements)
-        self.full_mask = (1 << self.size) - 1
 
-    def roots_of_mask(self, mask: int) -> tuple[Root, ...]:
-        return tuple(r for j, r in enumerate(self.elements) if mask >> j & 1)
+        self.covers_down, self.down_masks = order_masks(rs, self.positive_index, grading.pi0)
+        bits = [1 << k for k in self.positive_index]
+        self.up_masks: tuple[int, ...] = tuple(
+            sum(b for b, d in zip(bits, self.down_masks) if d & bit) for bit in bits
+        )
 
     def mask_of_roots(self, roots: Iterable[Root]) -> int:
         mask = 0
         for r in roots:
-            j = self.index.get(r.coords)
-            if j is None:
+            k = self.grading.rs.index.get(r.coords)
+            if k is None or not self.full_mask >> k & 1:
                 raise ValueError(f"{r} is not in slice {self.level}")
-            mask |= 1 << j
+            mask |= 1 << k
         return mask
 
     def is_lower_mask(self, mask: int) -> bool:
         closed = 0
-        for j in range(self.size):
-            if mask >> j & 1:
-                closed |= self.down_masks[j]
+        for k, d in zip(self.positive_index, self.down_masks):
+            if mask >> k & 1:
+                closed |= d
         return closed == mask
-
-    def positive_mask(self, mask: int) -> int:
-        """Reinterpret a poset mask as a mask over all positive roots."""
-        return sum(1 << k for j, k in enumerate(self.positive_index) if mask >> j & 1)
-
-    def poset_mask(self, pos_mask: int) -> int:
-        """Restrict a mask over all positive roots to this slice, as a poset
-        mask; the inverse of positive_mask."""
-        return sum(1 << j for j, k in enumerate(self.positive_index) if pos_mask >> k & 1)
 
     @cached_property
     def dual_permutation(self) -> tuple[int, ...]:
-        """Index permutation of the slice induced by the longest element of
-        the level-0 parabolic subgroup."""
+        """The permutation of the roots by the longest element of the
+        level-0 parabolic subgroup, which preserves the slice."""
         from . import weyl
 
-        w0p = weyl.longest_element(self.grading.rs, self.grading.pi0)
-        local = {k: j for j, k in enumerate(self.positive_index)}
-        perm = []
-        for k in self.positive_index:
-            j = local.get(w0p.perm[k])
-            if j is None:
-                raise AssertionError("parabolic longest element must preserve the slice")
-            perm.append(j)
-        return tuple(perm)
+        perm = weyl.longest_element(self.grading.rs, self.grading.pi0).perm
+        if sum(1 << perm[k] for k in self.positive_index) != self.full_mask:
+            raise AssertionError("parabolic longest element must preserve the slice")
+        return perm
 
     def __repr__(self) -> str:
         return f"WeightPoset({self.grading.spec_string()}, level={self.level})"
@@ -169,14 +141,20 @@ def weight_poset(g: Grading, i: int = 1) -> WeightPoset:
     return g.weight_poset(i)
 
 
+def _require_in_slice(p: WeightPoset, mask: int) -> None:
+    if mask & ~p.full_mask:
+        raise ValueError(f"mask has bits outside slice {p.level}")
+
+
 @dataclass(frozen=True)
 class Ideal:
-    """A lower ideal of a weight poset, as a bitmask."""
+    """A lower ideal of a weight poset, as a positive-root mask."""
 
     poset: WeightPoset
     mask: int
 
     def __post_init__(self) -> None:
+        _require_in_slice(self.poset, self.mask)
         if not self.poset.is_lower_mask(self.mask):
             raise ValueError("mask is not downward closed")
 
@@ -189,7 +167,7 @@ class Ideal:
         return self.poset.full_mask & ~self.mask
 
     def roots(self) -> tuple[Root, ...]:
-        return self.poset.roots_of_mask(self.mask)
+        return self.poset.grading.rs.roots_of(self.mask)
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(r) for r in self.roots()) + "}"
@@ -197,17 +175,20 @@ class Ideal:
 
 @dataclass(frozen=True)
 class Antichain:
+    """An antichain of a weight poset, as a positive-root mask."""
+
     poset: WeightPoset
     mask: int
 
     def __post_init__(self) -> None:
         p, m = self.poset, self.mask
-        for j in range(p.size):
-            if m >> j & 1 and (p.down_masks[j] | p.up_masks[j]) & m != 1 << j:
+        _require_in_slice(p, m)
+        for k, d, u in zip(p.positive_index, p.down_masks, p.up_masks):
+            if m >> k & 1 and (d | u) & m != 1 << k:
                 raise ValueError("elements are not pairwise incomparable")
 
     def roots(self) -> tuple[Root, ...]:
-        return self.poset.roots_of_mask(self.mask)
+        return self.poset.grading.rs.roots_of(self.mask)
 
 
 def iter_lower_ideals(p: WeightPoset) -> Iterator[Ideal]:
@@ -234,13 +215,14 @@ def m_polynomial(p: WeightPoset) -> Poly:
 def count_antichains(p: WeightPoset) -> int:
     """Antichain count by direct DFS over incomparable subsets; independent
     of the ideal enumeration, so the two can be compared."""
-    comp = [p.down_masks[j] | p.up_masks[j] for j in range(p.size)]
+    bits = [1 << k for k in p.positive_index]
+    comp = [d | u for d, u in zip(p.down_masks, p.up_masks)]
 
     def rec(start: int, chosen: int) -> int:
         total = 1
         for j in range(start, p.size):
             if not comp[j] & chosen:
-                total += rec(j + 1, chosen | 1 << j)
+                total += rec(j + 1, chosen | bits[j])
         return total
 
     return rec(0, 0)
@@ -249,26 +231,26 @@ def count_antichains(p: WeightPoset) -> int:
 def max_elements(p: WeightPoset, ideal: Ideal | int) -> Antichain:
     mask = ideal.mask if isinstance(ideal, Ideal) else ideal
     out = 0
-    for j in range(p.size):
-        if mask >> j & 1 and p.up_masks[j] & mask == 1 << j:
-            out |= 1 << j
+    for k, u in zip(p.positive_index, p.up_masks):
+        if mask >> k & 1 and u & mask == 1 << k:
+            out |= 1 << k
     return Antichain(p, out)
 
 
 def min_elements(p: WeightPoset, subset: int) -> Antichain:
     out = 0
-    for j in range(p.size):
-        if subset >> j & 1 and p.down_masks[j] & subset == 1 << j:
-            out |= 1 << j
+    for k, d in zip(p.positive_index, p.down_masks):
+        if subset >> k & 1 and d & subset == 1 << k:
+            out |= 1 << k
     return Antichain(p, out)
 
 
 def lower_ideal_from_antichain(p: WeightPoset, a: Antichain | int) -> Ideal:
     mask = a.mask if isinstance(a, Antichain) else a
     out = 0
-    for j in range(p.size):
-        if mask >> j & 1:
-            out |= p.down_masks[j]
+    for k, d in zip(p.positive_index, p.down_masks):
+        if mask >> k & 1:
+            out |= d
     return Ideal(p, out)
 
 
@@ -277,22 +259,23 @@ def upper_ideal_from_antichain(p: WeightPoset, a: Antichain | int) -> int:
     complements of lower ideals)."""
     mask = a.mask if isinstance(a, Antichain) else a
     out = 0
-    for j in range(p.size):
-        if mask >> j & 1:
-            out |= p.up_masks[j]
+    for k, u in zip(p.positive_index, p.up_masks):
+        if mask >> k & 1:
+            out |= u
     return out
 
 
 def lower_ideal_from_roots(p: WeightPoset, roots: Iterable[Root]) -> Ideal:
     """Build an ideal from an explicit member list, naming any violated cover."""
     mask = p.mask_of_roots(roots)
-    for j in range(p.size):
-        if mask >> j & 1:
-            for c in p.covers_down[j]:
+    positive = p.grading.rs.positive_roots
+    for k, covered in zip(p.positive_index, p.covers_down):
+        if mask >> k & 1:
+            for c in covered:
                 if not mask >> c & 1:
                     raise ValueError(
-                        f"not a lower ideal: contains {p.elements[j]} "
-                        f"but not {p.elements[c]}"
+                        f"not a lower ideal: contains {positive[k]} "
+                        f"but not {positive[c]}"
                     )
     return Ideal(p, mask)
 
@@ -301,12 +284,8 @@ def dual_ideal(p: WeightPoset, ideal: Ideal) -> Ideal:
     """The dual ideal: image of the complement under the longest element of
     the level-0 parabolic subgroup."""
     perm = p.dual_permutation
-    out = 0
     comp = ideal.complement_mask
-    for j in range(p.size):
-        if comp >> j & 1:
-            out |= 1 << perm[j]
-    return Ideal(p, out)
+    return Ideal(p, sum(1 << perm[k] for k in p.positive_index if comp >> k & 1))
 
 
 def self_dual_count(p: WeightPoset) -> int:

@@ -348,14 +348,14 @@ class RootSystem:
         """Row a maps each b with root_a + root_b a root to the index of that
         sum, indices being those of roots(), in increasing b; so the positive
         partners of a positive root come first, and their sums are positive."""
-        index = self.index
+        # Each root as one integer with a signed 5-bit digit per coordinate,
+        # so that adding two codes adds the roots: a digit of a sum is at
+        # most twice a coefficient of theta (6 in E8), well below 16.
+        codes = [sum(c << 5 * i for i, c in enumerate(r.coords)) for r in self._roots]
+        by_code = {c: k for k, c in enumerate(codes)}
         return tuple(
-            {
-                b: index[s]
-                for b, nu in enumerate(self._roots)
-                if (s := tuple(x + y for x, y in zip(mu.coords, nu.coords))) in index
-            }
-            for mu in self._roots
+            {b: k for b, cb in enumerate(codes) if (k := by_code.get(ca + cb)) is not None}
+            for ca in codes
         )
 
     def __repr__(self) -> str:

@@ -380,7 +380,7 @@ def tau(g: Grading, w: WeylElement) -> Ideal:
     """The level-1 part of the inversion set, as a lower ideal."""
     _require_W0(g, w)
     p = ideals_mod.weight_poset(g, 1)
-    return Ideal(p, p.poset_mask(w.inversion_mask & g.delta1_mask))
+    return Ideal(p, w.inversion_mask & g.delta1_mask)
 
 
 def fiber(g: Grading, ideal: Ideal) -> list[WeylElement]:
@@ -388,8 +388,7 @@ def fiber(g: Grading, ideal: Ideal) -> list[WeylElement]:
     ideal, in increasing length."""
     table = enumerate_W0(g)
     elements = table.elements()
-    key = ideal.poset.positive_mask(ideal.mask)
-    return [elements[k] for k in table.by_tau.get(key, [])]
+    return [elements[k] for k in table.by_tau.get(ideal.mask, [])]
 
 
 # -- closures and the minimal/maximal elements of a fiber ----------------
@@ -432,13 +431,13 @@ def closure_mask(rs: RootSystem, mask: int) -> int:
 def w_min(g: Grading, ideal: Ideal) -> WeylElement:
     """The unique shortest representative with level-1 inversions the ideal:
     its inversion set is the additive closure of the ideal."""
-    return g.fiber_extremes(ideal.poset.positive_mask(ideal.mask), False)
+    return g.fiber_extremes(ideal.mask, False)
 
 
 def w_max(g: Grading, ideal: Ideal) -> WeylElement:
     """The unique longest representative: inversions are the positive levels
     minus the additive closure of the complementary upper ideal."""
-    return g.fiber_extremes(ideal.poset.positive_mask(ideal.mask), True)
+    return g.fiber_extremes(ideal.mask, True)
 
 
 def fiber_extreme(g: Grading, mask: int, top: bool) -> WeylElement:
@@ -475,11 +474,7 @@ def _sent_to_simples(w: WeylElement, p: ideals_mod.WeightPoset, sign: int) -> An
     """The poset elements that w sends to sign times a simple root."""
     offset = 0 if sign > 0 else len(w.rs.positive_roots)
     targets = {k + offset for k in w.rs.simple_indices}
-    mask = 0
-    for j, k in enumerate(p.positive_index):
-        if w.perm[k] in targets:
-            mask |= 1 << j
-    return Antichain(p, mask)
+    return Antichain(p, sum(1 << k for k in p.positive_index if w.perm[k] in targets))
 
 
 def max_roots(g: Grading, ideal: Ideal) -> Antichain:

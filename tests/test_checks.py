@@ -6,7 +6,7 @@ import pytest
 
 from gradus import arrangement, checks, ideals, weyl
 from gradus.checks import CheckResult, sweep_gradings
-from gradus.grading import grade
+from gradus.grading import Grading, grade
 from gradus.rootsys import RootSystem, build
 
 # The rank above which each suite yields one skip row instead of running.
@@ -200,3 +200,21 @@ def test_sign_rows_fail_on_a_flipped_sign(monkeypatch):
     bad = [r for r in rows if r.status == "fail"]
     assert {r.name for r in bad} == {"distance-is-length"}
     assert len(bad) == len(gradings)
+
+
+def test_slice_row_walks_only_the_levels_that_occur(monkeypatch):
+    # A2:1000000,1 has levels 1, 1000000 and 1000001: a walk over every
+    # level up to the top would ask for a million empty masks.
+    calls = []
+    real = Grading.level_mask
+
+    def counted(self, i):
+        calls.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(Grading, "level_mask", counted)
+    g = grade(build("A2"), (1000000, 1))
+    rows = list(checks.SUITES["grading"](g.rs, [g]))
+    (row,) = [r for r in rows if r.name == "slices-partition-positives"]
+    assert row.status == "pass" and row.detail == "3 vs 3"
+    assert len(calls) < 20

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from gradus import checks, weyl
 from gradus.cli import UsageError, main, parse_root, parse_root_list
+from gradus.grading import Grading
 from gradus.rootsys import build
 
 
@@ -30,6 +32,25 @@ def test_show_json_payload(capsys):
     assert data["abelian"] is True
     assert data["positive_slice_sizes"] == [1, 2]
     assert data["theta"] == "a1+a2"
+
+
+def test_show_walks_only_the_levels_that_occur(capsys, monkeypatch):
+    # Level 0 and the levels that occur, so a huge mark costs nothing per
+    # level; a gap between levels is left out rather than listed empty.
+    calls = []
+    real = Grading.level_mask
+
+    def counted(self, i):
+        calls.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(Grading, "level_mask", counted)
+    code, out, _ = run_cli(["show", "A2:1000000,1", "--json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert list(data["positive_slices"]) == ["0", "1", "1000000", "1000001"]
+    assert data["positive_slice_sizes"] == [0, 1, 1, 1]
+    assert len(calls) < 20
 
 
 def test_show_human_output(capsys):
@@ -286,3 +307,17 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 5
+
+
+# sha256 of `gradus verify --all --max-rank 5 --json`: every row name,
+# verdict and detail string of every suite over every type up to rank 5.
+VERIFY_ALL_RANK_5_SHA256 = "9317a491290bb7b2b8573375b62815d50a5716c42b42fbf1a5b96648acbe36ad"
+
+
+@pytest.mark.slow
+def test_verify_all_rank_5_json_is_pinned():
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradus.cli", "verify", "--all", "--max-rank", "5", "--json"],
+        capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_RANK_5_SHA256

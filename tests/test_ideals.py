@@ -17,11 +17,13 @@ from gradus.ideals import (
     m_polynomial,
     max_elements,
     min_elements,
+    order_masks,
     self_dual_count,
     weight_poset,
 )
 from gradus.polys import value
 from gradus.rootsys import build
+from gradus.weyl import closure_mask, enumerate_W0, fiber, tau, w_min
 
 
 def poset(spec):
@@ -29,14 +31,16 @@ def poset(spec):
 
 
 def brute_lower_masks(p):
-    """All downward closed masks by direct filtering, for small posets."""
+    """All downward closed masks by direct filtering of every subset of the
+    slice, for small posets."""
     assert p.size <= 14
     out = []
-    for mask in range(1 << p.size):
-        if all(p.down_masks[j] & mask == p.down_masks[j]
-               for j in range(p.size) if mask >> j & 1):
+    for sub in range(1 << p.size):
+        mask = sum(1 << k for j, k in enumerate(p.positive_index) if sub >> j & 1)
+        if all(d & mask == d for k, d in zip(p.positive_index, p.down_masks)
+               if mask >> k & 1):
             out.append(mask)
-    return out
+    return sorted(out)
 
 
 SMALL = ["A2:1,0", "A2:1,1", "B2:0,1", "G2:0,1", "G2:1,1", "A3:0,1,0",
@@ -55,7 +59,7 @@ def test_enumeration_matches_brute_force(spec):
 def test_enumeration_order_is_bitwise_lexicographic(spec):
     p = poset(spec)
     masks = [i.mask for i in enumerate_lower_ideals(p)]
-    words = [tuple(m >> j & 1 for j in range(p.size)) for m in masks]
+    words = [tuple(m >> k & 1 for k in p.positive_index) for m in masks]
     assert words == sorted(words)
     assert masks[0] == 0
     assert masks[-1] == p.full_mask
@@ -90,7 +94,7 @@ def test_antichain_bijections(spec):
     assert len(seen) == count_lower_ideals(p)
     # and conversely via brute force over all antichains
     for k in range(p.size + 1):
-        for combo in combinations(range(p.size), k):
+        for combo in combinations(p.positive_index, k):
             mask = 0
             for j in combo:
                 mask |= 1 << j
@@ -124,16 +128,25 @@ def test_min_elements_of_upward_closed_sets():
         a = min_elements(p, comp)
         # complement of a lower ideal is upward closed; its minima generate it
         up = 0
-        for j in range(p.size):
-            if a.mask >> j & 1:
-                up |= p.up_masks[j]
+        for k, u in zip(p.positive_index, p.up_masks):
+            if a.mask >> k & 1:
+                up |= u
         assert up == comp
 
 
 def test_ideal_validation():
-    p = poset("B2:0,1")
-    with pytest.raises(ValueError):
-        Ideal(p, p.full_mask & ~1)  # drops a minimal element
+    g = parse_grading_spec("B2:0,1")
+    p = weight_poset(g)
+    with pytest.raises(ValueError, match="downward closed"):
+        Ideal(p, p.full_mask & ~(1 << p.positive_index[0]))  # drops a minimal element
+    npos = len(g.rs.positive_roots)
+    level0, level2 = g.level_mask(0), g.level_mask(2)
+    assert level0 and level2
+    for outside in (level0 & -level0, level2, 1 << npos, -1):
+        with pytest.raises(ValueError, match="outside slice 1"):
+            Ideal(p, outside)
+        with pytest.raises(ValueError, match="outside slice 1"):
+            Antichain(p, outside)
 
 
 def test_lower_ideal_from_roots():
@@ -155,6 +168,10 @@ def test_iter_downclosed_on_hand_built_poset():
     masks = list(iter_downclosed(down))
     assert len(masks) == 6
     assert set(masks) == {0b000, 0b001, 0b011, 0b100, 0b101, 0b111}
+    # the same poset on sparse bits, as the down-sets of a slice are
+    sparse = list(iter_downclosed([0b10, 0b1010, 0b10000]))
+    assert len(sparse) == 6
+    assert set(sparse) == {0, 0b10, 0b1010, 0b10000, 0b10010, 0b11010}
 
 
 def test_higher_slice_poset():
@@ -167,21 +184,81 @@ def test_higher_slice_poset():
 
 def test_covers_match_closure():
     p = poset("B3:0,1,0")
-    for j, covers in enumerate(p.covers_down):
-        expect = p.down_masks[j] & ~(1 << j)
+    down = dict(zip(p.positive_index, p.down_masks))
+    for k, covers in zip(p.positive_index, p.covers_down):
+        expect = down[k] & ~(1 << k)
         got = 0
         for c in covers:
-            got |= p.down_masks[c]
+            got |= down[c]
         assert got == expect
 
 
 @pytest.mark.parametrize("name", default_types(3))
 def test_poset_mask_inverts_positive_mask(name):
+    """A poset mask is a positive-root mask, so the conversion each way is
+    the identity: ideals lie in Delta(1), tau is a masked inversion set, and
+    fiber and w_min take that mask as it is."""
     for g in sweep_gradings(build(name)):
         p = weight_poset(g)
-        outside = ~g.level_mask(1) & ((1 << len(g.rs.positive_roots)) - 1)
         for ideal in iter_lower_ideals(p):
-            pos = p.positive_mask(ideal.mask)
-            assert pos & ~g.level_mask(1) == 0
-            assert p.poset_mask(pos) == ideal.mask
-            assert p.poset_mask(pos | outside) == ideal.mask
+            assert ideal.mask & ~g.level_mask(1) == 0
+        for w in enumerate_W0(g).elements():
+            mask = tau(g, w).mask
+            assert mask == w.inversion_mask & g.level_mask(1)
+            ideal = Ideal(p, mask)
+            assert w in fiber(g, ideal)
+            assert w_min(g, ideal).inversion_mask == closure_mask(g.rs, mask)
+
+
+def coordinate_order_masks(elements, steps):
+    """The order builder on coordinates: covers found by subtracting each
+    step from each element's coordinates and looking the difference up among
+    the elements, down-sets closed over covers, both over element positions.
+    Kept as the oracle for order_masks."""
+    index = {r.coords: j for j, r in enumerate(elements)}
+    covers_down = []
+    for r in elements:
+        covered = []
+        for a in steps:
+            j = index.get(tuple(c - (1 if t == a else 0) for t, c in enumerate(r.coords)))
+            if j is not None:
+                covered.append(j)
+        covers_down.append(tuple(covered))
+    down_masks = []
+    for k, covered in enumerate(covers_down):
+        mask = 1 << k
+        for j in covered:
+            mask |= down_masks[j]
+        down_masks.append(mask)
+    return tuple(covers_down), tuple(down_masks)
+
+
+def _assert_matches_the_coordinate_builder(rs, members, steps):
+    covers, down = order_masks(rs, members, steps)
+    old_covers, old_down = coordinate_order_masks(
+        [rs.positive_roots[k] for k in members], steps
+    )
+    assert covers == tuple(tuple(members[j] for j in c) for c in old_covers)
+    assert down == tuple(
+        sum(1 << k for j, k in enumerate(members) if d >> j & 1) for d in old_down
+    )
+
+
+@pytest.mark.parametrize("name", default_types(4))
+def test_order_masks_match_the_coordinate_builder_on_slices(name):
+    for g in sweep_gradings(build(name)):
+        for level in (1, 2):
+            if g.level_mask(level):
+                p = weight_poset(g, level)
+                _assert_matches_the_coordinate_builder(g.rs, p.positive_index, g.pi0)
+                assert (p.covers_down, p.down_masks) == order_masks(
+                    g.rs, p.positive_index, g.pi0
+                )
+
+
+@pytest.mark.parametrize("name", default_types(8))
+def test_order_masks_match_the_coordinate_builder_on_root_posets(name):
+    rs = build(name)
+    _assert_matches_the_coordinate_builder(
+        rs, tuple(range(len(rs.positive_roots))), range(rs.rank)
+    )
