@@ -45,14 +45,7 @@ from . import weyl as weyl_mod
 from .grading import Grading
 from .ideals import Ideal, iter_downclosed, order_masks
 from .polys import Poly, from_int_roots, interpolate, mul, value
-from .rootsys import Root, RootSystem, dual_partition
-
-# Above rank 5 a char_poly is n point counts of about q^(n-2) * |A| steps
-# each (the E6 Coxeter arrangement: about 2 s over q = 13...31 on a 2-vCPU
-# VM), and the sweep over all upper ideals of the root poset stops being
-# desk-sized.
-CHAR_POLY_MAX_RANK = 5
-UPPER_IDEAL_MAX_RANK = 5
+from .rootsys import BUDGET, Root, RootSystem, check_budget, dual_partition
 
 
 @dataclass(frozen=True)
@@ -196,6 +189,16 @@ def good_primes(rs: RootSystem, count: int) -> list[int]:
     return out
 
 
+@cache
+def char_poly_points(rs: RootSystem) -> int:
+    """The fibre points char_poly visits on rs, the size the budget bounds:
+    sum over the primes q of good_primes of q^(n-2) + ... + q + 1.  It is
+    29,024 at most up to rank 5 (B5, C5, D5) and 1,298,450 at least from
+    rank 6 on (A6, D6), so the budget admits chi exactly up to rank 5."""
+    n = rs.rank
+    return sum(q ** (n - 2 - k) for q in good_primes(rs, n) for k in range(n - 1))
+
+
 def _point_count(normals: Sequence[Root], n: int, q: int) -> int:
     """#{x in F_q^n : <x, gamma> != 0 for all normals}, with x written in
     coweight coordinates so each functional has the root's integer coords.
@@ -236,12 +239,7 @@ def char_poly(arr: Arrangement) -> Poly:
     count over q - 1 at n - 1 primes interpolates chibar - t^(n-1) (see the
     module docstring); computed once per arrangement."""
     n, normals = arr.rs.rank, arr.normals
-    if n > CHAR_POLY_MAX_RANK:
-        raise ValueError(
-            f"rank {n} exceeds the char_poly bound {CHAR_POLY_MAX_RANK}: {n} point "
-            f"counts at primes q > {arr.rs.coxeter_number}, each of about "
-            f"q^{n - 2} * {len(normals)} steps"
-        )
+    check_budget(char_poly_points(arr.rs), f"char_poly fibre points on {arr.rs.cartan_type}")
     if not normals:
         return (0,) * n + (1,)
     *primes, q_check = good_primes(arr.rs, n)
@@ -292,7 +290,7 @@ def ideal_count_formula(g: Grading) -> Fraction:
 
 def arrangement_report(g: Grading) -> dict:
     """Summary of the level-(0,1) arrangement of a grading, with the
-    characteristic polynomial up to rank CHAR_POLY_MAX_RANK."""
+    characteristic polynomial when its point counts are within the budget."""
     arr = sub_arrangement_01(g)
     partition = height_partition(arr.normals)
     dual = dual_partition(partition)
@@ -307,19 +305,29 @@ def arrangement_report(g: Grading) -> dict:
         "ideal_count": count,
         "formula_value": str(ideal_count_formula(g)),
     }
-    if g.rs.rank <= CHAR_POLY_MAX_RANK:
+    if char_poly_points(g.rs) <= BUDGET:
         chi = char_poly(arr)
         report["char_poly"] = list(chi)
         report["exponents_match"] = chi == from_int_roots(conjectural_exponents(g))
     return report
 
 
+def catalan(rs: RootSystem) -> int:
+    """Upper-ideal count of the root poset, from the exponents: the product
+    of (h + m + 1)/(m + 1) over the exponents m."""
+    num = den = 1
+    for m in rs.exponents:
+        num *= rs.coxeter_number + m + 1
+        den *= m + 1
+    assert num % den == 0
+    return num // den
+
+
 def upper_ideal_partition_check(rs: RootSystem) -> dict:
     """Check that, for every upper ideal of the root poset, the heights of
     the remaining roots form a partition, with a strict first step unless
-    nothing remains."""
-    if rs.rank > UPPER_IDEAL_MAX_RANK:
-        raise ValueError(f"upper-ideal sweep is bounded at rank {UPPER_IDEAL_MAX_RANK}")
+    nothing remains.  Refused when the Catalan count exceeds the budget."""
+    check_budget(catalan(rs), f"upper ideals of the {rs.cartan_type} root poset")
     violations = []
     total = 0
     full = (1 << len(rs.positive_roots)) - 1

@@ -29,7 +29,7 @@ from . import ideals as ideals_mod
 from . import weyl as weyl_mod
 from .grading import Grading, parse_grading_spec
 from .polys import to_str, value
-from .rootsys import Root, RootSystem, build, parse_cartan_type
+from .rootsys import Root, RootSystem, build, check_budget, parse_cartan_type
 
 
 class UsageError(Exception):
@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", metavar="PATH", help="write output to a file")
     target = argparse.ArgumentParser(add_help=False)
     target.add_argument("spec", help='grading such as "B2:0,1", "G2:es", "A3:std=1,3"')
-    target.add_argument("--max-rank", type=int, default=7)
     graded = [target, output]
 
     top = argparse.ArgumentParser(
@@ -94,20 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict to one suite (repeatable)")
 
     return top
-
-
-def _grading_from_spec(args: argparse.Namespace) -> Grading:
-    try:
-        g = parse_grading_spec(args.spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _guard_rank(g.rs, args)
-    return g
-
-
-def _guard_rank(rs: RootSystem, args: argparse.Namespace) -> None:
-    if rs.rank > args.max_rank:
-        raise UsageError(f"rank {rs.rank} exceeds --max-rank {args.max_rank}; raise the bound")
 
 
 # -- rendering -----------------------------------------------------------
@@ -204,7 +189,7 @@ def parse_root_list(rs: RootSystem, text: str) -> list[Root]:
 
 
 def cmd_show(args: argparse.Namespace) -> int:
-    g = _grading_from_spec(args)
+    g = parse_grading_spec(args.spec)
     rs = g.rs
     slices = {}
     pis = {}
@@ -235,7 +220,8 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_ideals(args: argparse.Namespace) -> int:
-    g = _grading_from_spec(args)
+    g = parse_grading_spec(args.spec)
+    check_budget(int(arr_mod.ideal_count_formula(g)), f"lower ideals of {g.spec_string()}")
     p = ideals_mod.weight_poset(g, 1)
     mp = ideals_mod.m_polynomial(p)
     payload = {
@@ -263,7 +249,7 @@ def cmd_ideals(args: argparse.Namespace) -> int:
 
 
 def cmd_weyl(args: argparse.Namespace) -> int:
-    g = _grading_from_spec(args)
+    g = parse_grading_spec(args.spec)
     if args.eta and g.k_standard != 1:
         raise UsageError("--eta needs a grading with a single marked node")
     table = weyl_mod.enumerate_W0(g)
@@ -309,13 +295,10 @@ def cmd_weyl(args: argparse.Namespace) -> int:
 
 
 def cmd_element(args: argparse.Namespace) -> int:
-    g = _grading_from_spec(args)
+    g = parse_grading_spec(args.spec)
     p = ideals_mod.weight_poset(g, 1)
     roots = parse_root_list(g.rs, args.ideal)
-    try:
-        ideal = ideals_mod.lower_ideal_from_roots(p, roots)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    ideal = ideals_mod.lower_ideal_from_roots(p, roots)
     lo = weyl_mod.w_min(g, ideal)
     hi = weyl_mod.w_max(g, ideal)
     payload = {
@@ -341,7 +324,7 @@ def cmd_element(args: argparse.Namespace) -> int:
 
 
 def cmd_arrangement(args: argparse.Namespace) -> int:
-    g = _grading_from_spec(args)
+    g = parse_grading_spec(args.spec)
     _emit(args, arr_mod.arrangement_report(g))
     return 0
 
@@ -355,27 +338,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif not args.scope and suites == ["e7"]:
         names = ["E7"]
 
-    # The suites bound their own work, so only rank 8 needs --max-rank.
-    def guard(label: str, rs: RootSystem) -> RootSystem:
-        if rs.rank > max(7, args.max_rank):
-            raise UsageError(f"{label}: rank-{rs.rank} sweeps need --max-rank {rs.rank}")
-        return rs
+    # The suites bound their own work, so only rank 8 needs --max-rank; the
+    # rule reads the parsed type, before anything is built.
+    def guard(label: str, type_name: str) -> None:
+        rank = parse_cartan_type(type_name).rank
+        if rank > max(7, args.max_rank):
+            raise UsageError(f"{label}: rank-{rank} sweeps need --max-rank {rank}")
 
     for token in args.scope:
         if ":" in token:
-            try:
-                g = parse_grading_spec(token)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-            targets.append((guard(token, g.rs), [g]))
+            guard(token, token.split(":", 1)[0])
+            g = parse_grading_spec(token)
+            targets.append((g.rs, [g]))
         else:
             names.append(token)
     for name in names:
-        try:
-            rs = build(parse_cartan_type(name))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        targets.append((guard(name, rs), checks.sweep_gradings(rs)))
+        guard(name, name)
+        rs = build(name)
+        targets.append((rs, checks.sweep_gradings(rs)))
     if not targets:
         raise UsageError("nothing to verify: pass types/gradings or --all")
     results = checks.run(targets, suites)

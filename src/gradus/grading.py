@@ -194,20 +194,24 @@ def parse_grading_spec(text: str) -> Grading:
     parts = text.strip().split(":", 1)
     if len(parts) != 2 or not parts[1]:
         raise ValueError(f"grading spec {text!r} must look like TYPE:MARKS")
-    rs = build(parse_cartan_type(parts[0]))
+    # the spec is checked against the parsed type before a build (20 s for A120)
+    ct = parse_cartan_type(parts[0])
     body = parts[1].strip().lower()
     if body == "es":
-        return extra_special(rs)
+        return extra_special(build(ct))
     if body.startswith("std="):
-        marks = [0] * rs.rank
+        marks = [0] * ct.rank
         for tok in body[4:].split(","):
             if not tok.strip().isdigit():
                 raise ValueError(f"cannot parse node list in grading spec {text!r}")
             idx = int(tok)
-            if not 1 <= idx <= rs.rank:
-                raise ValueError(f"simple-root index {idx} out of range for {rs.cartan_type}")
+            if not 1 <= idx <= ct.rank:
+                raise ValueError(f"simple-root index {idx} out of range for {ct}")
             marks[idx - 1] = 1
-        return Grading(rs, marks)
+        return Grading(build(ct), marks)
     if not re.fullmatch(r"-?\d+(,-?\d+)*", body):
         raise ValueError(f"cannot parse marks in grading spec {text!r}")
-    return Grading(rs, [int(tok) for tok in body.split(",")])
+    marks = [int(tok) for tok in body.split(",")]
+    if len(marks) != ct.rank:
+        raise ValueError(f"expected {ct.rank} marks, got {len(marks)}")
+    return Grading(build(ct), marks)

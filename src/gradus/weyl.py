@@ -39,12 +39,9 @@ from . import ideals as ideals_mod
 from .grading import Grading
 from .ideals import Antichain, Ideal
 from .polys import Poly, divexact, from_exponent_counts, mul
-from .rootsys import Root, RootSystem
+from .rootsys import Root, RootSystem, check_budget
 
 Perm = tuple[int, ...]
-
-# Whole-group enumeration stops here: |W(E7)| = 2,903,040 elements.
-WEYL_ELEMENTS_MAX_RANK = 7
 
 
 def _compose(u: Perm, v: Perm) -> Perm:
@@ -222,12 +219,8 @@ def element_from_inversions(rs: RootSystem, mask: int) -> WeylElement:
 
 def weyl_elements(rs: RootSystem) -> tuple[WeylElement, ...]:
     """The Weyl group in breadth-first order: the coset table of the grading
-    with every node marked, where W(0) is trivial and so W0 = W."""
-    if rs.rank > WEYL_ELEMENTS_MAX_RANK:
-        raise ValueError(
-            f"rank {rs.rank} exceeds the enumeration bound {WEYL_ELEMENTS_MAX_RANK}; "
-            "work with minimal coset representatives"
-        )
+    with every node marked, where W(0) is trivial and so W0 = W.  Like every
+    coset table it is refused over the budget, as |W(E7)| = 2,903,040 is."""
     return CosetTable(Grading(rs, (1,) * rs.rank)).elements()
 
 
@@ -274,10 +267,11 @@ def km_poly(rs: RootSystem, roots: Optional[Iterable[Root]] = None) -> Poly:
 
 def km_order(rs: RootSystem, roots: Optional[Iterable[Root]] = None) -> Fraction:
     """Product over roots of (h+1)/h; equals the group order for Delta+."""
-    acc = Fraction(1)
+    num = den = 1
     for r in rs.positive_roots if roots is None else roots:
-        acc *= Fraction(r.height + 1, r.height)
-    return acc
+        num *= r.height + 1
+        den *= r.height
+    return Fraction(num, den)
 
 
 def levi_order(g: Grading) -> Fraction:
@@ -295,10 +289,13 @@ class CosetTable:
     elements() is the tuple of representatives, each built with its word and
     inversion mask; `minimal` and `maximal` hold those whose w^(-1)(alpha_j)
     all have level >= -1, resp. <= 1, over the simple roots alpha_j; by_tau
-    maps a level-1 inversion mask to the positions of its fiber."""
+    maps a level-1 inversion mask to the positions of its fiber.  A table
+    over the budget is refused before the walk starts."""
 
     def __init__(self, grading: Grading):
         rs = grading.rs
+        count = km_order(rs) / levi_order(grading)
+        check_budget(int(count), f"cosets of {grading.spec_string()}")
         npos = len(rs.positive_roots)
         simple_positions = rs.simple_indices
         refl = rs.reflection_table
@@ -342,7 +339,7 @@ class CosetTable:
                         inv_mask | 1 << gained,
                     )
                 )
-        if len(elements) != km_order(rs) / levi_order(grading):
+        if len(elements) != count:
             raise AssertionError("coset count disagrees with the order formula")
         self.grading = grading
         self._elements = tuple(elements)

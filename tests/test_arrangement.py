@@ -9,7 +9,6 @@ from typing import Sequence
 from hypothesis import given, settings, strategies as st
 
 from gradus.arrangement import (
-    CHAR_POLY_MAX_RANK,
     Arrangement,
     _point_count,
     arrangement_report,
@@ -29,7 +28,7 @@ from gradus.arrangement import (
     upper_ideals_of_root_poset,
     zaslavsky_regions,
 )
-from gradus import arrangement, checks, weyl
+from gradus import arrangement, checks, rootsys, weyl
 from gradus.checks import default_types, sweep_gradings
 from gradus.grading import grade, parse_grading_spec
 from gradus.ideals import count_lower_ideals, iter_lower_ideals, weight_poset
@@ -332,15 +331,15 @@ def test_e6_signs_and_fiber_extremes():
 
 @pytest.mark.slow
 def test_e6_coxeter_and_deleted_char_poly(monkeypatch):
-    # Six counts each, at q = 13 ... 31; the default bound stays at rank 5.
-    monkeypatch.setattr(arrangement, "CHAR_POLY_MAX_RANK", 6)
+    # Six counts each, at q = 13 ... 31; the default budget stays below them.
+    monkeypatch.setattr(rootsys, "BUDGET", arrangement.char_poly_points(build("E6")))
     rs = build("E6")
     m = rs.exponents
     try:
         assert char_poly(coxeter_arrangement(rs)) == from_int_roots(m)
         assert char_poly(deleted_arrangement(rs)) == from_int_roots(list(m[:-1]) + [m[-1] - 1])
     finally:
-        char_poly.cache_clear()  # at the default bound E6 must raise again
+        char_poly.cache_clear()  # at the default budget E6 must raise again
 
 
 def test_geometric_sign_oracle_matches_inversions():
@@ -439,17 +438,20 @@ def test_upper_ideal_partition_check():
 
 def test_rank_bounds_raise_before_any_work(monkeypatch):
     def no_work(*args):
-        raise AssertionError("work started before the rank bound was checked")
+        raise AssertionError("work started before the budget was checked")
 
-    monkeypatch.setattr(arrangement, "good_primes", no_work)
+    monkeypatch.setattr(arrangement, "_point_count", no_work)
     monkeypatch.setattr(arrangement, "upper_ideals_of_root_poset", no_work)
     monkeypatch.setattr(weyl, "_compose", no_work)
-    with pytest.raises(ValueError, match=r"^rank 6 exceeds the char_poly bound 5: "):
+    with pytest.raises(ValueError, match=r"^2,903,040 cosets of E7:1,1,1,1,1,1,1 "
+                       r"exceed the budget of 51,840$"):
+        weyl_elements(build("E7"))
+    with pytest.raises(ValueError, match=r"^2,236,650 char_poly fibre points on E6 "
+                       r"exceed the budget of 51,840$"):
         char_poly(coxeter_arrangement(build("E6")))
-    with pytest.raises(ValueError, match=r"^rank 8 exceeds the enumeration bound 7"):
-        weyl_elements(build("E8"))
-    with pytest.raises(ValueError, match=r"^upper-ideal sweep is bounded at rank 5$"):
-        upper_ideal_partition_check(build("A6"))
+    with pytest.raises(ValueError, match=r"^58,786 upper ideals of the A10 root poset "
+                       r"exceed the budget of 51,840$"):
+        upper_ideal_partition_check(build("A10"))
 
 
 def test_charpoly_suite_checks_rank_5():
@@ -582,12 +584,6 @@ def _char_poly_n_plus_2(arr: Arrangement) -> Poly:
     """Characteristic polynomial via point counts over primes above h, with
     an extra prime confirming the interpolation; computed once per arrangement."""
     n = arr.rs.rank
-    if n > CHAR_POLY_MAX_RANK:
-        raise ValueError(
-            f"rank {n} exceeds the char_poly bound {CHAR_POLY_MAX_RANK}: {n + 2} point "
-            f"counts at primes q > {arr.rs.coxeter_number}, each of about "
-            f"q^{n - 2} * {len(arr.normals)} steps"
-        )
     primes = good_primes(arr.rs, n + 2)
     points = [(q, _point_count(arr.normals, n, q)) for q in primes[: n + 1]]
     chi = _lagrange_interpolate(points)

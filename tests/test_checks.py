@@ -1,6 +1,7 @@
 """The rank gate of the check suites and the status of their rows."""
 
 import inspect
+from itertools import product
 
 import pytest
 
@@ -14,8 +15,7 @@ BOUNDS = {
     "rootsys": None, "threeroot": 4, "grading": None, "ideals": 5,
     "weylcore": 3, "km": 5, "biconvex": 5, "fibers": 5, "minmax": 5,
     "involution": 5, "extreme": 5, "eta": 5, "classes": 5, "regions": 5,
-    "signs": 5, "counting": 5, "charpoly": arrangement.CHAR_POLY_MAX_RANK,
-    "appendix": arrangement.UPPER_IDEAL_MAX_RANK, "e7": None,
+    "signs": 5, "counting": 5, "charpoly": 5, "appendix": 5, "e7": None,
 }
 
 REPORT_ROWS = {"self-dual-count-report", "stated-count-verdict"}
@@ -218,3 +218,24 @@ def test_slice_row_walks_only_the_levels_that_occur(monkeypatch):
     (row,) = [r for r in rows if r.name == "slices-partition-positives"]
     assert row.status == "pass" and row.detail == "3 vs 3"
     assert len(calls) < 20
+
+
+def test_no_row_fails_on_non_standard_gradings():
+    # Marks in 0..3 with a level-1 simple root, neither standard nor
+    # extra-special: 102 gradings over six types.  Where Delta(2) is empty
+    # below a higher level (A2:3,1) M(t) is the min polynomial, so the
+    # nonabelian-proper-distinct row skips on every such grading.
+    gradings = [
+        g
+        for name in ["A2", "B2", "G2", "A3", "B3", "C3"]
+        for marks in product(range(4), repeat=build(name).rank)
+        if 1 in marks and not set(marks) <= {0, 1}
+        and not (g := grade(build(name), marks)).is_extra_special
+    ]
+    assert len(gradings) == 102
+    for g in gradings:
+        rows = checks.run([(g.rs, [g])])
+        assert [r for r in rows if not r.ok] == [], g
+        (row,) = [r for r in rows if r.name == "nonabelian-proper-distinct"]
+        assert row.status == "skip"
+        assert row.detail == "asserted for standard and extra-special gradings only"

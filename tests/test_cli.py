@@ -4,13 +4,16 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from gradus import checks, weyl
+from gradus import checks, rootsys, weyl
+from gradus import ideals as ideals_mod
+from gradus.arrangement import char_poly_points, ideal_count_formula
 from gradus.cli import UsageError, main, parse_root, parse_root_list
 from gradus.grading import Grading
-from gradus.rootsys import build
+from gradus.rootsys import BUDGET, build
 
 
 def run_cli(argv, capsys):
@@ -228,6 +231,7 @@ def test_verify_shows_info_detail(capsys):
     ["show", "A2:1,0", "--allow-huge"],
     ["verify", "--allow-huge", "--suite", "rootsys", "A2"],
     ["arrangement", "A2:1,0", "--charpoly"],
+    ["show", "A2:1,0", "--max-rank", "8"],
 ])
 def test_removed_flags_are_usage_errors(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -251,6 +255,70 @@ def test_verify_grading_token_follows_the_type_rule(capsys):
     code, out, err = run_cli(["verify", "--suite", "rootsys", "E8:1,0,0,0,0,0,0,0"], capsys)
     assert code == 2 and out == ""
     assert "need --max-rank 8" in err
+
+
+def test_input_checks_run_before_any_build(capsys, monkeypatch):
+    # Building A120 takes about 20 s; a wrong mark count or a rank-8 type
+    # without --max-rank 8 is refused from the parsed type alone.
+    def no_build(cartan_type):
+        raise AssertionError(f"{cartan_type} built before its input was checked")
+
+    monkeypatch.setattr(rootsys, "_build", no_build)
+    for argv, err in [
+        (["show", "A120:1"], "gradus show: expected 120 marks, got 1\n"),
+        (["verify", "--suite", "rootsys", "E8"],
+         "gradus verify: E8: rank-8 sweeps need --max-rank 8\n"),
+        (["verify", "--suite", "rootsys", "E8:1,0,0,0,0,0,0,0"],
+         "gradus verify: E8:1,0,0,0,0,0,0,0: rank-8 sweeps need --max-rank 8\n"),
+    ]:
+        assert run_cli(argv, capsys) == (2, "", err)
+
+
+def test_where_the_budget_falls(capsys, monkeypatch):
+    # chi is admitted for exactly the types of rank <= 5 ...
+    assert [n for n in checks.default_types(8)
+            if char_poly_points(build(n)) <= BUDGET] == checks.default_types(5)
+    # ... every coset table and ideal count of a rank <= 5 sweep is within it ...
+    for name in checks.default_types(5):
+        rs = build(name)
+        for g in checks.sweep_gradings(rs):
+            assert weyl.km_order(rs) / weyl.levi_order(g) <= BUDGET
+            assert ideal_count_formula(g) <= BUDGET
+    # ... and a rank-8 query within it answers.
+    assert run_cli(["show", "E8:es"], capsys)[0] == 0
+
+    class Walked(Exception):
+        pass
+
+    def walk(u, v):
+        raise Walked
+
+    monkeypatch.setattr(weyl, "_compose", walk)
+    with pytest.raises(Walked):  # all-marked E6, |W(E6)| = BUDGET, is admitted
+        main(["weyl", "E6:1,1,1,1,1,1"])
+    start = time.perf_counter()
+    code, out, err = run_cli(["weyl", "D7:1,1,1,1,1,1,1"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("gradus weyl: 322,560 cosets of D7:1,1,1,1,1,1,1 "
+                   "exceed the budget of 51,840\n")
+
+
+def test_ideals_refuses_over_the_budget_before_enumerating(capsys, monkeypatch):
+    def no_poset(g, i=1):
+        raise AssertionError("weight poset built before the budget was checked")
+
+    monkeypatch.setattr(rootsys, "BUDGET", 5)
+    monkeypatch.setattr(ideals_mod, "weight_poset", no_poset)
+    code, out, err = run_cli(["ideals", "A3:0,1,0", "--list"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "gradus ideals: 6 lower ideals of A3:0,1,0 exceed the budget of 5\n"
+
+
+def test_verify_passes_a_non_standard_grading(capsys):
+    code, out, _ = run_cli(["verify", "A2:3,1"], capsys)
+    assert code == 0
+    assert out.endswith("52 checks, 0 failures, 1 skipped\n")
 
 
 def test_verify_unknown_suite(capsys):

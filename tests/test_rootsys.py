@@ -2,6 +2,8 @@ import pytest
 from fractions import Fraction
 from itertools import product
 
+from hypothesis import given, settings, strategies as st
+
 from gradus import weyl
 from gradus.checks import default_types
 from gradus.rootsys import CartanType, Root, build, dual_partition, parse_cartan_type
@@ -339,3 +341,21 @@ def test_sum_table_readers_match_the_coordinate_table(name):
             layers.append(nxt)
             total |= nxt
         assert weyl.closure_layers(rs, mask) == layers
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["A1", "B3", "F4", "E8"]), st.data())
+def test_indices_of_matches_a_scan_of_every_bit(name, data):
+    rs = build(name)
+    npos = len(rs.positive_roots)
+    mask = data.draw(st.integers(0, (1 << npos) - 1))
+    want = tuple(k for k in range(npos) if mask >> k & 1)
+    assert rs.indices_of(mask) == want
+    assert rs.roots_of(mask) == tuple(rs.positive_roots[k] for k in want)
+
+
+def test_root_reads_the_index():
+    rs = build("B2")
+    assert rs.root((1, 2)) is rs.positive_roots[-1]
+    with pytest.raises(ValueError, match="^2a1 is not a root$"):
+        rs.root((2, 0))
