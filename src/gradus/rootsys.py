@@ -9,6 +9,10 @@ Conventions used throughout the package:
   length 2; its Gram matrix on the simple roots is rational and exact.
 - The Cartan matrix is a[i][j] = <alpha_j, alpha_i^vee>, so the simple
   reflection acts by s_i(alpha_j) = alpha_j - a[i][j] alpha_i.
+- The roots are the W-orbit of the simple roots (Bourbaki, Lie VI 1.5).
+  One walk applies each simple reflection to each root it finds, so it
+  finds every root and fills the table of simple reflections at once; a
+  build is refused when that table's 2Nn entries exceed the budget.
 - Positive roots are listed in "canonical order": by height, then
   lexicographically by coordinates.  Bitmask positions over the positive
   roots always refer to this order, and a set of positive roots is held
@@ -31,9 +35,9 @@ from typing import Iterable, Optional, Sequence
 
 Q = Fraction
 
-# The most an enumeration may visit, in the units it counts (cosets, ideals,
-# fibre points): |W(E6)|.  The largest query it admits, the all-marked E6
-# coset table, takes about 4 s and 100 MB on a 2-vCPU VM.
+# The most an enumeration may visit, in the units it counts (reflection
+# images, cosets, ideals, fibre points): |W(E6)|.  The largest query it admits,
+# the all-marked E6 coset table, takes about 4 s and 100 MB on a 2-vCPU VM.
 BUDGET = 51_840
 
 Coords = tuple[int, ...]
@@ -137,12 +141,15 @@ def _diagram(ct: CartanType) -> tuple[list[tuple[int, int]], list[Q]]:
 
 
 class RootSystem:
-    """An irreducible root system, built by closing the simple roots."""
+    """An irreducible root system, built by walking the W-orbit of the simple
+    roots."""
 
     def __init__(self, cartan_type: CartanType):
         self.cartan_type = cartan_type
         n = cartan_type.rank
         self.rank = n
+        num_positive = _NUM_POSITIVE[cartan_type.family](n)
+        check_budget(2 * num_positive * n, f"reflection images of {cartan_type}")
 
         edges, d = _diagram(cartan_type)
         gram = [[Q(0)] * n for _ in range(n)]
@@ -159,15 +166,22 @@ class RootSystem:
             tuple(int(c) for c in row) for row in cartan
         )
 
-        pos = self._close_positive()
-        pos.sort(key=lambda c: (sum(c), c))
-        if len(pos) != _NUM_POSITIVE[cartan_type.family](n):
+        walk, image = self._orbit()
+        pos = sorted((c for c in walk if sum(c) > 0), key=lambda c: (sum(c), c))
+        if len(pos) != num_positive:
             raise AssertionError(f"positive-root count mismatch for {cartan_type}")
         self.positive_roots: tuple[Root, ...] = tuple(Root(c) for c in pos)
         self._roots = self.positive_roots + tuple(-r for r in self.positive_roots)
         # Every root's coordinates -> its index in roots(): positive root k
         # keeps k, and its negative sits at k + N.
         self.index: dict[Coords, int] = {r.coords: k for k, r in enumerate(self._roots)}
+        # Row i maps the index of each root to the index of its image under
+        # s_i, read from the walk's images through the two numberings.
+        new = [self.index[c] for c in walk]
+        old = [walk[r.coords] for r in self._roots]
+        self.reflection_table: tuple[tuple[int, ...], ...] = tuple(
+            tuple(new[row[k]] for k in old) for row in image
+        )
 
         top = self.positive_roots[-1]
         if len(pos) > 1 and top.height == self.positive_roots[-2].height:
@@ -186,37 +200,25 @@ class RootSystem:
 
     # -- construction ---------------------------------------------------
 
-    def _close_positive(self) -> list[Coords]:
-        """Close the simple roots under root-string addition.
-
-        gamma + alpha_i is a root iff p - <gamma, alpha_i^vee> > 0 where p
-        is the number of times alpha_i can be subtracted from gamma while
-        staying a root.  Working up by height keeps every query answerable.
-        """
+    def _orbit(self) -> tuple[dict[Coords, int], list[list[int]]]:
+        """Walk the W-orbit of the simple roots, which is every root of both
+        signs, by s_i(gamma) = gamma - <gamma, alpha_i^vee> alpha_i until no
+        new root appears.  Returns each root's position in the walk and, for
+        each i, the position of s_i of the root at each position."""
         n = self.rank
-        a = self.cartan_matrix
-        simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        roots: set[Coords] = set(simple)
-        level = list(simple)
-        while level:
-            nxt: list[Coords] = []
-            for gamma in level:
-                for i in range(n):
-                    if gamma == simple[i]:
-                        continue
-                    pairing = sum(a[i][j] * gamma[j] for j in range(n) if gamma[j])
-                    p = 0
-                    cur = tuple(c - s for c, s in zip(gamma, simple[i]))
-                    while cur in roots:
-                        p += 1
-                        cur = tuple(c - s for c, s in zip(cur, simple[i]))
-                    if p - pairing > 0:
-                        new = tuple(c + s for c, s in zip(gamma, simple[i]))
-                        if new not in roots:
-                            roots.add(new)
-                            nxt.append(new)
-            level = nxt
-        return list(roots)
+        walk = {tuple(int(j == i) for j in range(n)): i for i in range(n)}
+        found = list(walk)
+        image: list[list[int]] = [[] for _ in range(n)]
+        for gamma in found:  # grows as the walk finds roots
+            for i, a in enumerate(self.cartan_matrix):
+                c = list(gamma)
+                c[i] -= sum(x * y for x, y in zip(a, gamma))
+                beta = tuple(c)
+                k = walk.setdefault(beta, len(found))
+                if k == len(found):
+                    found.append(beta)
+                image[i].append(k)
+        return walk, image
 
     # -- basic queries --------------------------------------------------
 
@@ -330,21 +332,6 @@ class RootSystem:
         if len(m) != self.rank:
             raise AssertionError("height distribution is not a partition of the rank")
         return tuple(sorted(m))
-
-    @cached_property
-    def reflection_table(self) -> tuple[tuple[int, ...], ...]:
-        """Row i maps the index of each root in roots() to the index of its
-        image under s_i; index k + N is the negative of positive root k."""
-        rows = []
-        for i, a in enumerate(self.cartan_matrix):
-            row = []
-            for r in self._roots:
-                # s_i(gamma) = gamma - <gamma, alpha_i^vee> alpha_i
-                c = list(r.coords)
-                c[i] -= sum(x * y for x, y in zip(a, r.coords))
-                row.append(self.index[tuple(c)])
-            rows.append(tuple(row))
-        return tuple(rows)
 
     @cached_property
     def simple_indices(self) -> tuple[int, ...]:

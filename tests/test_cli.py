@@ -304,10 +304,21 @@ def test_where_the_budget_falls(capsys, monkeypatch):
                    "exceed the budget of 51,840\n")
 
 
+def test_a_build_over_the_budget_is_refused_at_once(capsys):
+    spec = "A80:" + ",".join(["1"] + ["0"] * 79)
+    start = time.perf_counter()
+    code, out, err = run_cli(["show", spec], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("gradus show: 518,400 reflection images of A80 "
+                   "exceed the budget of 51,840\n")
+
+
 def test_ideals_refuses_over_the_budget_before_enumerating(capsys, monkeypatch):
     def no_poset(g, i=1):
         raise AssertionError("weight poset built before the budget was checked")
 
+    build("A3")  # its 36 reflection images are over the lowered budget too
     monkeypatch.setattr(rootsys, "BUDGET", 5)
     monkeypatch.setattr(ideals_mod, "weight_poset", no_poset)
     code, out, err = run_cli(["ideals", "A3:0,1,0", "--list"], capsys)

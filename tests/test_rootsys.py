@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from gradus import weyl
 from gradus.checks import default_types
-from gradus.rootsys import CartanType, Root, build, dual_partition, parse_cartan_type
+from gradus.rootsys import (
+    CartanType, Root, RootSystem, build, dual_partition, parse_cartan_type,
+)
 
 EXPONENTS = {
     "A1": (1,),
@@ -359,3 +361,67 @@ def test_root_reads_the_index():
     assert rs.root((1, 2)) is rs.positive_roots[-1]
     with pytest.raises(ValueError, match="^2a1 is not a root$"):
         rs.root((2, 0))
+
+
+def _close_positive(rs):
+    """The positive roots by closing the simple roots under root-string
+    addition: gamma + alpha_i is a root iff p - <gamma, alpha_i^vee> > 0,
+    where p is the number of times alpha_i can be subtracted from gamma
+    while staying a root.  Working up by height keeps every query
+    answerable."""
+    n = rs.rank
+    a = rs.cartan_matrix
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    roots = set(simple)
+    level = list(simple)
+    while level:
+        nxt = []
+        for gamma in level:
+            for i in range(n):
+                if gamma == simple[i]:
+                    continue
+                pairing = sum(a[i][j] * gamma[j] for j in range(n) if gamma[j])
+                p = 0
+                cur = tuple(c - s for c, s in zip(gamma, simple[i]))
+                while cur in roots:
+                    p += 1
+                    cur = tuple(c - s for c, s in zip(cur, simple[i]))
+                if p - pairing > 0:
+                    new = tuple(c + s for c, s in zip(gamma, simple[i]))
+                    if new not in roots:
+                        roots.add(new)
+                        nxt.append(new)
+        level = nxt
+    return sorted(roots, key=lambda c: (sum(c), c))
+
+
+@pytest.mark.parametrize(
+    "name", default_types(8) + ["A16", "B12", "D12", "A36", "B29", "D29"]
+)
+def test_orbit_walk_matches_the_root_string_closure(name):
+    rs = build(name)
+    pos = _close_positive(rs)
+    assert [r.coords for r in rs.positive_roots] == pos
+    assert rs.theta.coords == pos[-1]
+    index = {c: k for k, c in enumerate(pos + [tuple(-x for x in c) for c in pos])}
+    assert rs.index == index
+    for i, a in enumerate(rs.cartan_matrix):
+        row = []
+        for r in index:
+            # s_i(gamma) = gamma - <gamma, alpha_i^vee> alpha_i
+            c = list(r)
+            c[i] -= sum(x * y for x, y in zip(a, r))
+            row.append(index[tuple(c)])
+        assert rs.reflection_table[i] == tuple(row)
+
+
+@pytest.mark.parametrize("name, size", [("A37", 52_022), ("B30", 54_000),
+                                        ("C30", 54_000), ("D30", 52_200)])
+def test_a_build_over_the_budget_is_refused_before_its_walk(name, size, monkeypatch):
+    def no_walk(rs):
+        raise AssertionError(f"{rs.cartan_type} walked before its budget was checked")
+
+    monkeypatch.setattr(RootSystem, "_orbit", no_walk)
+    with pytest.raises(ValueError, match=f"^{size:,} reflection images of {name} "
+                                         "exceed the budget of 51,840$"):
+        RootSystem(parse_cartan_type(name))
