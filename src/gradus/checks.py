@@ -17,8 +17,7 @@ check that did not run and "info" for a figure that is reported but not
 asserted; only "fail" clears `ok`.  Each suite declares its rank bound once,
 when it registers (`@suite("weylcore", max_rank=3)`).  What `SUITES` holds is
 the gated suite: above its bound it yields one "skip" row naming the rank and
-the bound, and never enters the suite body.  A single row bounded lower than
-its suite yields its skip row through the same `rank_skip`.
+the bound, and never enters the suite body.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from . import weyl as weyl_mod
 from .grading import Grading, extra_special, grade, parse_grading_spec
 from .ideals import Ideal
 from .polys import from_int_roots, to_str, value
-from .rootsys import RootSystem, build, dual_partition
+from .rootsys import _FIXED_RANK, _MIN_RANK, RootSystem, build, dual_partition
 
 
 @dataclass(frozen=True)
@@ -59,24 +58,15 @@ Suite = Callable[[RootSystem, Sequence[Grading]], Iterator[CheckResult]]
 SUITES: dict[str, Suite] = {}
 
 
-def rank_skip(suite: str, rs: RootSystem, name: str,
-              max_rank: Optional[int]) -> Optional[CheckResult]:
-    """The skip row of a check bounded at max_rank, or None within it."""
-    if max_rank is None or rs.rank <= max_rank:
-        return None
-    return CheckResult(suite, str(rs.cartan_type), name, True,
-                       f"rank {rs.rank} exceeds the bound {max_rank}", "skip")
-
-
 def suite(name: str, max_rank: Optional[int] = None) -> Callable[[Suite], Suite]:
     """Register a suite, gated at max_rank (None: no bound)."""
     def deco(fn: Suite) -> Suite:
         # a generator function like the suites it gates, so that tracing by
         # function kind sees its rows
         def gated(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
-            skipped = rank_skip(name, rs, "sweep", max_rank)
-            if skipped:
-                yield skipped
+            if max_rank is not None and rs.rank > max_rank:
+                yield CheckResult(name, str(rs.cartan_type), "sweep", True,
+                                  f"rank {rs.rank} exceeds the bound {max_rank}", "skip")
             else:
                 yield from fn(rs, gradings)
 
@@ -104,21 +94,9 @@ def sweep_gradings(rs: RootSystem) -> list[Grading]:
 
 
 def default_types(max_rank: int) -> list[str]:
-    out: list[str] = []
-    for n in range(1, max_rank + 1):
-        out.append(f"A{n}")
-        if n >= 2:
-            out.append(f"B{n}")
-            out.append(f"C{n}")
-        if n >= 3:
-            out.append(f"D{n}")
-        if n == 2:
-            out.append("G2")
-        if n == 4:
-            out.append("F4")
-        if n in (6, 7, 8):
-            out.append(f"E{n}")
-    return out
+    """Every Cartan type of rank <= max_rank, by rank, then family."""
+    return [f"{f}{n}" for n in range(1, max_rank + 1) for f in "ABCDEFG"
+            if (n >= _MIN_RANK[f] if f in _MIN_RANK else n in _FIXED_RANK[f])]
 
 
 # Above rank 5, exhaustive grading sweeps stop being desk-sized; the suites
@@ -201,7 +179,7 @@ def suite_rootsys(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
     )
 
 
-@suite("threeroot", max_rank=4)
+@suite("threeroot")
 def suite_threeroot(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
     sub = str(rs.cartan_type)
     roots = rs.roots()
@@ -427,17 +405,12 @@ def suite_weylcore(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Chec
 
 @suite("km", max_rank=SWEEP_MAX_RANK)
 def suite_km(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
-    skipped = rank_skip("km", rs, "length-generating-identity", 4)
-    if skipped:
-        yield skipped
-    else:
-        lengths = [w.length for w in weyl_mod.weyl_elements(rs)]
-        lhs = weyl_mod.poincare(lengths)
-        rhs = weyl_mod.km_poly(rs)
-        yield CheckResult(
-            "km", str(rs.cartan_type), "length-generating-identity",
-            lhs == rhs, f"W(t) = {to_str(rhs)}",
-        )
+    lhs = weyl_mod.poincare(w.length for w in weyl_mod.weyl_elements(rs))
+    rhs = weyl_mod.km_poly(rs)
+    yield CheckResult(
+        "km", str(rs.cartan_type), "length-generating-identity",
+        lhs == rhs, f"W(t) = {to_str(rhs)}",
+    )
     for g in gradings:
         table = weyl_mod.enumerate_W0(g)
         levi = weyl_mod.km_order(rs) / len(table)
@@ -781,10 +754,7 @@ def _sign_mismatch(
 
 @suite("signs", max_rank=SWEEP_MAX_RANK)
 def suite_signs(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
-    skipped = rank_skip("signs", rs, "oracle-matches-inversions", 3)
-    if skipped:
-        yield skipped
-    elif gradings:
+    if gradings:
         normals = rs.positive_roots
         elements = weyl_mod.weyl_elements(rs)
         signs = arr_mod.geometric_signs(gradings[0], elements, normals)
@@ -883,29 +853,12 @@ def suite_appendix(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Chec
 
 
 def e7_paper_grading() -> Grading:
-    """The grading of E7 singled out in rank 7: one marked node, with a
-    level-0 subsystem of type A6 and 35 roots at level 1."""
-    rs = build("E7")
-    for i in range(7):
-        marks = tuple(1 if j == i else 0 for j in range(7))
-        g = grade(rs, marks)
-        if g.delta1_mask.bit_count() != 35 or g.delta0_mask.bit_count() != 21:
-            continue
-        # connectivity of the six unmarked nodes makes the type A6
-        nodes = list(g.pi0)
-        reach = {nodes[0]}
-        grew = True
-        while grew:
-            grew = False
-            for a in nodes:
-                if a not in reach and any(
-                    rs.gram[a][b] != 0 for b in reach
-                ):
-                    reach.add(a)
-                    grew = True
-        if len(reach) == len(nodes):
-            return g
-    raise RuntimeError("no grading of E7 with a level-0 system of type A6")
+    """The grading of E7 singled out in rank 7: node 2 marked, so level 0 is
+    the chain A6 of the other six nodes, with 21 positive roots at level 0
+    and 35 at level 1."""
+    g = parse_grading_spec("E7:0,1,0,0,0,0,0")
+    assert g.delta0_mask.bit_count() == 21 and g.delta1_mask.bit_count() == 35
+    return g
 
 
 def e7_example_report() -> dict:

@@ -24,8 +24,8 @@ fibers as positions in the tuple keyed by level-1 inversion mask.  With
 every node marked W(0) is trivial, so the same walk enumerates W itself.
 The table is a cached_property of its grading, and so are the minimal and
 maximal elements of its fibers (Grading.fiber_extremes, keyed by the
-ideal's positive-root mask and peeled once each); longest elements are
-cached per root system and generator tuple.
+ideal's positive-root mask and peeled once each); W itself is cached per
+root system, and longest elements per root system and generator tuple.
 """
 
 from __future__ import annotations
@@ -217,10 +217,12 @@ def element_from_inversions(rs: RootSystem, mask: int) -> WeylElement:
 # -- group enumeration --------------------------------------------------
 
 
+@cache
 def weyl_elements(rs: RootSystem) -> tuple[WeylElement, ...]:
     """The Weyl group in breadth-first order: the coset table of the grading
-    with every node marked, where W(0) is trivial and so W0 = W.  Like every
-    coset table it is refused over the budget, as |W(E7)| = 2,903,040 is."""
+    with every node marked, where W(0) is trivial and so W0 = W, walked once
+    per root system.  Like every coset table it is refused over the budget,
+    as |W(E7)| = 2,903,040 is."""
     return CosetTable(Grading(rs, (1,) * rs.rank)).elements()
 
 

@@ -12,7 +12,7 @@ from gradus.rootsys import RootSystem, build
 
 # The rank above which each suite yields one skip row instead of running.
 BOUNDS = {
-    "rootsys": None, "threeroot": 4, "grading": None, "ideals": 5,
+    "rootsys": None, "threeroot": None, "grading": None, "ideals": 5,
     "weylcore": 3, "km": 5, "biconvex": 5, "fibers": 5, "minmax": 5,
     "involution": 5, "extreme": 5, "eta": 5, "classes": 5, "regions": 5,
     "signs": 5, "counting": 5, "charpoly": 5, "appendix": 5, "e7": None,
@@ -91,15 +91,81 @@ def test_level_01_is_ideal_arrangement_row_per_grading(monkeypatch):
     assert row.status == "fail" and row.detail == "24 normals"
 
 
-def test_row_bounds_skip_through_the_shared_helper():
+def test_whole_group_rows_run_wherever_their_suite_runs():
+    # The km and signs rows that walk all of W have no bound of their own.
     rs = build("A4")
     rows = list(checks.SUITES["signs"](rs, [grade(rs, (1, 0, 0, 0))]))
-    assert rows[0] == checks.rank_skip("signs", rs, "oracle-matches-inversions", 3)
-    assert rows[0].status == "skip" and rows[0].detail == "rank 4 exceeds the bound 3"
-    assert {r.status for r in rows[1:]} == {"pass"}
+    assert rows[0].name == "oracle-matches-inversions"
+    assert {r.status for r in rows} == {"pass"}
     rs = build("A5")
     (km,) = [r for r in checks.SUITES["km"](rs, []) if r.name == "length-generating-identity"]
-    assert km.status == "skip" and km.detail == "rank 5 exceeds the bound 4"
+    assert km.status == "pass"
+
+
+def test_one_walk_of_w_serves_every_suite(monkeypatch):
+    rs = RootSystem(build("B3").cartan_type)  # a private instance, nothing cached
+    walks = []
+    real = weyl.CosetTable
+
+    def counting(g):
+        if all(g.marks):
+            walks.append(g.marks)
+        return real(g)
+
+    monkeypatch.setattr(weyl, "CosetTable", counting)
+    rows = checks.run([(rs, [grade(rs, (1, 0, 0))])], ["weylcore", "km", "signs"])
+    assert {r.status for r in rows} == {"pass"}
+    assert walks == [(1, 1, 1)]
+    assert weyl.weyl_elements(rs) is weyl.weyl_elements(rs)
+
+
+def _default_types_by_hand(max_rank):
+    """The list of types default_types wrote out by hand before it read the
+    Cartan-type rules of rootsys."""
+    out = []
+    for n in range(1, max_rank + 1):
+        out.append(f"A{n}")
+        if n >= 2:
+            out.append(f"B{n}")
+            out.append(f"C{n}")
+        if n >= 3:
+            out.append(f"D{n}")
+        if n == 2:
+            out.append("G2")
+        if n == 4:
+            out.append("F4")
+        if n in (6, 7, 8):
+            out.append(f"E{n}")
+    return out
+
+
+@pytest.mark.parametrize("max_rank", range(10))
+def test_default_types_match_the_hand_written_list(max_rank):
+    assert checks.default_types(max_rank) == _default_types_by_hand(max_rank)
+
+
+def test_e7_paper_grading_is_the_single_node_with_an_a6_level_0():
+    # The search e7_paper_grading made before it named its spec: the one
+    # marked node whose six unmarked neighbours form a connected diagram
+    # (so type A6), with 21 positive roots at level 0 and 35 at level 1.
+    rs = build("E7")
+    found = []
+    for i in range(7):
+        g = grade(rs, tuple(1 if j == i else 0 for j in range(7)))
+        if g.delta1_mask.bit_count() != 35 or g.delta0_mask.bit_count() != 21:
+            continue
+        nodes = list(g.pi0)
+        reach = {nodes[0]}
+        grew = True
+        while grew:
+            grew = False
+            for a in nodes:
+                if a not in reach and any(rs.gram[a][b] != 0 for b in reach):
+                    reach.add(a)
+                    grew = True
+        if len(reach) == len(nodes):
+            found.append(g.spec_string())
+    assert found == [checks.e7_paper_grading().spec_string()] == ["E7:0,1,0,0,0,0,0"]
 
 
 # The witness-sweep detail of the threeroot suite, as the coordinate-tuple

@@ -390,7 +390,7 @@ def test_console_entry_point():
 
 # sha256 of `gradus verify --all --max-rank 5 --json`: every row name,
 # verdict and detail string of every suite over every type up to rank 5.
-VERIFY_ALL_RANK_5_SHA256 = "9317a491290bb7b2b8573375b62815d50a5716c42b42fbf1a5b96648acbe36ad"
+VERIFY_ALL_RANK_5_SHA256 = "9baa0ff50fe4889106e2debe1b95f8008a7247e6641c28f003a171479a082250"
 
 
 @pytest.mark.slow
