@@ -459,6 +459,7 @@ def suite_fibers(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
         sub = g.spec_string()
         p = ideals_mod.weight_poset(g, 1)
         table = weyl_mod.enumerate_W0(g)
+        masks = [w.inversion_mask for w in table.elements()]
         bad_tau = bad_interval = bad_length = ""
         seen = 0
         for ideal in ideals_mod.iter_lower_ideals(p):
@@ -469,11 +470,8 @@ def suite_fibers(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
             fib = weyl_mod.fiber(g, ideal)
             seen += len(fib)
             a, b = lo.inversion_mask, hi.inversion_mask
-            interval = {
-                w for w in table.elements()
-                if w.inversion_mask & a == a and w.inversion_mask | b == b
-            }
-            if interval != set(fib):
+            interval = [k for k, m in enumerate(masks) if m & a == a and m | b == b]
+            if interval != table.by_tau.get(ideal.mask, []):
                 bad_interval = bad_interval or f"fiber of {ideal} is not the interval"
             if fib[0] != lo or fib[-1] != hi:
                 bad_length = bad_length or f"endpoints of {ideal} out of place"
@@ -564,21 +562,33 @@ def suite_involution(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Ch
         yield CheckResult(
             "involution", sub, "parabolic-longest-fixes-levels", ok_levels, "",
         )
-        image = {w: weyl_mod.involution(g, w) for w in table.elements()}
-        ideal_of = {w: weyl_mod.tau(g, w) for w in table.elements()}
+        # The table a position at a time: the image of w is w0 w wt0, looked
+        # up by its permutation; tau is the level-1 part of the inversion
+        # mask, validated and dualised once per distinct mask.
+        elements = table.elements()
+        if any(w.inversion_mask & g.delta0_mask for w in elements):
+            raise ValueError("element is not a minimal coset representative")
+        where = {w.perm: k for k, w in enumerate(elements)}
+        w0, w0p = weyl_mod.longest_element(rs).perm, wt0.perm
+        compose = weyl_mod._compose
+        image = [where.get(compose(w0, compose(w.perm, w0p))) for w in elements]
+        taus = [w.inversion_mask & g.delta1_mask for w in elements]
+        dual = {m: ideals_mod.dual_ideal(p, Ideal(p, m)).mask for m in set(taus)}
+        minimal = {where[w.perm] for w in table.minimal}
+        maximal = {where[w.perm] for w in table.maximal}
         bad = ""
         fixed = 0
-        for w, iw in image.items():
-            if iw not in image:
-                bad = bad or f"image of {w} leaves the coset set"
+        for k, i in enumerate(image):
+            if i is None:
+                bad = bad or f"image of {elements[k]} leaves the coset set"
                 continue
-            if image[iw] != w:
-                bad = bad or f"not involutive at {w}"
-            if ideal_of[iw] != ideals_mod.dual_ideal(p, ideal_of[w]):
-                bad = bad or f"dual ideal mismatch at {w}"
-            if (w in table.minimal) != (iw in table.maximal):
-                bad = bad or f"minimal flag not swapped at {w}"
-            if iw == w:
+            if image[i] != k:
+                bad = bad or f"not involutive at {elements[k]}"
+            if taus[i] != dual[taus[k]]:
+                bad = bad or f"dual ideal mismatch at {elements[k]}"
+            if (k in minimal) != (i in maximal):
+                bad = bad or f"minimal flag not swapped at {elements[k]}"
+            if i == k:
                 fixed += 1
         yield CheckResult("involution", sub, "involution-swaps-duality", not bad, bad)
         bad = ""

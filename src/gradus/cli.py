@@ -237,13 +237,13 @@ def cmd_ideals(args: argparse.Namespace) -> int:
         payload["m_polynomial_str"] = to_str(mp)
     rows = None
     if args.list:
-        payload["ideals"] = [
-            _coords(i.roots()) for i in ideals_mod.iter_lower_ideals(p)
-        ]
-        rows = [
-            {"index": k, "size": i.size, "roots": " ".join(_root_strs(i.roots()))}
-            for k, i in enumerate(ideals_mod.iter_lower_ideals(p))
-        ]
+        ideals = list(ideals_mod.iter_lower_ideals(p))
+        payload["ideals"] = [_coords(i.roots()) for i in ideals]
+        if args.csv:
+            rows = [
+                {"index": k, "size": i.size, "roots": " ".join(_root_strs(i.roots()))}
+                for k, i in enumerate(ideals)
+            ]
     _emit(args, payload, rows)
     return 0
 

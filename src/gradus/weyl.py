@@ -5,8 +5,10 @@ An element is stored as the permutation it induces on the root indices of
 rs.roots() (positives first, so index k + N is the negative of positive
 root k; rs.index maps a root's coordinates to its index); the group acts
 faithfully on the roots, and every operation is a lookup in the
-simple-reflection table of the root system.  Closures and bi-convexity
-read the root-sum table rs.sums.  The inversion set
+simple-reflection table of the root system.  A composition is one
+operator.itemgetter call, so the whole 2N-entry lookup runs in C; it needs
+no bound on 2N, and 2N >= 2 makes it always return a tuple.  Closures and
+bi-convexity read the root-sum table rs.sums.  The inversion set
 N(w) = {gamma > 0 : w(gamma) < 0} is stored as a bitmask over the
 canonical positive-root order.  A subset of the positive roots is an
 inversion set iff it and its complement are closed under root addition
@@ -33,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import ideals as ideals_mod
@@ -46,7 +49,7 @@ Perm = tuple[int, ...]
 
 def _compose(u: Perm, v: Perm) -> Perm:
     """The permutation u after v."""
-    return tuple(map(u.__getitem__, v))
+    return itemgetter(*v)(u)
 
 
 def _identity_perm(rs: RootSystem) -> Perm:

@@ -8,6 +8,7 @@ import pytest
 from gradus import arrangement, checks, ideals, weyl
 from gradus.checks import CheckResult, sweep_gradings
 from gradus.grading import Grading, grade
+from gradus.polys import value
 from gradus.rootsys import RootSystem, build
 
 # The rank above which each suite yields one skip row instead of running.
@@ -305,3 +306,88 @@ def test_no_row_fails_on_non_standard_gradings():
         (row,) = [r for r in rows if r.name == "nonabelian-proper-distinct"]
         assert row.status == "skip"
         assert row.detail == "asserted for standard and extra-special gradings only"
+
+
+def _involution_rows_by_element(rs, gradings):
+    """The involution suite as it was before it worked on table positions:
+    one involution and one tau per coset, and one dual per coset; kept as
+    the oracle for it."""
+    for g in gradings:
+        sub = g.spec_string()
+        table = weyl.enumerate_W0(g)
+        p = ideals.weight_poset(g, 1)
+        wt0 = weyl.longest_element(rs, g.pi0)
+        ok_levels = all(
+            g.level(wt0.apply(r)) == g.levels[j]
+            for j, r in enumerate(rs.positive_roots)
+        ) and all(not wt0.apply(r).is_positive for r in rs.roots_of(g.delta0_mask))
+        yield CheckResult(
+            "involution", sub, "parabolic-longest-fixes-levels", ok_levels, "",
+        )
+        image = {w: weyl.involution(g, w) for w in table.elements()}
+        ideal_of = {w: weyl.tau(g, w) for w in table.elements()}
+        bad = ""
+        fixed = 0
+        for w, iw in image.items():
+            if iw not in image:
+                bad = bad or f"image of {w} leaves the coset set"
+                continue
+            if image[iw] != w:
+                bad = bad or f"not involutive at {w}"
+            if ideal_of[iw] != ideals.dual_ideal(p, ideal_of[w]):
+                bad = bad or f"dual ideal mismatch at {w}"
+            if (w in table.minimal) != (iw in table.maximal):
+                bad = bad or f"minimal flag not swapped at {w}"
+            if iw == w:
+                fixed += 1
+        yield CheckResult("involution", sub, "involution-swaps-duality", not bad, bad)
+        bad = ""
+        for ideal in ideals.iter_lower_ideals(p):
+            lhs = weyl.involution(g, weyl.w_min(g, ideal))
+            if lhs != weyl.w_max(g, ideals.dual_ideal(p, ideal)):
+                bad = f"min/max exchange fails at {ideal}"
+                break
+        yield CheckResult("involution", sub, "min-to-max-of-dual", not bad, bad)
+        if g.is_abelian:
+            w0poly = weyl.poincare(w.length for w in table.elements())
+            yield CheckResult(
+                "involution", sub, "fixed-points-alternating-sum",
+                fixed == value(w0poly, -1),
+                f"fixed {fixed}, W0(-1) {value(w0poly, -1)}",
+            )
+
+
+@pytest.mark.parametrize("name", checks.default_types(4))
+def test_involution_rows_match_the_per_element_route(name):
+    rs = build(name)
+    gradings = sweep_gradings(rs)
+    assert (list(checks.SUITES["involution"](rs, gradings))
+            == list(_involution_rows_by_element(rs, gradings)))
+
+
+def test_involution_rows_match_the_per_element_route_off_standard():
+    # every grading with marks in 0..2 and a nonempty Delta(1), rank <= 3
+    gradings = [
+        g
+        for name in checks.default_types(3)
+        for marks in product(range(3), repeat=build(name).rank)
+        if any(marks) and (g := grade(build(name), marks)).delta1_mask
+    ]
+    assert len(gradings) == 97
+    for g in gradings:
+        assert (list(checks.SUITES["involution"](g.rs, [g]))
+                == list(_involution_rows_by_element(g.rs, [g]))), g.spec_string()
+
+
+def test_involution_reports_the_first_failure_of_the_per_element_route(monkeypatch):
+    # With duality broken, both routes name the same first coset.
+    monkeypatch.setattr(ideals, "dual_ideal", lambda p, ideal: ideal)
+    failed = 0
+    for name in ["A2", "B2", "G2", "A3", "B3"]:
+        rs = build(name)
+        gradings = sweep_gradings(rs)
+        new = list(checks.SUITES["involution"](rs, gradings))
+        assert new == list(_involution_rows_by_element(rs, gradings)), name
+        failed += sum(1 for r in new if r.name == "involution-swaps-duality"
+                      and r.detail.startswith("dual ideal mismatch at "))
+    assert failed > 0

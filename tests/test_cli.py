@@ -400,3 +400,29 @@ def test_verify_all_rank_5_json_is_pinned():
         capture_output=True)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_RANK_5_SHA256
+
+
+def test_ideals_formats_csv_rows_only_for_csv(capsys, monkeypatch):
+    import gradus.cli as cli
+
+    code, out_csv, _ = run_cli(["ideals", "B3:0,1,0", "--list", "--csv"], capsys)
+    assert code == 0
+    assert out_csv.startswith("index,size,roots\n0,0,\n")
+
+    def refuse(roots):
+        raise AssertionError("root strings formatted for output that drops them")
+
+    monkeypatch.setattr(cli, "_root_strs", refuse)
+    code, out, _ = run_cli(["ideals", "B3:0,1,0", "--list", "--json"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["ideals"]) == json.loads(out)["count"]
+    code, _, _ = run_cli(["ideals", "B3:0,1,0", "--list"], capsys)
+    assert code == 0
+
+
+def test_python_dash_m_gradus_runs_the_cli():
+    argv = ["show", "B2:0,1", "--json"]
+    by_package = subprocess.run([sys.executable, "-m", "gradus", *argv], capture_output=True)
+    by_module = subprocess.run([sys.executable, "-m", "gradus.cli", *argv], capture_output=True)
+    assert by_package.returncode == by_module.returncode == 0
+    assert by_package.stdout == by_module.stdout != b""

@@ -92,6 +92,31 @@ def test_permutations_agree_with_the_matrix_route(name):
         assert _matrix(u * elements[j]) == _matmul(mats[k], mats[j])
 
 
+def _compose_by_map(u, v):
+    """The composition as a Python-level map, before it became one
+    itemgetter call; kept as the oracle for it."""
+    return tuple(map(u.__getitem__, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 300).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_compose_matches_the_map_route(pair):
+    u, v = map(tuple, pair)
+    out = _compose(u, v)
+    assert type(out) is tuple
+    assert out == _compose_by_map(u, v)
+
+
+@pytest.mark.parametrize("name", default_types(4) + ["A16"])
+def test_compose_matches_the_map_route_on_reflection_rows(name):
+    # A1 has the shortest rows (2N = 2) and A16 the first past 256 (2N = 272)
+    refl = build(name).reflection_table
+    for u in refl:
+        for v in refl:
+            assert _compose(u, v) == _compose_by_map(u, v), name
+
+
 def _weyl_elements_bfs(rs):
     """The Weyl group, by breadth-first search in the weak order: the walk
     weyl_elements made on its own before it became the coset table of the
