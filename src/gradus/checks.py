@@ -294,7 +294,7 @@ def suite_ideals(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
             continue
         yield CheckResult("ideals", sub, "covers-generate-order", True)
 
-        all_ideals = ideals_mod.enumerate_lower_ideals(p)
+        all_ideals = p.lower_ideals
         masks = [i.mask for i in all_ideals]
 
         def bit_word(mask: int) -> tuple[int, ...]:
@@ -430,7 +430,7 @@ def suite_biconvex(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Chec
         sub = g.spec_string()
         p = ideals_mod.weight_poset(g, 1)
         bad_layer = bad_convex = ""
-        for ideal in ideals_mod.iter_lower_ideals(p):
+        for ideal in p.lower_ideals:
             layers = weyl_mod.closure_layers(rs, ideal.mask) if ideal.mask else []
             closed = 0
             for k, layer in enumerate(layers, start=1):
@@ -462,7 +462,7 @@ def suite_fibers(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
         masks = [w.inversion_mask for w in table.elements()]
         bad_tau = bad_interval = bad_length = ""
         seen = 0
-        for ideal in ideals_mod.iter_lower_ideals(p):
+        for ideal in p.lower_ideals:
             lo = weyl_mod.w_min(g, ideal)
             hi = weyl_mod.w_max(g, ideal)
             if weyl_mod.tau(g, lo) != ideal or weyl_mod.tau(g, hi) != ideal:
@@ -525,16 +525,17 @@ def suite_minmax(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
             pmin = weyl_mod.poincare(w.length for w in by_def_min)
             pmax = weyl_mod.poincare(w.length for w in by_def_max)
             whole = set(table.elements())
-            if g.is_standard or g.is_extra_special:
-                yield CheckResult(
-                    "minmax", sub, "nonabelian-proper-distinct",
-                    by_def_min != by_def_max and by_def_min < whole and by_def_max < whole
-                    and len({mp, pmin, pmax}) == 3,
-                    "",
-                )
-            else:  # Delta(2) may be empty below a higher level: M(t) = P_min(t) on A2:3,1
-                yield CheckResult("minmax", sub, "nonabelian-proper-distinct", True,
-                                  "asserted for standard and extra-special gradings only", "skip")
+            # Without gamma + gamma' a root for gamma, gamma' in Delta(1), every
+            # ideal is its own closure, so l(w_min) = |I| and P_min = M (A2:3,1);
+            # with such a pair, their ideal has a strictly larger closure.
+            d1 = g.delta1_mask
+            pair = any(d1 >> j & 1 for i in rs.indices_of(d1) for j in rs.sums[i])
+            yield CheckResult(
+                "minmax", sub, "nonabelian-proper-distinct",
+                by_def_min != by_def_max and by_def_min < whole and by_def_max < whole
+                and mp != pmax and pmin != pmax and (mp != pmin) == pair,
+                "",
+            )
             union = by_def_min | by_def_max
             if g.is_extra_special:
                 yield CheckResult(
@@ -592,7 +593,7 @@ def suite_involution(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Ch
                 fixed += 1
         yield CheckResult("involution", sub, "involution-swaps-duality", not bad, bad)
         bad = ""
-        for ideal in ideals_mod.iter_lower_ideals(p):
+        for ideal in p.lower_ideals:
             lhs = weyl_mod.involution(g, weyl_mod.w_min(g, ideal))
             if lhs != weyl_mod.w_max(g, ideals_mod.dual_ideal(p, ideal)):
                 bad = f"min/max exchange fails at {ideal}"
@@ -613,7 +614,7 @@ def suite_extreme(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
         sub = g.spec_string()
         p = ideals_mod.weight_poset(g, 1)
         bad = ""
-        for ideal in ideals_mod.iter_lower_ideals(p):
+        for ideal in p.lower_ideals:
             if weyl_mod.max_roots(g, ideal) != ideals_mod.max_elements(p, ideal):
                 bad = f"maximal roots disagree at {ideal}"
                 break
@@ -714,7 +715,7 @@ def suite_regions(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
         sub = g.spec_string()
         p = ideals_mod.weight_poset(g, 1)
         regions = arr_mod.regions_in_dominant_chamber(g)
-        ideal_masks = {i.mask for i in ideals_mod.iter_lower_ideals(p)}
+        ideal_masks = set(p.ideal_masks)
         yield CheckResult(
             "regions", sub, "region-ideal-bijection",
             {r.ideal.mask for r in regions} == ideal_masks

@@ -27,9 +27,9 @@ from . import arrangement as arr_mod
 from . import checks
 from . import ideals as ideals_mod
 from . import weyl as weyl_mod
-from .grading import Grading, parse_grading_spec
+from .grading import parse_grading_spec
 from .polys import to_str, value
-from .rootsys import Root, RootSystem, build, check_budget, parse_cartan_type
+from .rootsys import Root, RootSystem, check_budget, parse_cartan_type
 
 
 class UsageError(Exception):
@@ -237,12 +237,11 @@ def cmd_ideals(args: argparse.Namespace) -> int:
         payload["m_polynomial_str"] = to_str(mp)
     rows = None
     if args.list:
-        ideals = list(ideals_mod.iter_lower_ideals(p))
-        payload["ideals"] = [_coords(i.roots()) for i in ideals]
+        payload["ideals"] = [_coords(i.roots()) for i in p.lower_ideals]
         if args.csv:
             rows = [
                 {"index": k, "size": i.size, "roots": " ".join(_root_strs(i.roots()))}
-                for k, i in enumerate(ideals)
+                for k, i in enumerate(p.lower_ideals)
             ]
     _emit(args, payload, rows)
     return 0
@@ -269,18 +268,13 @@ def cmd_weyl(args: argparse.Namespace) -> int:
         "involution_fixed": fixed,
     }
     rows = None
-    if args.min:
-        payload["minimal"] = [
-            {"word": str(w), "length": w.length,
-             "ideal": _coords(weyl_mod.tau(g, w).roots())}
-            for w in minimal
-        ]
-    if args.max:
-        payload["maximal"] = [
-            {"word": str(w), "length": w.length,
-             "ideal": _coords(weyl_mod.tau(g, w).roots())}
-            for w in maximal
-        ]
+    payload |= {
+        key: [{"word": str(w), "length": w.length,
+               "ideal": _coords(weyl_mod.tau(g, w).roots())} for w in elements]
+        for key, wanted, elements in (("minimal", args.min, minimal),
+                                      ("maximal", args.max, maximal))
+        if wanted
+    }
     if args.eta:
         payload["eta"] = [
             {"word": str(w), "eta": list(weyl_mod.eta(g, w))}
@@ -331,31 +325,20 @@ def cmd_arrangement(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suites = args.suite
-    targets: list[tuple[RootSystem, list[Grading]]] = []
-    names: list[str] = []
+    specs = [token for token in args.scope if ":" in token]
+    names = [token for token in args.scope if ":" not in token]
     if args.all:
-        names = checks.default_types(args.max_rank)
+        names = checks.default_types(args.max_rank) + names
     elif not args.scope and suites == ["e7"]:
         names = ["E7"]
-
     # The suites bound their own work, so only rank 8 needs --max-rank; the
     # rule reads the parsed type, before anything is built.
-    def guard(label: str, type_name: str) -> None:
-        rank = parse_cartan_type(type_name).rank
+    for label in specs + names:
+        rank = parse_cartan_type(label.split(":", 1)[0]).rank
         if rank > max(7, args.max_rank):
             raise UsageError(f"{label}: rank-{rank} sweeps need --max-rank {rank}")
-
-    for token in args.scope:
-        if ":" in token:
-            guard(token, token.split(":", 1)[0])
-            g = parse_grading_spec(token)
-            targets.append((g.rs, [g]))
-        else:
-            names.append(token)
-    for name in names:
-        guard(name, name)
-        rs = build(name)
-        targets.append((rs, checks.sweep_gradings(rs)))
+    targets = [(g.rs, [g]) for g in map(parse_grading_spec, specs)]
+    targets += checks.targets_for(names)
     if not targets:
         raise UsageError("nothing to verify: pass types/gradings or --all")
     results = checks.run(targets, suites)

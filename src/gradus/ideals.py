@@ -12,7 +12,9 @@ positive-root mask like every other set of positive roots, and a cover is
 a root index.  The per-element tables (positive_index, covers_down,
 down_masks, up_masks) are listed in canonical order, which is a linear
 extension; lower ideals are enumerated by depth-first search along it, so
-each ideal is produced exactly once.
+each ideal is produced exactly once.  A poset enumerates its lower ideals
+once and holds them: `ideal_masks` for counting, `lower_ideals` for every
+reader that needs validated `Ideal`s.
 """
 
 from __future__ import annotations
@@ -122,6 +124,15 @@ class WeightPoset:
         return closed == mask
 
     @cached_property
+    def ideal_masks(self) -> tuple[int, ...]:
+        """Every lower ideal as a positive-root mask, in depth-first order."""
+        return tuple(iter_downclosed(self.down_masks))
+
+    @cached_property
+    def lower_ideals(self) -> tuple[Ideal, ...]:
+        return tuple(Ideal(self, m) for m in self.ideal_masks)
+
+    @cached_property
     def dual_permutation(self) -> tuple[int, ...]:
         """The permutation of the roots by the longest element of the
         level-0 parabolic subgroup, which preserves the slice."""
@@ -192,22 +203,17 @@ class Antichain:
 
 
 def iter_lower_ideals(p: WeightPoset) -> Iterator[Ideal]:
-    for mask in iter_downclosed(p.down_masks):
-        yield Ideal(p, mask)
-
-
-def enumerate_lower_ideals(p: WeightPoset) -> list[Ideal]:
-    return list(iter_lower_ideals(p))
+    yield from p.lower_ideals
 
 
 def count_lower_ideals(p: WeightPoset) -> int:
-    return sum(1 for _ in iter_downclosed(p.down_masks))
+    return len(p.ideal_masks)
 
 
 def m_polynomial(p: WeightPoset) -> Poly:
     """Generating polynomial sum over lower ideals of t^(#ideal)."""
     counts = [0] * (p.size + 1)
-    for mask in iter_downclosed(p.down_masks):
+    for mask in p.ideal_masks:
         counts[bin(mask).count("1")] += 1
     return trimmed(counts)
 
@@ -289,4 +295,4 @@ def dual_ideal(p: WeightPoset, ideal: Ideal) -> Ideal:
 
 
 def self_dual_count(p: WeightPoset) -> int:
-    return sum(1 for i in iter_lower_ideals(p) if dual_ideal(p, i).mask == i.mask)
+    return sum(1 for i in p.lower_ideals if dual_ideal(p, i).mask == i.mask)

@@ -453,13 +453,11 @@ def fiber_extreme(g: Grading, mask: int, top: bool) -> WeylElement:
 
 
 def W0_min(g: Grading) -> list[WeylElement]:
-    p = ideals_mod.weight_poset(g, 1)
-    return [w_min(g, i) for i in ideals_mod.iter_lower_ideals(p)]
+    return [w_min(g, i) for i in ideals_mod.weight_poset(g, 1).lower_ideals]
 
 
 def W0_max(g: Grading) -> list[WeylElement]:
-    p = ideals_mod.weight_poset(g, 1)
-    return [w_max(g, i) for i in ideals_mod.iter_lower_ideals(p)]
+    return [w_max(g, i) for i in ideals_mod.weight_poset(g, 1).lower_ideals]
 
 
 def involution(g: Grading, w: WeylElement) -> WeylElement:

@@ -8,8 +8,11 @@ the memoised root system and tuples of ints or frozen arrangements.
 import gc
 import weakref
 
-from gradus import arrangement
+import pytest
+
+from gradus import arrangement, checks, ideals
 from gradus.arrangement import Arrangement, char_poly, coxeter_arrangement
+from gradus.cli import main
 from gradus.grading import grade, parse_grading_spec
 from gradus.ideals import dual_ideal, iter_lower_ideals, weight_poset
 from gradus.rootsys import RootSystem, build, parse_cartan_type
@@ -80,3 +83,43 @@ def test_longest_element_accepts_any_index_iterable():
     assert longest_element(rs, [0, 1]).perm == longest_element(rs, range(2)).perm
     assert longest_element(rs) == longest_element(rs, (0, 1, 2))
     assert longest_element(rs, [0]).word == (0,)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The down-mask sequences that lower ideals are enumerated over."""
+    seen = []
+    real = ideals.iter_downclosed
+
+    def counted(down_masks):
+        seen.append(down_masks)
+        return real(down_masks)
+
+    monkeypatch.setattr(ideals, "iter_downclosed", counted)
+    return seen
+
+
+@pytest.mark.parametrize("spec", ["A3:1,1,1", "B3:es", "C3:1,0,2", "A2:3,1"])
+def test_every_suite_walks_the_ideals_of_a_grading_once(spec, walks):
+    g = parse_grading_spec(spec)
+    rows = checks.run([(g.rs, [g])])
+    assert rows and all(r.ok for r in rows)
+    # the ideals suite also counts sub-posets, on down-masks of its own
+    assert sum(w is weight_poset(g, 1).down_masks for w in walks) == 1
+
+
+def test_a_sweep_pass_walks_each_poset_once(walks):
+    targets = checks.targets_for(checks.default_types(4))
+    checks.run(targets, [name for name in checks.SUITES if name != "charpoly"])
+    posets = {id(weight_poset(g, 1).down_masks) for _, gs in targets for g in gs}
+    assert len(posets) == 116
+    assert sum(id(w) in posets for w in walks) == 116
+
+
+@pytest.mark.parametrize("argv", [
+    ["ideals", "B3:es", "--list", "--poly", "--json"],
+    ["weyl", "B3:es", "--min", "--max", "--json"],
+])
+def test_a_query_walks_the_ideals_once(argv, walks, capsys):
+    assert main(argv) == 0
+    assert len(walks) == 1

@@ -290,8 +290,8 @@ def test_slice_row_walks_only_the_levels_that_occur(monkeypatch):
 def test_no_row_fails_on_non_standard_gradings():
     # Marks in 0..3 with a level-1 simple root, neither standard nor
     # extra-special: 102 gradings over six types.  Where Delta(2) is empty
-    # below a higher level (A2:3,1) M(t) is the min polynomial, so the
-    # nonabelian-proper-distinct row skips on every such grading.
+    # below a higher level (A2:3,1) M(t) is the min polynomial, and the
+    # nonabelian-proper-distinct row asserts exactly that.
     gradings = [
         g
         for name in ["A2", "B2", "G2", "A3", "B3", "C3"]
@@ -304,8 +304,25 @@ def test_no_row_fails_on_non_standard_gradings():
         rows = checks.run([(g.rs, [g])])
         assert [r for r in rows if not r.ok] == [], g
         (row,) = [r for r in rows if r.name == "nonabelian-proper-distinct"]
-        assert row.status == "skip"
-        assert row.detail == "asserted for standard and extra-special gradings only"
+        assert row.status == "pass"
+
+
+RANK_3 = checks.default_types(3)
+RANK_4 = [n for n in checks.default_types(4) if n not in RANK_3]
+
+
+@pytest.mark.parametrize("name", RANK_3 + [pytest.param(n, marks=pytest.mark.slow) for n in RANK_4])
+def test_every_suite_asserts_on_the_non_standard_family(name):
+    # Every grading with marks in 0..2, some mark 2 and a nonempty Delta(1):
+    # each suite whose bound admits the rank checks it, with no fail and no
+    # skip row.
+    rs = build(name)
+    gradings = [g for marks in product(range(3), repeat=rs.rank)
+                if 2 in marks and (g := grade(rs, marks)).level_mask(1)]
+    names = [n for n, s in checks.SUITES.items() if s.max_rank is None or s.max_rank >= rs.rank]
+    rows = checks.run([(rs, gradings)], names)
+    assert [r for r in rows if r.status in ("fail", "skip")] == []
+    assert len({r.subject for r in rows} - {name}) == len(gradings)
 
 
 def _involution_rows_by_element(rs, gradings):

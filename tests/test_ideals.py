@@ -9,7 +9,6 @@ from gradus.ideals import (
     count_antichains,
     count_lower_ideals,
     dual_ideal,
-    enumerate_lower_ideals,
     iter_downclosed,
     iter_lower_ideals,
     lower_ideal_from_antichain,
@@ -50,7 +49,7 @@ SMALL = ["A2:1,0", "A2:1,1", "B2:0,1", "G2:0,1", "G2:1,1", "A3:0,1,0",
 @pytest.mark.parametrize("spec", SMALL)
 def test_enumeration_matches_brute_force(spec):
     p = poset(spec)
-    got = [i.mask for i in enumerate_lower_ideals(p)]
+    got = [i.mask for i in p.lower_ideals]
     assert sorted(got) == brute_lower_masks(p)
     assert len(got) == len(set(got))
 
@@ -58,7 +57,7 @@ def test_enumeration_matches_brute_force(spec):
 @pytest.mark.parametrize("spec", SMALL)
 def test_enumeration_order_is_bitwise_lexicographic(spec):
     p = poset(spec)
-    masks = [i.mask for i in enumerate_lower_ideals(p)]
+    masks = [i.mask for i in p.lower_ideals]
     words = [tuple(m >> k & 1 for k in p.positive_index) for m in masks]
     assert words == sorted(words)
     assert masks[0] == 0
@@ -87,7 +86,7 @@ def test_count_three_ways(spec):
 def test_antichain_bijections(spec):
     p = poset(spec)
     seen = set()
-    for ideal in enumerate_lower_ideals(p):
+    for ideal in p.lower_ideals:
         a = max_elements(p, ideal)
         assert lower_ideal_from_antichain(p, a).mask == ideal.mask
         seen.add(a.mask)
@@ -109,7 +108,7 @@ def test_antichain_bijections(spec):
 @pytest.mark.parametrize("spec", SMALL)
 def test_duality_is_an_involution(spec):
     p = poset(spec)
-    for ideal in enumerate_lower_ideals(p):
+    for ideal in p.lower_ideals:
         d = dual_ideal(p, ideal)
         assert d.size == p.size - ideal.size
         assert dual_ideal(p, d).mask == ideal.mask
@@ -123,7 +122,7 @@ def test_self_dual_count_pinned():
 
 def test_min_elements_of_upward_closed_sets():
     p = poset("B3:0,1,0")
-    for ideal in enumerate_lower_ideals(p):
+    for ideal in p.lower_ideals:
         comp = ideal.complement_mask
         a = min_elements(p, comp)
         # complement of a lower ideal is upward closed; its minima generate it
