@@ -121,7 +121,10 @@ def targets_for(type_names: Sequence[str]) -> list[tuple[RootSystem, list[Gradin
 
 
 def _sub_ideal_count(p: ideals_mod.WeightPoset, subset: int) -> int:
-    """Lower-ideal count of the sub-poset induced on a positive-root mask."""
+    """Lower-ideal count of the sub-poset induced on a positive-root mask;
+    the whole poset's count is the walk it already holds."""
+    if subset == p.full_mask:
+        return len(p.ideal_masks)
     down = [d & subset for k, d in zip(p.positive_index, p.down_masks) if subset >> k & 1]
     return sum(1 for _ in ideals_mod.iter_downclosed(down))
 

@@ -21,6 +21,7 @@ import io
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Sequence
 
 from . import arrangement as arr_mod
@@ -119,14 +120,52 @@ def _human_lines(payload: dict, indent: str = "") -> list[str]:
     return lines
 
 
+_INT = {int}
+_STR = {str}
+
+
+def _json_text(obj: object, ind: str = "\n") -> str:
+    """json.dumps(obj, indent=1), byte for byte, for obj placed after the
+    line break and indent `ind`.  Strings and str keys go through json's own
+    string encoder, exact ints through int.__str__, and a list of exact
+    ints (not bools) is joined in one C call; dicts with str keys, lists and
+    tuples are walked here, and any other value goes through json.dumps,
+    whose output has no raw newline outside its own indentation."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return str(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = ind + " "
+        if set(map(type, obj)) == _INT:
+            body = ("," + inner).join(map(str, obj))
+        else:
+            body = ("," + inner).join([_json_text(x, inner) for x in obj])
+        return "[" + inner + body + ind + "]"
+    if kind is dict and set(map(type, obj)) <= _STR:
+        if not obj:
+            return "{}"
+        inner = ind + " "
+        body = ("," + inner).join(
+            [_encode_str(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        )
+        return "{" + inner + body + ind + "}"
+    return json.dumps(obj, indent=1).replace("\n", ind)
+
+
 def _emit(args: argparse.Namespace, payload: dict,
           rows: Optional[list[dict]] = None,
           lines: Optional[list[str]] = None,
           columns: Optional[Sequence[str]] = None) -> None:
     """The one writer of --out and stdout: payload as JSON, CSV or text.
-    The CSV header is `columns`, or the keys of the first row."""
+    The JSON is exactly the bytes of json.dumps(payload, indent=1) (the
+    writer _json_text joins int lists in C); the CSV header is `columns`,
+    or the keys of the first row."""
     if args.json:
-        text = json.dumps(payload, indent=1) + "\n"
+        text = _json_text(payload) + "\n"
     elif args.csv:
         table = rows
         if table is None:

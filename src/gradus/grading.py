@@ -181,12 +181,17 @@ def grade(rs: RootSystem, marks: Sequence[int]) -> Grading:
 
 
 def extra_special(rs: RootSystem) -> Grading:
-    """The grading by the highest coroot: level(gamma) = <gamma, theta^vee>."""
+    """The grading by the highest coroot: level(gamma) = <gamma, theta^vee>.
+    A new Grading each call, on marks computed once per root system."""
+    return Grading(rs, _extra_special_marks(rs))
+
+
+@cache
+def _extra_special_marks(rs: RootSystem) -> tuple[int, ...]:
     marks = tuple(rs.pairing(alpha, rs.theta) for alpha in rs.simple_roots)
-    g = Grading(rs, marks)
-    if g.slice(2) != (rs.theta,):
+    if Grading(rs, marks).slice(2) != (rs.theta,):
         raise AssertionError("highest-coroot grading must put exactly theta at level 2")
-    return g
+    return marks
 
 
 def parse_grading_spec(text: str) -> Grading:

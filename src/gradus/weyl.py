@@ -19,8 +19,10 @@ permutation together.
 The minimal coset representatives W0 = {w : N(w) avoids the level-0 roots}
 are enumerated without touching the rest of W, by breadth-first search that
 prepends s_i whenever w^(-1)(alpha_i) is a positive root of positive level;
-the breadth-first depth equals the length of the representative.  A coset
-is its WeylElement: the table keeps the elements as one tuple, the minimal
+the breadth-first depth equals the length of the representative.  The walk
+recognises a coset by its inversion mask, an int (N(w) determines w), and
+composes s_i w only for a coset it has not seen.  A coset is its
+WeylElement: the table keeps the elements as one tuple, the minimal
 and maximal elements of the fibers as two frozensets of them, and the
 fibers as positions in the tuple keyed by level-1 inversion mask.  With
 every node marked W(0) is trivial, so the same walk enumerates W itself.
@@ -294,22 +296,31 @@ class CosetTable:
     elements() is the tuple of representatives, each built with its word and
     inversion mask; `minimal` and `maximal` hold those whose w^(-1)(alpha_j)
     all have level >= -1, resp. <= 1, over the simple roots alpha_j; by_tau
-    maps a level-1 inversion mask to the positions of its fiber.  A table
+    maps a level-1 inversion mask to the positions of its fiber.  The walk
+    recognises a coset by its inversion mask (N(w) determines w), so it
+    composes s_i w and w^(-1) s_i only for a coset it has not seen.  A table
     over the budget is refused before the walk starts."""
 
     def __init__(self, grading: Grading):
         rs = grading.rs
         count = km_order(rs) / levi_order(grading)
         check_budget(int(count), f"cosets of {grading.spec_string()}")
-        npos = len(rs.positive_roots)
         simple_positions = rs.simple_indices
         refl = rs.reflection_table
         ident = _identity_perm(rs)
+        levels = grading.levels
+        # the level of every root index (root k + N is -root k), and whether
+        # s_i grows w when w^(-1)(alpha_i) is that root: iff it is a positive
+        # root of positive level; at level 0 s_i w is in the same coset, and
+        # a negative one is a descent
+        signed = levels + tuple(-lv for lv in levels)
+        grows = tuple(lv > 0 for lv in levels) + (False,) * len(levels)
+        delta1 = grading.delta1_mask
         elements: list[WeylElement] = []
         minimal: list[WeylElement] = []
         maximal: list[WeylElement] = []
         self.by_tau: dict[int, list[int]] = {}
-        seen = {ident}
+        seen = {0}  # inversion masks
         # (permutation of w, permutation of w^(-1), word, inversion mask)
         queue: deque[tuple[Perm, Perm, tuple[int, ...], int]] = deque(
             [(ident, ident, (), 0)]
@@ -317,31 +328,29 @@ class CosetTable:
         while queue:
             perm, inv, word, inv_mask = queue.popleft()
             w = WeylElement(rs, perm, word=word, inv_mask=inv_mask)
-            # w^(-1)(alpha_j) for each simple root alpha_j
+            # w^(-1)(alpha_j) for each simple root alpha_j, and its level
             preimages = [inv[k] for k in simple_positions]
-            levels = [_signed_level(grading, k) for k in preimages]
-            if all(lv >= -1 for lv in levels):
+            preimage_levels = [signed[k] for k in preimages]
+            if min(preimage_levels) >= -1:
                 minimal.append(w)
-            if all(lv <= 1 for lv in levels):
+            if max(preimage_levels) <= 1:
                 maximal.append(w)
-            self.by_tau.setdefault(inv_mask & grading.delta1_mask, []).append(len(elements))
+            self.by_tau.setdefault(inv_mask & delta1, []).append(len(elements))
             elements.append(w)
             for i, gained in enumerate(preimages):
-                # s_i w is a longer representative iff w^(-1)(alpha_i) is a
-                # positive root of positive level; at level 0 it is in the
-                # same coset, and a negative one is a descent
-                if gained >= npos or grading.levels[gained] == 0:
+                if not grows[gained]:
                     continue
-                new = _compose(refl[i], perm)
-                if new in seen:
+                # N(s_i w) = N(w) + {w^(-1)(alpha_i)}
+                new_mask = inv_mask | 1 << gained
+                if new_mask in seen:
                     continue
-                seen.add(new)
+                seen.add(new_mask)
                 queue.append(
                     (
-                        new,
+                        _compose(refl[i], perm),
                         _compose(inv, refl[i]),
                         (i,) + word,
-                        inv_mask | 1 << gained,
+                        new_mask,
                     )
                 )
         if len(elements) != count:

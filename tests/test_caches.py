@@ -13,7 +13,7 @@ import pytest
 from gradus import arrangement, checks, ideals
 from gradus.arrangement import Arrangement, char_poly, coxeter_arrangement
 from gradus.cli import main
-from gradus.grading import grade, parse_grading_spec
+from gradus.grading import extra_special, grade, parse_grading_spec
 from gradus.ideals import dual_ideal, iter_lower_ideals, weight_poset
 from gradus.rootsys import RootSystem, build, parse_cartan_type
 from gradus.weyl import enumerate_W0, involution, longest_element
@@ -114,6 +114,37 @@ def test_a_sweep_pass_walks_each_poset_once(walks):
     posets = {id(weight_poset(g, 1).down_masks) for _, gs in targets for g in gs}
     assert len(posets) == 116
     assert sum(id(w) in posets for w in walks) == 116
+
+
+def test_a_sweep_pass_counts_a_whole_component_from_its_walk(walks):
+    # the component-product row walks the sub-poset of each level-1
+    # component, except a component that is the whole poset
+    targets = checks.targets_for(checks.default_types(4))
+    checks.run(targets, [name for name in checks.SUITES if name != "charpoly"])
+    posets = {id(weight_poset(g, 1).down_masks) for _, gs in targets for g in gs}
+    assert sum(id(w) not in posets for w in walks) == 184
+
+
+def test_extra_special_marks_are_computed_once_per_root_system(monkeypatch):
+    # A root system that build() has not memoised keys nothing cached yet.
+    rs = RootSystem(parse_cartan_type("B3"))
+    calls = []
+    real = RootSystem.pairing
+
+    def counting(self, mu, gamma):
+        calls.append(gamma)
+        return real(self, mu, gamma)
+
+    monkeypatch.setattr(RootSystem, "pairing", counting)
+    first = extra_special(rs)
+    assert first.marks == (0, 1, 0) and len(calls) == rs.rank
+    calls.clear()
+    again = extra_special(rs)
+    assert again is not first and again.marks == first.marks and calls == []
+    ref = weakref.ref(first)
+    del first, again
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("argv", [

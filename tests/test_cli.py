@@ -5,13 +5,16 @@ import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradus import checks, rootsys, weyl
 from gradus import ideals as ideals_mod
 from gradus.arrangement import char_poly_points, ideal_count_formula
-from gradus.cli import UsageError, main, parse_root, parse_root_list
+from gradus.cli import UsageError, _json_text, main, parse_root, parse_root_list
 from gradus.grading import Grading
 from gradus.rootsys import BUDGET, build
 
@@ -426,3 +429,62 @@ def test_python_dash_m_gradus_runs_the_cli():
     by_module = subprocess.run([sys.executable, "-m", "gradus.cli", *argv], capture_output=True)
     assert by_package.returncode == by_module.returncode == 0
     assert by_package.stdout == by_module.stdout != b""
+
+
+_TRICKY = st.sampled_from(['"', "\\", 'a"b\\c', "\n", "\u00e9t\u00e9", "\U0001d400", ""])
+_SCALARS = (
+    st.integers(-10**30, 10**30) | st.booleans() | st.none()
+    | st.floats(allow_nan=False) | st.text() | _TRICKY
+)
+_KEYS = st.text() | _TRICKY
+_JSON_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(-5, 5), max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+def _nested(depth, leaf):
+    """leaf under `depth` levels of alternating dicts and lists, each with
+    an int list and an empty container beside it."""
+    for k in range(depth):
+        leaf = [leaf, k, {}] if k % 2 else {"level": leaf, "n": [k, -k], "e": []}
+    return leaf
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_json_writer_matches_the_stdlib(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=1)
+    assert _json_text(_nested(5, obj)) == json.dumps(_nested(5, obj), indent=1)
+
+
+@pytest.mark.parametrize("obj", [
+    _nested(7, [1, True, None, 2.5, 'q"uote\\back\u00e9']),
+    _nested(6, [[1, 2], [True, False], [0, -1, 3], []]),
+    {"ints": [1, -2, 3], "bools": [True, False], "mixed": [1, True], "tuple": (4, 5)},
+    {"float": float("inf"), "nan": float("nan"), 1: "int key", None: [True]},
+])
+def test_json_writer_matches_the_stdlib_on_fixed_trees(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=1)
+
+
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_pool_queries_give_the_reference_bytes():
+    # Every distinct query of the session benchmark, through cli.main with
+    # stdout captured: the exit code and the SHA-256 of stdout recorded in
+    # bench/reference.json.
+    pool = json.loads((_BENCH / "pool.json").read_text())
+    expected = json.loads((_BENCH / "reference.json").read_text())["session"]
+    assert len(pool) == len(expected) == 306
+    for argv in pool:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(argv)
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert f"exit {code} sha256 {digest}" == expected[" ".join(argv)], argv

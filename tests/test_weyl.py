@@ -1,6 +1,7 @@
 import gc
 import weakref
 from collections import deque
+from itertools import product
 
 import pytest
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradus import weyl
 from gradus.checks import default_types, sweep_gradings
-from gradus.grading import parse_grading_spec
+from gradus.grading import grade, parse_grading_spec
 from gradus.ideals import iter_lower_ideals, lower_ideal_from_roots, weight_poset
 from gradus.polys import divexact, mul, trimmed
 from gradus.rootsys import Root, build
@@ -307,6 +308,86 @@ def test_coset_table_extra_special_case():
     ]
     assert len(W0_min(g)) == 3
     assert len(W0_max(g)) == 3
+
+
+def _coset_columns_by_perm(g):
+    """The coset walk as it was before a coset was recognised by its
+    inversion mask: `seen` keyed by the permutation, each s_i w composed
+    before that test, levels read root by root; kept as the oracle for
+    CosetTable.  Returns the columns (perms, words, masks, minimal flags,
+    maximal flags, by_tau) in breadth-first order."""
+    rs = g.rs
+    npos = len(rs.positive_roots)
+    refl = rs.reflection_table
+    ident = tuple(range(2 * npos))
+
+    def signed_level(k):
+        return g.levels[k] if k < npos else -g.levels[k - npos]
+
+    rows = []
+    by_tau = {}
+    seen = {ident}
+    queue = deque([(ident, ident, (), 0)])
+    while queue:
+        perm, inv, word, inv_mask = queue.popleft()
+        preimages = [inv[k] for k in rs.simple_indices]
+        levels = [signed_level(k) for k in preimages]
+        by_tau.setdefault(inv_mask & g.delta1_mask, []).append(len(rows))
+        rows.append((perm, word, inv_mask,
+                     all(lv >= -1 for lv in levels), all(lv <= 1 for lv in levels)))
+        for i, gained in enumerate(preimages):
+            if gained >= npos or g.levels[gained] == 0:
+                continue
+            new = _compose(refl[i], perm)
+            if new in seen:
+                continue
+            seen.add(new)
+            queue.append((new, _compose(inv, refl[i]), (i,) + word, inv_mask | 1 << gained))
+    return [list(col) for col in zip(*rows)] + [by_tau]
+
+
+def _coset_columns(table):
+    elements = table.elements()
+    return [
+        [w.perm for w in elements],
+        [w.word for w in elements],
+        [w.inversion_mask for w in elements],
+        [w in table.minimal for w in elements],
+        [w in table.maximal for w in elements],
+        table.by_tau,
+    ]
+
+
+def _assert_coset_walk_matches_the_oracle(g):
+    table = weyl.CosetTable(g)
+    got, want = _coset_columns(table), _coset_columns_by_perm(g)
+    for name, a, b in zip(("perms", "words", "masks", "minimal", "maximal", "by_tau"),
+                          got, want):
+        assert a == b, (g, name)
+    assert table.minimal == {w for w, m in zip(table.elements(), want[3]) if m}
+    assert table.maximal == {w for w, m in zip(table.elements(), want[4]) if m}
+    return len(table)
+
+
+def test_coset_walk_matches_the_permutation_keyed_walk_on_the_sweep():
+    cosets = sum(
+        _assert_coset_walk_matches_the_oracle(g)
+        for name in default_types(4) for g in sweep_gradings(build(name))
+    )
+    assert cosets == 10394
+
+
+@pytest.mark.parametrize("name", default_types(3))
+def test_coset_walk_matches_the_permutation_keyed_walk_off_standard(name):
+    rs = build(name)
+    for marks in product(range(3), repeat=rs.rank):
+        if 2 in marks and (g := grade(rs, marks)).level_mask(1):
+            _assert_coset_walk_matches_the_oracle(g)
+
+
+@pytest.mark.slow
+def test_coset_walk_matches_the_permutation_keyed_walk_on_all_marked_e6():
+    assert _assert_coset_walk_matches_the_oracle(parse_grading_spec("E6:1,1,1,1,1,1")) == 51840
 
 
 def test_coset_table_rank3_words_pinned():
