@@ -5,9 +5,12 @@ Delta(1), the full Coxeter arrangement Delta+, and the arrangements that
 drop an upper ideal of the root poset.  Regions inside the dominant cone of
 the level-0 subsystem are read off from the level-1 signs of the minimal
 coset representatives and are in bijection with the lower ideals of the
-weight poset.  geometric_signs is a second route to those signs: it reads
-an interior point of each chamber off the permutation of w and takes the
-signs of a whole batch from one integer product, without an inversion set.
+weight poset.  The walls that separate a chamber w^(-1)(C) from the
+dominant chamber C are exactly the inversion set of w, so the arrangement
+side's answer is a positive-root mask too: geometric_inversions reads an
+interior point of each chamber off the permutation of w and takes the walls
+of a whole batch from one integer product, without an inversion set.
+numpy is used for that product and for the point counts, nowhere else.
 
 Characteristic polynomials are computed by exact point counts over the
 prime fields F_q with q above the Coxeter number h.  By Kamiya-Takemura-Terao
@@ -25,9 +28,9 @@ fibred over the last coordinate, for about q^(n-2) steps per normal.
 An arrangement is the pair (rs, mask): its normals are the positive roots
 whose bits are set, read off by RootSystem.roots_of, so equal sets of
 normals are equal arrangements and every constructor is a mask expression.
-The root poset, the signed heights and the characteristic polynomials depend
-only on the root system (memoised by build) and the mask, so each is a
-functools.cache and is computed once per process.
+The root poset and the characteristic polynomials depend only on the root
+system (memoised by build) and the mask, so each is a functools.cache and
+is computed once per process; heights are read from RootSystem.heights.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -129,49 +132,30 @@ def regions_in_dominant_chamber(g: Grading) -> list[Region]:
     ]
 
 
-@cache
-def _signed_heights(rs: RootSystem) -> tuple[int, ...]:
-    """Height of each root of rs.roots(), indexed as permutations index it."""
-    return tuple(r.height for r in rs.roots())
+def geometric_inversions(rs: RootSystem, elements: Sequence[weyl_mod.WeylElement]) -> list[int]:
+    """The walls that separate each chamber w^(-1)(dominant) from the
+    dominant one, as a positive-root mask per element: the gamma > 0 with
+    <p, gamma> < 0 at an interior point p, the inverse image of the sum of
+    fundamental coweights.
 
-
-def geometric_signs(
-    g: Grading,
-    elements: Sequence[weyl_mod.WeylElement],
-    normals: Optional[Sequence[Root]] = None,
-) -> np.ndarray:
-    """Signs of each chamber w^(-1)(dominant) against each hyperplane, from
-    an interior point: the inverse image of the sum of fundamental coweights.
-    Row r holds the signs of elements[r], column c those against normals[c].
-
-    In coweight coordinates that point has coordinates ht(w(alpha_j)), read
-    off the permutation of w at the simple roots, so every sign of the batch
-    comes from one integer product, points x normals^T; it is exact in int64,
-    each entry being at most rank * h * 6 in size.  It never reads an
-    inversion set, so it is a second route to the signs that inversion masks
-    give.
+    In coweight coordinates p has coordinates ht(w(alpha_j)), read off the
+    permutation of w at the simple roots, so the pairings of the batch with
+    every positive root are one integer product, points x roots^T; it is
+    exact in int64, each entry being at most rank * h * 6 in size.  It never
+    reads an inversion set, so it is a second route to the masks that
+    inversion sets give.
     """
-    if normals is None:
-        normals = sub_arrangement_01(g).normals
-    rs = g.rs
-    heights = _signed_heights(rs)
+    heights = rs.heights
     points = np.array(
         [[heights[w.perm[k]] for k in rs.simple_indices] for w in elements],
         dtype=np.int64,
     ).reshape(len(elements), rs.rank)
-    coords = np.array([gamma.coords for gamma in normals], dtype=np.int64)
-    values = points @ coords.reshape(len(normals), rs.rank).T
+    values = points @ np.array([r.coords for r in rs.positive_roots], dtype=np.int64).T
     if not values.all():
         _, c = np.argwhere(values == 0)[0]
-        raise ValueError(f"chamber point lies on the hyperplane of {normals[c]}")
-    return np.sign(values)
-
-
-def geometric_sign_oracle(
-    g: Grading, w: weyl_mod.WeylElement, normals: Optional[Sequence[Root]] = None
-) -> tuple[int, ...]:
-    """The signs of geometric_signs for the single element w."""
-    return tuple(int(s) for s in geometric_signs(g, [w], normals)[0])
+        raise ValueError(f"chamber point lies on the hyperplane of {rs.positive_roots[c]}")
+    rows = np.packbits(values < 0, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 # -- characteristic polynomials by finite-field point counts ------------
@@ -263,14 +247,15 @@ def zaslavsky_regions(chi: Sequence[int]) -> int:
 # -- height partitions and the exponents ---------------------------------
 
 
-def height_partition(roots: Iterable[Root]) -> tuple[int, ...]:
-    """Occurrences of each height 1, 2, ..., trailing zeros trimmed."""
-    counts: dict[int, int] = {}
-    for r in roots:
-        counts[r.height] = counts.get(r.height, 0) + 1
-    if not counts:
-        return ()
-    return tuple(counts.get(i, 0) for i in range(1, max(counts) + 1))
+def height_partition(rs: RootSystem, mask: int) -> tuple[int, ...]:
+    """Occurrences of each height 1, 2, ... among the positive roots of a
+    mask, trailing zeros trimmed."""
+    counts = [0] * (rs.coxeter_number - 1)
+    for k in rs.indices_of(mask):
+        counts[rs.heights[k] - 1] += 1
+    while counts and not counts[-1]:
+        counts.pop()
+    return tuple(counts)
 
 
 def conjectural_exponents(g: Grading) -> tuple[int, ...]:
@@ -278,21 +263,21 @@ def conjectural_exponents(g: Grading) -> tuple[int, ...]:
     zeros to the rank, ascending.  These normals are an ideal subarrangement,
     so by the theorem of Abe-Barakat-Cuntz-Hoge-Terao (ABCHT) they are its
     exponents; a zero for each dimension the normals do not span."""
-    dual = dual_partition(height_partition(sub_arrangement_01(g).normals))
+    dual = dual_partition(height_partition(g.rs, sub_arrangement_01(g).mask))
     return (0,) * (g.rs.rank - len(dual)) + tuple(sorted(dual))
 
 
 def ideal_count_formula(g: Grading) -> Fraction:
     """Product over Delta(1) of (height+1)/height; equals the number of
     lower ideals in every type, a theorem (ABCHT)."""
-    return weyl_mod.km_order(g.rs, g.slice(1))
+    return weyl_mod.km_order(g.rs, g.delta1_mask)
 
 
 def arrangement_report(g: Grading) -> dict:
     """Summary of the level-(0,1) arrangement of a grading, with the
     characteristic polynomial when its point counts are within the budget."""
     arr = sub_arrangement_01(g)
-    partition = height_partition(arr.normals)
+    partition = height_partition(g.rs, arr.mask)
     dual = dual_partition(partition)
     regions = regions_in_dominant_chamber(g)
     p = ideals_mod.weight_poset(g, 1)
@@ -333,10 +318,9 @@ def upper_ideal_partition_check(rs: RootSystem) -> dict:
     full = (1 << len(rs.positive_roots)) - 1
     for upper in upper_ideals_of_root_poset(rs):
         total += 1
-        rest = rs.roots_of(full & ~upper)
-        lam = height_partition(rest)
+        lam = height_partition(rs, full & ~upper)
         ok = all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-        if rest:
+        if lam:
             ok = ok and (len(lam) == 1 or lam[0] > lam[1])
         if not ok:
             violations.append(lam)

@@ -55,6 +55,12 @@ class Grading:
         return pos + neg if i == 0 else neg
 
     @cached_property
+    def signed_levels(self) -> tuple[int, ...]:
+        """Level of each root of rs.roots(), by index: root k + N, the
+        negative of positive root k, has level -levels[k]."""
+        return self.levels + tuple(-lv for lv in self.levels)
+
+    @cached_property
     def _level_masks(self) -> dict[int, int]:
         # keyed by the levels that occur: marks, and so levels, are unbounded
         masks: dict[int, int] = {}
@@ -133,9 +139,10 @@ class Grading:
     def spec_string(self) -> str:
         return f"{self.rs.cartan_type}:{','.join(str(m) for m in self.marks)}"
 
-    def simple_components(self) -> dict[int, list[tuple[Root, ...]]]:
+    def simple_components(self) -> dict[int, list[int]]:
         """Connected components of each positive slice Delta(i), i >= 1,
-        linked by covers gamma -> gamma + alpha with alpha of level 0.
+        linked by covers gamma -> gamma + alpha with alpha of level 0, as
+        positive-root masks ordered by their lowest root.
 
         Requires a standard grading; the Delta(1) components are then the
         weights of the simple modules for the level-0 subalgebra, and their
@@ -145,7 +152,7 @@ class Grading:
             raise ValueError("simple components are defined for standard gradings")
         rs = self.rs
         level0_simples = [rs.simple_indices[j] for j in self.pi0]
-        out: dict[int, list[tuple[Root, ...]]] = {}
+        out: dict[int, list[int]] = {}
         for i in range(1, self.max_level + 1):
             members = rs.indices_of(self.level_mask(i))
             parent = {k: k for k in members}
@@ -163,13 +170,12 @@ class Grading:
                     other = rs.sums[j].get(k)
                     if other is not None:
                         parent[find(k)] = find(other)
-            groups: dict[int, list[int]] = {}
+            # members ascend, so each group enters at its lowest root
+            groups: dict[int, int] = {}
             for k in members:
-                groups.setdefault(find(k), []).append(k)
-            out[i] = [
-                tuple(rs.positive_roots[k] for k in sorted(g))
-                for g in sorted(groups.values(), key=min)
-            ]
+                top = find(k)
+                groups[top] = groups.get(top, 0) | 1 << k
+            out[i] = list(groups.values())
         return out
 
     def __repr__(self) -> str:

@@ -19,8 +19,9 @@ Conventions used throughout the package:
   as such a mask; roots_of is the one conversion from a mask to roots.
 - A root is also an index into roots(): positive root k keeps k, and its
   negative is k + N.  `index` maps the coordinates of every root to its
-  index, and `sums` is the one table of root sums, so closures, convexity
-  and the three-root lemma are lookups, not coordinate arithmetic.
+  index, `heights` is the one table of heights, and `sums` is the one table
+  of root sums, so closures, convexity and the three-root lemma are
+  lookups, not coordinate arithmetic.
 
 Everything is integer or Fraction arithmetic; no floating point.
 """
@@ -318,11 +319,16 @@ class RootSystem:
     # -- derived data ---------------------------------------------------
 
     @cached_property
+    def heights(self) -> tuple[int, ...]:
+        """Height of each root of roots(), by index: -ht(root k) at k + N."""
+        return tuple(r.height for r in self._roots)
+
+    @cached_property
     def height_counts(self) -> tuple[int, ...]:
         """Number of positive roots of each height 1..h-1."""
         counts = [0] * (self.coxeter_number - 1)
-        for r in self.positive_roots:
-            counts[r.height - 1] += 1
+        for h in self.heights[: len(self.positive_roots)]:
+            counts[h - 1] += 1
         return tuple(counts)
 
     @cached_property

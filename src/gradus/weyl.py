@@ -260,30 +260,31 @@ def poincare(lengths: Iterable[int]) -> Poly:
     return from_exponent_counts(lengths)
 
 
-def km_poly(rs: RootSystem, roots: Optional[Iterable[Root]] = None) -> Poly:
-    """Product over roots of (1-t^(h+1))/(1-t^h), h the height; for the full
-    positive system this is the Poincare polynomial of W."""
+def km_poly(rs: RootSystem) -> Poly:
+    """Product over the positive roots of (1-t^(h+1))/(1-t^h), h the height:
+    the Poincare polynomial of W."""
     num: Poly = (1,)
     den: Poly = (1,)
-    for r in rs.positive_roots if roots is None else roots:
-        h = r.height
+    for h in rs.heights[: len(rs.positive_roots)]:
         num = mul(num, (1,) + (0,) * h + (-1,))
         den = mul(den, (1,) + (0,) * (h - 1) + (-1,))
     return divexact(num, den)
 
 
-def km_order(rs: RootSystem, roots: Optional[Iterable[Root]] = None) -> Fraction:
-    """Product over roots of (h+1)/h; equals the group order for Delta+."""
+def km_order(rs: RootSystem, mask: Optional[int] = None) -> Fraction:
+    """Product over the positive roots of a mask (all of them when None) of
+    (h+1)/h, h the height; equals the group order for Delta+."""
+    heights = rs.heights
     num = den = 1
-    for r in rs.positive_roots if roots is None else roots:
-        num *= r.height + 1
-        den *= r.height
+    for k in range(len(rs.positive_roots)) if mask is None else rs.indices_of(mask):
+        num *= heights[k] + 1
+        den *= heights[k]
     return Fraction(num, den)
 
 
 def levi_order(g: Grading) -> Fraction:
     """|W(0)|, the height product over the positive level-0 roots."""
-    return km_order(g.rs, g.rs.roots_of(g.delta0_mask))
+    return km_order(g.rs, g.delta0_mask)
 
 
 # -- minimal coset representatives --------------------------------------
@@ -308,13 +309,9 @@ class CosetTable:
         simple_positions = rs.simple_indices
         refl = rs.reflection_table
         ident = _identity_perm(rs)
-        levels = grading.levels
-        # the level of every root index (root k + N is -root k), and whether
-        # s_i grows w when w^(-1)(alpha_i) is that root: iff it is a positive
-        # root of positive level; at level 0 s_i w is in the same coset, and
-        # a negative one is a descent
-        signed = levels + tuple(-lv for lv in levels)
-        grows = tuple(lv > 0 for lv in levels) + (False,) * len(levels)
+        # s_i grows w iff w^(-1)(alpha_i) has positive level: at level 0
+        # s_i w is in the same coset, and a negative root is a descent
+        signed = grading.signed_levels
         delta1 = grading.delta1_mask
         elements: list[WeylElement] = []
         minimal: list[WeylElement] = []
@@ -338,7 +335,7 @@ class CosetTable:
             self.by_tau.setdefault(inv_mask & delta1, []).append(len(elements))
             elements.append(w)
             for i, gained in enumerate(preimages):
-                if not grows[gained]:
+                if signed[gained] <= 0:
                     continue
                 # N(s_i w) = N(w) + {w^(-1)(alpha_i)}
                 new_mask = inv_mask | 1 << gained
@@ -365,12 +362,6 @@ class CosetTable:
 
     def elements(self) -> tuple[WeylElement, ...]:
         return self._elements
-
-
-def _signed_level(g: Grading, k: int) -> int:
-    """Level of the root with index k in rs.roots()."""
-    npos = len(g.levels)
-    return g.levels[k] if k < npos else -g.levels[k - npos]
 
 
 def enumerate_W0(g: Grading) -> CosetTable:
@@ -504,5 +495,5 @@ def eta(g: Grading, w: WeylElement) -> tuple[int, ...]:
     if not (g.is_standard and g.k_standard == 1):
         raise ValueError("eta is defined for gradings with a single level-1 simple root")
     _require_W0(g, w)
-    inv = w.inverse().perm
-    return tuple(_signed_level(g, inv[k]) for k in g.rs.simple_indices)
+    inv, signed = w.inverse().perm, g.signed_levels
+    return tuple(signed[inv[k]] for k in g.rs.simple_indices)

@@ -16,8 +16,7 @@ from gradus.arrangement import (
     conjectural_exponents,
     coxeter_arrangement,
     deleted_arrangement,
-    geometric_sign_oracle,
-    geometric_signs,
+    geometric_inversions,
     good_primes,
     height_partition,
     ideal_arrangement,
@@ -274,40 +273,49 @@ def _matrix_sign_oracle(g, w, normals=None):
     return tuple(signs)
 
 
+def _walls_by_matrix(g, w):
+    """The positive roots on which _matrix_sign_oracle is negative, as a
+    positive-root mask."""
+    rs = g.rs
+    signs = _matrix_sign_oracle(g, w, rs.positive_roots)
+    return sum(1 << k for k, s in enumerate(signs) if s < 0)
+
+
 @pytest.mark.parametrize("name", default_types(4))
 def test_batched_signs_match_the_matrix_route(name):
     rs = build(name)
     gradings = sweep_gradings(rs)
     elements = weyl_elements(rs)
-    signs = geometric_signs(gradings[0], elements, rs.positive_roots)
-    assert signs.shape == (len(elements), len(rs.positive_roots))
-    for w, row in zip(elements, signs.tolist()):
-        assert tuple(row) == _matrix_sign_oracle(gradings[0], w, rs.positive_roots)
+    walls = geometric_inversions(rs, elements)
+    assert len(walls) == len(elements)
+    for w, mask in zip(elements, walls):
+        assert mask == _walls_by_matrix(gradings[0], w)
     for g in gradings:
         cosets = enumerate_W0(g).elements()
-        signs = geometric_signs(g, cosets)
-        assert signs.shape == (len(cosets), len(sub_arrangement_01(g).normals))
-        for w, row in zip(cosets, signs.tolist()):
-            assert tuple(row) == _matrix_sign_oracle(g, w)
-            assert geometric_sign_oracle(g, w) == tuple(row)
+        walls = geometric_inversions(rs, cosets)
+        assert len(walls) == len(cosets)
+        for w, mask in zip(cosets, walls):
+            assert mask == _walls_by_matrix(g, w)
+            assert geometric_inversions(rs, [w]) == [mask]
 
 
 def test_chamber_point_on_a_wall_raises():
     g = parse_grading_spec("A2:1,0")
-    ident = WeylElement.identity(g.rs)
+    rs = g.rs
+    ident = WeylElement.identity(rs)
+    # Sending alpha_2 to -alpha_1 is no Weyl element: its chamber point
+    # (ht a1, ht -a1) = (1, -1) lies on the plane of a1 + a2.
+    malformed = WeylElement(rs, (0, 3) + ident.perm[2:])
+    with pytest.raises(ValueError, match="hyperplane of a1\\+a2"):
+        geometric_inversions(rs, [ident, malformed])
     # The identity's chamber point (1, 1) lies on the plane of a1 - a2.
-    with pytest.raises(ValueError, match="hyperplane of a1-a2"):
-        geometric_signs(g, [ident], [g.rs.positive_roots[0], Root((1, -1))])
-    with pytest.raises(ValueError, match="hyperplane of a1-a2"):
-        geometric_sign_oracle(g, ident, [Root((1, -1))])
     with pytest.raises(ValueError, match="hyperplane of a1-a2"):
         _matrix_sign_oracle(g, ident, [Root((1, -1))])
 
 
-def test_signs_of_no_elements_or_no_normals():
+def test_walls_of_no_elements():
     g = parse_grading_spec("B2:0,1")
-    assert geometric_signs(g, [], g.rs.positive_roots).shape == (0, 4)
-    assert geometric_signs(g, weyl_elements(g.rs), []).shape == (8, 0)
+    assert geometric_inversions(g.rs, []) == []
 
 
 @pytest.mark.slow
@@ -317,13 +325,11 @@ def test_e6_signs_and_fiber_extremes():
     # each fiber.
     rs = build("E6")
     for g in sweep_gradings(rs):
-        normals = sub_arrangement_01(g).normals
-        columns = [rs.index[gamma.coords] for gamma in normals]
+        level01 = sub_arrangement_01(g).mask
         table = enumerate_W0(g)
-        signs = geometric_signs(g, table.elements(), normals)
-        for w, row in zip(table.elements(), signs.tolist()):
-            mask = w.inversion_mask
-            assert [s < 0 for s in row] == [bool(mask >> k & 1) for k in columns]
+        walls = geometric_inversions(rs, table.elements())
+        for w, mask in zip(table.elements(), walls):
+            assert mask & level01 == w.inversion_mask & level01
         for ideal in iter_lower_ideals(weight_poset(g, 1)):
             fib = fiber(g, ideal)
             assert w_min(g, ideal) == fib[0] and w_max(g, ideal) == fib[-1]
@@ -342,12 +348,11 @@ def test_e6_coxeter_and_deleted_char_poly(monkeypatch):
         char_poly.cache_clear()  # at the default budget E6 must raise again
 
 
-def test_geometric_sign_oracle_matches_inversions():
+def test_geometric_inversions_match_inversions():
     g = parse_grading_spec("B2:0,1")
     rs = g.rs
-    for w in weyl_elements(rs):
-        signs = geometric_sign_oracle(g, w, normals=rs.positive_roots)
-        neg = {r for r, s in zip(rs.positive_roots, signs) if s < 0}
+    for w, mask in zip(weyl_elements(rs), geometric_inversions(rs, weyl_elements(rs))):
+        neg = set(rs.roots_of(mask))
         assert neg == {r for r in rs.positive_roots
                        if not w.apply(r).is_positive}
 
@@ -355,7 +360,8 @@ def test_geometric_sign_oracle_matches_inversions():
 def test_height_partition_and_exponents():
     g = parse_grading_spec("G2:es")
     walls = [r for r in g.rs.positive_roots if g.level(r) in (0, 1)]
-    assert height_partition(walls) == (2, 1, 1, 1)
+    assert height_partition(g.rs, g.delta0_mask | g.delta1_mask) == (2, 1, 1, 1)
+    assert height_partition(g.rs, 0) == ()
     assert conjectural_exponents(g) == (1, 4)
     assert sum(conjectural_exponents(g)) == len(walls)
 
@@ -424,8 +430,8 @@ def test_arrangement_report_shape():
 def test_zaslavsky_for_sub_arrangement():
     g = parse_grading_spec("B3:0,1,0")
     chi = char_poly(sub_arrangement_01(g))
-    levi_order = km_order(g.rs, [r for r in g.rs.positive_roots
-                                 if g.level(r) == 0])
+    levi_order = km_order(g.rs, sum(1 << k for k, r in enumerate(g.rs.positive_roots)
+                                    if g.level(r) == 0))
     regions = zaslavsky_regions(chi)
     assert Fraction(regions) == levi_order * count_lower_ideals(weight_poset(g))
 

@@ -120,6 +120,18 @@ def test_one_walk_of_w_serves_every_suite(monkeypatch):
     assert weyl.weyl_elements(rs) is weyl.weyl_elements(rs)
 
 
+def test_levi_order_row_fails_on_a_wrong_height_product(monkeypatch):
+    # The row counts W0 in W itself, so a wrong levi_order reaches its
+    # verdict instead of the coset table's order check.
+    rs = RootSystem(build("B3").cartan_type)  # a private instance, nothing cached
+    weyl.weyl_elements(rs)  # walked with the true levi_order
+    real = weyl.levi_order
+    monkeypatch.setattr(weyl, "levi_order", lambda g: real(g) + 1)
+    g = grade(rs, (1, 0, 0))
+    (row,) = [r for r in checks.SUITES["km"](rs, [g]) if r.name == "levi-order-product"]
+    assert row.status == "fail" and row.detail == "#W/#W0 = 8, height product 9"
+
+
 def _default_types_by_hand(max_rank):
     """The list of types default_types wrote out by hand before it read the
     Cartan-type rules of rootsys."""
@@ -250,14 +262,14 @@ def test_witness_sweep_reports_a_tie_not_resolved_to_nu1(monkeypatch):
 
 
 def test_sign_rows_fail_on_a_flipped_sign(monkeypatch):
-    real = arrangement.geometric_signs
+    real = arrangement.geometric_inversions
 
-    def flipped(g, elements, normals=None):
-        signs = real(g, elements, normals).copy()
-        signs[-1, -1] *= -1
-        return signs
+    def flipped(rs, elements):
+        walls = real(rs, elements)
+        walls[-1] ^= (1 << len(rs.positive_roots)) - 1  # every wall of the last chamber
+        return walls
 
-    monkeypatch.setattr(arrangement, "geometric_signs", flipped)
+    monkeypatch.setattr(arrangement, "geometric_inversions", flipped)
     rs = build("B2")
     gradings = sweep_gradings(rs)
     rows = list(checks.SUITES["signs"](rs, gradings))

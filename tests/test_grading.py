@@ -127,7 +127,7 @@ def test_positive_slice_sizes():
 
 def test_simple_components_split_and_minima():
     g = parse_grading_spec("A3:1,0,1")
-    comps = g.simple_components()[1]
+    comps = [g.rs.roots_of(c) for c in g.simple_components()[1]]
     assert len(comps) == 2
     shapes = sorted(tuple(sorted(r.coords for r in c)) for c in comps)
     assert shapes == [
@@ -142,8 +142,8 @@ def test_simple_components_split_and_minima():
 def test_simple_components_connected_case():
     g = parse_grading_spec("B3:0,1,0")
     comps = g.simple_components()
-    assert len(comps[1]) == 1 and len(comps[1][0]) == 6
-    assert len(comps[2]) == 1 and comps[2][0] == (g.rs.theta,)
+    assert comps[1] == [g.delta1_mask] and comps[1][0].bit_count() == 6
+    assert comps[2] == [1 << g.rs.index[g.rs.theta.coords]]
 
 
 def test_level_masks_cover_positives():
@@ -180,7 +180,8 @@ def test_a_huge_mark_costs_nothing_per_level():
 
 def _components_by_coordinates(g):
     """Simple components rebuilt from coordinate tuples: each (member, level-0
-    simple) pair is summed coordinatewise and looked up in the root index."""
+    simple) pair is summed coordinatewise and looked up in the root index.
+    Each component is a positive-root mask, in order of its lowest root."""
     rs = g.rs
     out = {}
     for i in range(1, g.max_level + 1):
@@ -206,10 +207,7 @@ def _components_by_coordinates(g):
         groups = {}
         for k in members:
             groups.setdefault(find(k), []).append(k)
-        out[i] = [
-            tuple(rs.positive_roots[k] for k in sorted(grp))
-            for grp in sorted(groups.values(), key=min)
-        ]
+        out[i] = [sum(1 << k for k in grp) for grp in sorted(groups.values(), key=min)]
     return out
 
 

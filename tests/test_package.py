@@ -1,0 +1,41 @@
+"""The package surface: what `gradus` exports and what README shows of it."""
+
+import re
+import types
+from pathlib import Path
+
+import gradus
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {name for name, value in vars(gradus).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(gradus.__all__) == sorted(public)
+    assert len(set(gradus.__all__)) == len(gradus.__all__)
+
+
+def _library_sketch():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library sketch", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_sketch_runs_and_its_figures_hold():
+    # Each commented figure is the first number of the comment: the value of
+    # the line's expression (or of the name it assigns), or its length.
+    namespace = {}
+    checked = []
+    for line in _library_sketch().splitlines():
+        code, _, comment = line.partition("#")
+        exec(code, namespace)
+        figure = re.search(r"\b\d+\b", comment)
+        if figure is None:
+            continue
+        target, sep, expr = code.partition("=")
+        got = namespace[target.strip()] if sep and "(" not in target else eval(code, namespace)
+        got = got if isinstance(got, int) else len(got)
+        assert got == int(figure.group()), line
+        checked.append(got)
+    assert checked == [20, 20, 24, 20]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from gradus.arrangement import geometric_sign_oracle, ideal_count_formula
+from gradus.arrangement import geometric_inversions, ideal_count_formula
 from gradus.grading import grade
 from gradus.ideals import (
     Ideal,
@@ -118,6 +118,6 @@ def test_sign_oracle_agrees_with_inversions(word):
     g = grade(build("B3"), (0, 1, 0))
     rs = g.rs
     w = from_word(rs, tuple(i % rs.rank for i in word))
-    signs = geometric_sign_oracle(g, w, normals=rs.positive_roots)
-    for r, s in zip(rs.positive_roots, signs):
-        assert (s < 0) == (not w.apply(r).is_positive)
+    (walls,) = geometric_inversions(rs, [w])
+    for k, r in enumerate(rs.positive_roots):
+        assert bool(walls >> k & 1) == (not w.apply(r).is_positive)
