@@ -9,16 +9,16 @@ weight poset.  The walls that separate a chamber w^(-1)(C) from the
 dominant chamber C are exactly the inversion set of w, so the arrangement
 side's answer is a positive-root mask too: geometric_inversions reads an
 interior point of each chamber off the permutation of w and takes the walls
-of a whole batch from one integer product, without an inversion set.
-numpy is used for that product and for the point counts, nowhere else.
+of a batch from one packed integer per chamber, without an inversion set.
 
 Characteristic polynomials are computed by exact point counts over the
-prime fields F_q with q above the Coxeter number h.  By Kamiya-Takemura-Terao
-(2010) the lcm period of the characteristic quasi-polynomial of a root-system
-arrangement is the lcm of the coefficients of the highest root theta, and
-that of any subset of Delta+ divides it, so the count at a prime dividing no
-coefficient of theta is chi(q).  Those coefficients are at most 6, and one
-above 2 occurs only where h >= 6, so every prime above h will do.  As
+prime fields F_q.  By Kamiya-Takemura-Terao (2008, 2010) the count over
+Z/qZ is a quasi-polynomial in q whose constituent at q coprime to its lcm
+period is chi(q); the period of Delta+ is the lcm of the coefficients of the
+highest root theta, and that of any subset of Delta+ divides it, as its
+minors are minors of Delta+.  So the count at any prime dividing no
+coefficient of theta is chi(q), and good_primes takes the smallest such
+primes: from 2 in type A, and from 7 at the latest (E8).  As
 chi = (t - 1) * chibar with chibar monic, rank-1 such primes interpolate it,
 its t^(n-1) coefficient must be -|A|, and one more prime confirms it.
 A count never visits all of F_q^n: a nonempty central complement is stable
@@ -39,9 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt
+from operator import add, getitem
 from typing import Sequence
-
-import numpy as np
 
 from . import ideals as ideals_mod
 from . import weyl as weyl_mod
@@ -132,6 +131,26 @@ def regions_in_dominant_chamber(g: Grading) -> list[Region]:
     ]
 
 
+@cache
+def _wall_lanes(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...], int, int]:
+    """The lane width W; per simple root j the products ht(root k) * C_j
+    over every root index k, where the packed column C_j holds c_j(gamma)
+    in lane gamma (bits W * gamma on); and the packed bias and ones of every
+    lane.  A pairing is at most rank * (h - 1) * max coefficient of theta in
+    size, which the bias 2^(W-1) exceeds, so each biased lane stays in
+    [1, 2^W)."""
+    bound = rs.rank * (rs.coxeter_number - 1) * max(rs.theta.coords)
+    width = bound.bit_length() + 1
+    roots = rs.positive_roots
+    products = tuple(
+        tuple(height * sum(r.coords[j] << width * k for k, r in enumerate(roots))
+              for height in rs.heights)
+        for j in range(rs.rank)
+    )
+    ones = sum(1 << width * k for k in range(len(roots)))
+    return width, products, ones << width - 1, ones
+
+
 def geometric_inversions(rs: RootSystem, elements: Sequence[weyl_mod.WeylElement]) -> list[int]:
     """The walls that separate each chamber w^(-1)(dominant) from the
     dominant one, as a positive-root mask per element: the gamma > 0 with
@@ -139,35 +158,50 @@ def geometric_inversions(rs: RootSystem, elements: Sequence[weyl_mod.WeylElement
     fundamental coweights.
 
     In coweight coordinates p has coordinates ht(w(alpha_j)), read off the
-    permutation of w at the simple roots, so the pairings of the batch with
-    every positive root are one integer product, points x roots^T; it is
-    exact in int64, each entry being at most rank * h * 6 in size.  It never
-    reads an inversion set, so it is a second route to the masks that
+    permutation of w at the simple roots, so the pairings with every
+    positive root are one sum over j of ht(w(alpha_j)) * C_j, each lane
+    holding bias + <p, gamma> (see _wall_lanes).  A lane is negative where
+    its top bit is clear, and zero where subtracting one flips that bit.  It
+    never reads an inversion set, so it is a second route to the masks that
     inversion sets give.
     """
-    heights = rs.heights
-    points = np.array(
-        [[heights[w.perm[k]] for k in rs.simple_indices] for w in elements],
-        dtype=np.int64,
-    ).reshape(len(elements), rs.rank)
-    values = points @ np.array([r.coords for r in rs.positive_roots], dtype=np.int64).T
-    if not values.all():
-        _, c = np.argwhere(values == 0)[0]
-        raise ValueError(f"chamber point lies on the hyperplane of {rs.positive_roots[c]}")
-    rows = np.packbits(values < 0, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    width, products, bias, ones = _wall_lanes(rs)
+    pairs = tuple(zip(products, rs.simple_indices))
+    digits = f"0{width * len(rs.positive_roots)}b"
+    full = (1 << len(rs.positive_roots)) - 1
+    out = []
+    for w in elements:
+        perm = w.perm
+        packed = sum([row[perm[k]] for row, k in pairs], bias)
+        if (packed ^ (packed - ones)) & bias:  # the bias is the top bit of every lane
+            zero = _top_bits(packed ^ (packed - ones), width, digits)
+            raise ValueError(
+                "chamber point lies on the hyperplane of "
+                f"{rs.positive_roots[(zero & -zero).bit_length() - 1]}"
+            )
+        out.append(full ^ _top_bits(packed, width, digits))
+    return out
+
+
+def _top_bits(packed: int, width: int, digits: str) -> int:
+    """The mask of the lanes of packed whose top bit is set."""
+    return int(format(packed, digits)[::width], 2)
 
 
 # -- characteristic polynomials by finite-field point counts ------------
 
 
 def good_primes(rs: RootSystem, count: int) -> list[int]:
-    """The first count primes above the Coxeter number; point counts at these
-    primes match the rational answer (see the module docstring)."""
+    """The first count primes dividing no coefficient of theta: from 2 in
+    type A (and D3, which is A3), from 3 in types B, C and D, from 5 in E6,
+    E7, F4 and G2 and from 7 in E8.  Point counts at these primes are chi(q)
+    (see the module docstring)."""
     out: list[int] = []
-    candidate = rs.coxeter_number + 1
+    candidate = 2
     while len(out) < count:
-        if all(candidate % p for p in range(2, isqrt(candidate) + 1)):
+        if all(candidate % p for p in range(2, isqrt(candidate) + 1)) and all(
+            c % candidate for c in rs.theta.coords
+        ):
             out.append(candidate)
         candidate += 1
     return out
@@ -177,10 +211,13 @@ def good_primes(rs: RootSystem, count: int) -> list[int]:
 def char_poly_points(rs: RootSystem) -> int:
     """The fibre points char_poly visits on rs, the size the budget bounds:
     sum over the primes q of good_primes of q^(n-2) + ... + q + 1.  It is
-    29,024 at most up to rank 5 (B5, C5, D5) and 1,298,450 at least from
-    rank 6 on (A6, D6), so the budget admits chi exactly up to rank 5."""
+    4,440 at most up to rank 5 (B5, C5, D5), 50,780 at A6 and 139,490 at
+    B6, C6 and D6, so the budget admits chi exactly up to rank 5 and at A6."""
     n = rs.rank
     return sum(q ** (n - 2 - k) for q in good_primes(rs, n) for k in range(n - 1))
+
+
+_EVERY = -1  # the kill of a static normal that vanishes at every x
 
 
 def _point_count(normals: Sequence[Root], n: int, q: int) -> int:
@@ -189,39 +226,64 @@ def _point_count(normals: Sequence[Root], n: int, q: int) -> int:
 
     The count is q-1 times that of the points whose first nonzero coordinate
     x_k is 1.  Each class k is fibred over x_n: a fibre point x' keeps q minus
-    the distinct values x_n = -<x', gamma'>/c_n forbidden by the normals with
-    c_n != 0, or nothing when a normal with c_n = 0 vanishes on x'.
+    the distinct values x_n = -<x', gamma'>/c_n forbidden by the moving
+    normals (c_n != 0), or nothing when a static normal (c_n = 0) vanishes
+    on x'.  The values of the distinct normals at a fibre point are one
+    tuple, built a coordinate at a time by adding x_j * c_j and folding
+    [0, 2q) back to [0, q); along the last free coordinate a static normal
+    vanishes at one x_j, or at every one or none when its c_j is 0.
     """
     if not normals:
         return q**n
-    coords = np.array([g.coords for g in normals], dtype=np.int64) % q
-    # Scaled to c_n = -1, a normal forbids exactly x_n = <x', gamma'>.
-    unit = [-pow(int(c), -1, q) if c else 1 for c in coords[:, -1]]
-    coords = coords * np.array(unit, dtype=np.int64)[:, None] % q
-    moving = coords[:, -1] != 0
-    reps = int(moving.all())  # the class k = n-1 is the single point e_n
-    chunk = max(1, (1 << 18) // max(len(normals), q))  # bounds the temporaries
+    moving, static = set(), set()
+    for gamma in normals:
+        c = [x % q for x in gamma.coords]
+        if c[-1]:
+            # Scaled to c_n = -1, a normal forbids exactly x_n = <x', gamma'>.
+            unit = -pow(c[-1], -1, q)
+            moving.add(tuple(x * unit % q for x in c[:-1]))
+        else:
+            static.add(tuple(c[:-1]))
+    reps = 0 if static else 1  # the class k = n-1 is the single point e_n
+    fold = (tuple(range(q)) * 2).__getitem__
     for k in range(n - 1):
-        size = q ** (n - 2 - k)
-        for start in range(0, size, chunk):
-            idx = np.arange(start, min(start + chunk, size), dtype=np.int64)
-            acc = np.tile(coords[:, k], (len(idx), 1))
-            for col in coords[:, k + 1 : n - 1].T:
-                acc += np.outer(idx % q, col)
-                idx //= q
-            acc %= q
-            acc = acc[(acc[:, ~moving] != 0).all(axis=1)]
-            hit = np.zeros((len(acc), q), dtype=bool)
-            hit[np.arange(len(acc))[:, None], acc[:, moving]] = True
-            reps += q * len(acc) - int(hit.sum())
+        # The class x_0 = ... = x_(k-1) = 0, x_k = 1 sees only c_k ... c_(n-2).
+        stat = list({c[k:] for c in static})
+        mov = list({c[k:] for c in moving})
+        if k == n - 2:  # a single fibre point
+            if all(c[0] for c in stat):
+                reps += q - len({c[0] for c in mov})
+            continue
+        both, s, last = stat + mov, len(stat), n - 2 - k
+        prefixes = [tuple(c[0] for c in both)]
+        for j in range(1, last):
+            rows = [tuple(x * c[j] % q for c in both) for x in range(q)]
+            prefixes = [tuple(map(fold, map(add, v, r))) for v in prefixes for r in rows]
+        # kills[i][v]: the x_last at which static normal i, at value v on the
+        # prefix, vanishes; _EVERY when its c_last is 0 and v is 0.
+        kills = [
+            [-v * pow(c[last], -1, q) % q for v in range(q)]
+            if c[last] else [_EVERY] + [None] * (q - 1)
+            for c in stat
+        ]
+        steps = [tuple(x * c[last] % q for c in mov) for x in range(q)]
+        for v in prefixes:
+            killed = set(map(getitem, kills, v[:s]))
+            if _EVERY in killed:
+                continue
+            moved = v[s:]
+            for x, step in enumerate(steps):
+                if x not in killed:
+                    reps += q - len(set(map(fold, map(add, moved, step))))
     return (q - 1) * reps
 
 
 @cache
 def char_poly(arr: Arrangement) -> Poly:
-    """Characteristic polynomial from n point counts at primes above h: the
-    count over q - 1 at n - 1 primes interpolates chibar - t^(n-1) (see the
-    module docstring); computed once per arrangement."""
+    """Characteristic polynomial from n point counts at the primes of
+    good_primes: the count over q - 1 at n - 1 primes interpolates
+    chibar - t^(n-1) (see the module docstring); computed once per
+    arrangement."""
     n, normals = arr.rs.rank, arr.normals
     check_budget(char_poly_points(arr.rs), f"char_poly fibre points on {arr.rs.cartan_type}")
     if not normals:

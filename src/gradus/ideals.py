@@ -73,11 +73,18 @@ def order_masks(
         for j in covered:
             down[k] |= down[j]
     roots = rs.positive_roots
-    for i in members:
-        arith = 0
+    at_most = []  # at_most[t][v]: the members whose coordinate t is at most v
+    for t in range(rs.rank):
+        cumulative = [0] * (1 + max((roots[j].coords[t] for j in members), default=0))
         for j in members:
-            if all(a - b >= 0 for a, b in zip(roots[i].coords, roots[j].coords)):
-                arith |= 1 << j
+            cumulative[roots[j].coords[t]] |= 1 << j
+        for v in range(1, len(cumulative)):
+            cumulative[v] |= cumulative[v - 1]
+        at_most.append(cumulative)
+    for i in members:
+        arith = -1
+        for t, v in enumerate(roots[i].coords):
+            arith &= at_most[t][v]
         if arith != down[i]:
             raise AssertionError(
                 f"cover closure disagrees with the arithmetic order at {roots[i]}"

@@ -396,9 +396,17 @@ def fiber(g: Grading, ideal: Ideal) -> list[WeylElement]:
 # -- closures and the minimal/maximal elements of a fiber ----------------
 
 
+@cache
+def _positive_partners(rs: RootSystem) -> tuple[int, ...]:
+    """Per positive root i, the mask of the positive j with root i + root j
+    a root."""
+    npos = len(rs.positive_roots)
+    return tuple(sum(1 << j for j in rs.sums[i] if j < npos) for i in range(npos))
+
+
 def closure_layers(rs: RootSystem, mask: int) -> list[int]:
     """Layers I^1, I^2, ... with I^k = (I + I^(k-1)) meet the roots."""
-    sums = rs.sums
+    sums, partners = rs.sums, _positive_partners(rs)
     layers = [mask]
     total = mask
     prev = mask
@@ -408,13 +416,12 @@ def closure_layers(rs: RootSystem, mask: int) -> list[int]:
         while rest:
             i = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            other = prev
+            row = sums[i]
+            other = prev & partners[i]
             while other:
                 j = (other & -other).bit_length() - 1
                 other &= other - 1
-                k = sums[i].get(j)
-                if k is not None:
-                    nxt |= 1 << k
+                nxt |= 1 << row[j]
         nxt &= ~total
         if not nxt:
             return layers

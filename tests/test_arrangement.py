@@ -108,12 +108,23 @@ def test_an_arrangement_is_its_mask(name):
 
 
 def test_good_primes_pinned():
-    assert good_primes(build("B2"), 3) == [5, 7, 11]
-    assert good_primes(build("G2"), 3) == [7, 11, 13]
-    assert good_primes(build("F4"), 3) == [13, 17, 19]
-    for name in ["B2", "G2", "F4"]:
+    # The first primes dividing no coefficient of theta (Kamiya-Takemura-
+    # Terao: a count there is chi(q)); below h from A2, B3, E6 and F4 on.
+    assert good_primes(build("A4"), 4) == [2, 3, 5, 7]
+    assert good_primes(build("D3"), 3) == [2, 3, 5]  # D3 is A3
+    assert good_primes(build("B2"), 3) == [3, 5, 7]
+    assert good_primes(build("D4"), 4) == [3, 5, 7, 11]
+    assert good_primes(build("G2"), 3) == [5, 7, 11]
+    assert good_primes(build("F4"), 4) == [5, 7, 11, 13]
+    assert good_primes(build("E6"), 6) == [5, 7, 11, 13, 17, 19]
+    assert good_primes(build("E8"), 8) == [7, 11, 13, 17, 19, 23, 29, 31]
+    for name in default_types(8):
         rs = build(name)
-        assert all(q > rs.coxeter_number for q in good_primes(rs, 3))
+        primes = good_primes(rs, rs.rank + 2)
+        assert all(c % q for q in primes for c in rs.theta.coords), name
+        assert primes == sorted(primes) and len(set(primes)) == rs.rank + 2
+        if rs.rank <= 4:
+            assert not set(primes) & _minor_prime_factors(rs), name
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -176,8 +187,21 @@ def test_minor_search_finds_only_theta_primes(name):
     assert all(p <= rs.coxeter_number for p in theta_primes)
 
 
-# good_primes(rs, rank + 2) as the minor search returned it: no prime above h
-# was ever rejected.
+def _primes_above_h(rs: RootSystem, count: int) -> list[int]:
+    """The first count primes above the Coxeter number h.  Every prime
+    dividing a coefficient of theta is at most h, so a count at these is
+    chi(q) too; they are the primes of the oracle _char_poly_n_plus_2."""
+    out: list[int] = []
+    candidate = rs.coxeter_number + 1
+    while len(out) < count:
+        if all(candidate % p for p in range(2, candidate)):
+            out.append(candidate)
+        candidate += 1
+    return out
+
+
+# _primes_above_h(rs, rank + 2) as the minor search returned it: no prime
+# above h was ever rejected.
 PRIMES_ABOVE_H = {
     "A1": [3, 5, 7],
     "A2": [5, 7, 11, 13],
@@ -215,11 +239,12 @@ PRIMES_ABOVE_H = {
 }
 
 
-def test_good_primes_are_the_primes_above_h():
+def test_primes_above_h_pinned():
     assert list(PRIMES_ABOVE_H) == default_types(8)
     for name, primes in PRIMES_ABOVE_H.items():
         rs = build(name)
-        assert good_primes(rs, rs.rank + 2) == primes, name
+        assert _primes_above_h(rs, rs.rank + 2) == primes, name
+        assert all(q > rs.coxeter_number for q in primes)
 
 
 def test_char_poly_is_monic_with_unit_chi_one():
@@ -288,12 +313,14 @@ def test_batched_signs_match_the_matrix_route(name):
     elements = weyl_elements(rs)
     walls = geometric_inversions(rs, elements)
     assert len(walls) == len(elements)
+    assert walls == _numpy_geometric_inversions(rs, elements)
     for w, mask in zip(elements, walls):
         assert mask == _walls_by_matrix(gradings[0], w)
     for g in gradings:
         cosets = enumerate_W0(g).elements()
         walls = geometric_inversions(rs, cosets)
         assert len(walls) == len(cosets)
+        assert walls == _numpy_geometric_inversions(rs, cosets)
         for w, mask in zip(cosets, walls):
             assert mask == _walls_by_matrix(g, w)
             assert geometric_inversions(rs, [w]) == [mask]
@@ -306,8 +333,9 @@ def test_chamber_point_on_a_wall_raises():
     # Sending alpha_2 to -alpha_1 is no Weyl element: its chamber point
     # (ht a1, ht -a1) = (1, -1) lies on the plane of a1 + a2.
     malformed = WeylElement(rs, (0, 3) + ident.perm[2:])
-    with pytest.raises(ValueError, match="hyperplane of a1\\+a2"):
-        geometric_inversions(rs, [ident, malformed])
+    for route in (geometric_inversions, _numpy_geometric_inversions):
+        with pytest.raises(ValueError, match="hyperplane of a1\\+a2"):
+            route(rs, [ident, malformed])
     # The identity's chamber point (1, 1) lies on the plane of a1 - a2.
     with pytest.raises(ValueError, match="hyperplane of a1-a2"):
         _matrix_sign_oracle(g, ident, [Root((1, -1))])
@@ -315,7 +343,50 @@ def test_chamber_point_on_a_wall_raises():
 
 def test_walls_of_no_elements():
     g = parse_grading_spec("B2:0,1")
-    assert geometric_inversions(g.rs, []) == []
+    assert geometric_inversions(g.rs, []) == [] == _numpy_geometric_inversions(g.rs, [])
+
+
+def _numpy_geometric_inversions(rs: RootSystem, elements: Sequence[WeylElement]) -> list[int]:
+    """The numpy route to the chamber walls, as the library had it before
+    the packed-integer lanes; kept verbatim as an oracle.
+
+    In coweight coordinates p has coordinates ht(w(alpha_j)), read off the
+    permutation of w at the simple roots, so the pairings of the batch with
+    every positive root are one integer product, points x roots^T; it is
+    exact in int64, each entry being at most rank * h * 6 in size.  It never
+    reads an inversion set, so it is a second route to the masks that
+    inversion sets give.
+    """
+    heights = rs.heights
+    points = np.array(
+        [[heights[w.perm[k]] for k in rs.simple_indices] for w in elements],
+        dtype=np.int64,
+    ).reshape(len(elements), rs.rank)
+    values = points @ np.array([r.coords for r in rs.positive_roots], dtype=np.int64).T
+    if not values.all():
+        _, c = np.argwhere(values == 0)[0]
+        raise ValueError(f"chamber point lies on the hyperplane of {rs.positive_roots[c]}")
+    rows = np.packbits(values < 0, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def test_every_lane_keeps_its_sign_at_the_extremes():
+    # The pairing bound rank * (h - 1) * max theta is reached by no chamber
+    # point, but a malformed point with every height at +-(h - 1) comes
+    # close; each lane must still read its own sign, as the matrix route does.
+    for name in ["A4", "B4", "F4", "G2", "E8"]:
+        rs = build(name)
+        top = rs.index[rs.theta.coords]
+        n = len(rs.positive_roots)
+        ident = WeylElement.identity(rs)
+        for sign in (1, -1):
+            perm = list(ident.perm)
+            for k in rs.simple_indices:
+                perm[k] = top if sign > 0 else top + n
+            w = WeylElement(rs, tuple(perm))
+            expected = 0 if sign > 0 else (1 << n) - 1
+            assert geometric_inversions(rs, [w]) == [expected]
+            assert _numpy_geometric_inversions(rs, [w]) == [expected]
 
 
 @pytest.mark.slow
@@ -337,7 +408,7 @@ def test_e6_signs_and_fiber_extremes():
 
 @pytest.mark.slow
 def test_e6_coxeter_and_deleted_char_poly(monkeypatch):
-    # Six counts each, at q = 13 ... 31; the default budget stays below them.
+    # Six counts each, at q = 5 ... 19; the default budget stays below them.
     monkeypatch.setattr(rootsys, "BUDGET", arrangement.char_poly_points(build("E6")))
     rs = build("E6")
     m = rs.exponents
@@ -452,7 +523,7 @@ def test_rank_bounds_raise_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match=r"^2,903,040 cosets of E7:1,1,1,1,1,1,1 "
                        r"exceed the budget of 51,840$"):
         weyl_elements(build("E7"))
-    with pytest.raises(ValueError, match=r"^2,236,650 char_poly fibre points on E6 "
+    with pytest.raises(ValueError, match=r"^276,930 char_poly fibre points on E6 "
                        r"exceed the budget of 51,840$"):
         char_poly(coxeter_arrangement(build("E6")))
     with pytest.raises(ValueError, match=r"^58,786 upper ideals of the A10 root poset "
@@ -516,33 +587,91 @@ def _brute_point_count(normals, n, q):
     return count
 
 
+def _numpy_point_count(normals: Sequence[Root], n: int, q: int) -> int:
+    """The numpy fibration the library counted with before its plain-integer
+    one; kept verbatim as an oracle.
+
+    The count is q-1 times that of the points whose first nonzero coordinate
+    x_k is 1.  Each class k is fibred over x_n: a fibre point x' keeps q minus
+    the distinct values x_n = -<x', gamma'>/c_n forbidden by the normals with
+    c_n != 0, or nothing when a normal with c_n = 0 vanishes on x'.
+    """
+    if not normals:
+        return q**n
+    coords = np.array([g.coords for g in normals], dtype=np.int64) % q
+    # Scaled to c_n = -1, a normal forbids exactly x_n = <x', gamma'>.
+    unit = [-pow(int(c), -1, q) if c else 1 for c in coords[:, -1]]
+    coords = coords * np.array(unit, dtype=np.int64)[:, None] % q
+    moving = coords[:, -1] != 0
+    reps = int(moving.all())  # the class k = n-1 is the single point e_n
+    chunk = max(1, (1 << 18) // max(len(normals), q))  # bounds the temporaries
+    for k in range(n - 1):
+        size = q ** (n - 2 - k)
+        for start in range(0, size, chunk):
+            idx = np.arange(start, min(start + chunk, size), dtype=np.int64)
+            acc = np.tile(coords[:, k], (len(idx), 1))
+            for col in coords[:, k + 1 : n - 1].T:
+                acc += np.outer(idx % q, col)
+                idx //= q
+            acc %= q
+            acc = acc[(acc[:, ~moving] != 0).all(axis=1)]
+            hit = np.zeros((len(acc), q), dtype=bool)
+            hit[np.arange(len(acc))[:, None], acc[:, moving]] = True
+            reps += q * len(acc) - int(hit.sum())
+    return (q - 1) * reps
+
+
+def _both_prime_sets(rs: RootSystem) -> list[int]:
+    """2 and 3, where some root coordinates vanish mod q, the primes of
+    good_primes and the primes above h, as char_poly and its oracle use them."""
+    return sorted({2, 3, *good_primes(rs, rs.rank), *_primes_above_h(rs, rs.rank + 2)})
+
+
+def _swept_arrangements(rs: RootSystem) -> list[Arrangement]:
+    """The Coxeter, deleted and level-(0,1) arrangements of rs."""
+    return [coxeter_arrangement(rs), deleted_arrangement(rs)] + [
+        sub_arrangement_01(g) for g in sweep_gradings(rs)
+    ]
+
+
 @pytest.mark.parametrize("name", default_types(3))
 def test_point_count_matches_brute_force_up_to_rank_3(name):
     rs = build(name)
-    arrangements = [coxeter_arrangement(rs), deleted_arrangement(rs)]
-    arrangements += [sub_arrangement_01(g) for g in sweep_gradings(rs)]
-    # 2 and 3 divide some root coordinates, which then vanish mod q
-    for q in [2, 3] + good_primes(rs, rs.rank + 2):
-        for arr in arrangements:
-            assert _point_count(arr.normals, rs.rank, q) == _brute_point_count(
+    for q in _both_prime_sets(rs):
+        for arr in _swept_arrangements(rs):
+            count = _point_count(arr.normals, rs.rank, q)
+            assert count == _brute_point_count(arr.normals, rs.rank, q), (str(arr.normals), q)
+            assert count == _numpy_point_count(arr.normals, rs.rank, q)
+
+
+@pytest.mark.parametrize("name", default_types(4)[len(default_types(3)):])
+def test_point_count_matches_the_numpy_route_at_rank_4(name):
+    rs = build(name)
+    for q in _both_prime_sets(rs):
+        for arr in _swept_arrangements(rs):
+            assert _point_count(arr.normals, rs.rank, q) == _numpy_point_count(
                 arr.normals, rs.rank, q
             ), (str(arr.normals), q)
 
 
 @lru_cache(maxsize=None)
-def _with_first_good_prime(name):
+def _with_first_primes(name):
     rs = build(name)
-    return rs, good_primes(rs, 1)[0]
+    return rs, (2, good_primes(rs, 1)[0], _primes_above_h(rs, 1)[0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["A4", "B4", "D4", "F4"]), st.data())
 def test_point_count_matches_brute_force_on_root_subsets(name, data):
-    rs, q = _with_first_good_prime(name)
+    rs, primes = _with_first_primes(name)
     picked = data.draw(
         st.lists(st.sampled_from(rs.positive_roots), min_size=1, unique=True)
     )
-    assert _point_count(picked, rs.rank, q) == _brute_point_count(picked, rs.rank, q)
+    for q in primes:
+        count = _point_count(picked, rs.rank, q)
+        assert count == _brute_point_count(picked, rs.rank, q) == _numpy_point_count(
+            picked, rs.rank, q
+        ), q
 
 
 def test_point_count_rank_one_and_empty():
@@ -588,25 +717,32 @@ def _lagrange_interpolate(points: Sequence[tuple[int, int]]) -> Poly:
 @cache
 def _char_poly_n_plus_2(arr: Arrangement) -> Poly:
     """Characteristic polynomial via point counts over primes above h, with
-    an extra prime confirming the interpolation; computed once per arrangement."""
+    an extra prime confirming the interpolation; computed once per arrangement.
+    The primes and the counts are the floor helper and the numpy route, so
+    it shares neither with char_poly."""
     n = arr.rs.rank
-    primes = good_primes(arr.rs, n + 2)
-    points = [(q, _point_count(arr.normals, n, q)) for q in primes[: n + 1]]
+    primes = _primes_above_h(arr.rs, n + 2)
+    points = [(q, _numpy_point_count(arr.normals, n, q)) for q in primes[: n + 1]]
     chi = _lagrange_interpolate(points)
     if len(chi) != n + 1 or chi[-1] != 1:
         raise AssertionError("characteristic polynomial must be monic of full degree")
     q_check = primes[n + 1]
-    if value(chi, q_check) != _point_count(arr.normals, n, q_check):
+    if value(chi, q_check) != _numpy_point_count(arr.normals, n, q_check):
         raise AssertionError("interpolated polynomial fails at the verification prime")
     return chi
 
 
 @pytest.mark.parametrize("name", default_types(4))
 def test_char_poly_matches_the_n_plus_2_count_oracle(name):
-    rs = build(name)
-    arrangements = [coxeter_arrangement(rs), deleted_arrangement(rs)]
-    arrangements += [sub_arrangement_01(g) for g in sweep_gradings(rs)]
-    for arr in arrangements:
+    for arr in _swept_arrangements(build(name)):
+        assert char_poly(arr) == _char_poly_n_plus_2(arr), arr.normals
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", default_types(5)[len(default_types(4)):])
+def test_rank_5_char_poly_matches_the_n_plus_2_count_oracle(name):
+    # chi at the primes coprime to theta against chi at the primes above h
+    for arr in _swept_arrangements(build(name)):
         assert char_poly(arr) == _char_poly_n_plus_2(arr), arr.normals
 
 

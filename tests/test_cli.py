@@ -13,9 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from gradus import checks, rootsys, weyl
 from gradus import ideals as ideals_mod
-from gradus.arrangement import char_poly_points, ideal_count_formula
+from gradus.arrangement import (
+    char_poly, char_poly_points, coxeter_arrangement, ideal_count_formula,
+)
 from gradus.cli import UsageError, _json_text, main, parse_root, parse_root_list
 from gradus.grading import Grading
+from gradus.polys import from_int_roots
 from gradus.rootsys import BUDGET, build
 
 
@@ -278,9 +281,13 @@ def test_input_checks_run_before_any_build(capsys, monkeypatch):
 
 
 def test_where_the_budget_falls(capsys, monkeypatch):
-    # chi is admitted for exactly the types of rank <= 5 ...
+    # chi is admitted for exactly the types of rank <= 5 and A6 (50,780
+    # fibre points at q = 2 ... 13) ...
     assert [n for n in checks.default_types(8)
-            if char_poly_points(build(n)) <= BUDGET] == checks.default_types(5)
+            if char_poly_points(build(n)) <= BUDGET] == checks.default_types(5) + ["A6"]
+    a6 = build("A6")
+    assert char_poly_points(a6) == 50_780
+    assert char_poly(coxeter_arrangement(a6)) == from_int_roots(a6.exponents)
     # ... every coset table and ideal count of a rank <= 5 sweep is within it ...
     for name in checks.default_types(5):
         rs = build(name)

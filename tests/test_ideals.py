@@ -1,5 +1,7 @@
-import pytest
+import re
 from itertools import combinations
+
+import pytest
 
 from gradus.checks import default_types, sweep_gradings
 from gradus.grading import parse_grading_spec
@@ -241,6 +243,55 @@ def _assert_matches_the_coordinate_builder(rs, members, steps):
     assert down == tuple(
         sum(1 << k for j, k in enumerate(members) if d >> j & 1) for d in old_down
     )
+
+
+def _arithmetic_down_masks(rs, members):
+    """The arithmetic order on the members by the quadratic scan order_masks
+    checked with before its per-coordinate masks: j lies below i when every
+    coordinate of root i minus root j is nonnegative.  Kept as the oracle."""
+    roots = rs.positive_roots
+    out = []
+    for i in members:
+        arith = 0
+        for j in members:
+            if all(a - b >= 0 for a, b in zip(roots[i].coords, roots[j].coords)):
+                arith |= 1 << j
+        out.append(arith)
+    return tuple(out)
+
+
+def test_order_check_matches_the_quadratic_scan():
+    # Every slice of every sweep grading of rank <= 5 and every root poset:
+    # the checked down-sets are the arithmetic order the scan finds.
+    posets = 0
+    for name in default_types(5):
+        rs = build(name)
+        for g in sweep_gradings(rs):
+            for level in range(1, max(rs.theta.coords) * rs.rank + 1):
+                if g.level_mask(level):
+                    p = weight_poset(g, level)
+                    assert p.down_masks == _arithmetic_down_masks(rs, p.positive_index)
+                    posets += 1
+    for name in default_types(8):
+        rs = build(name)
+        members = range(len(rs.positive_roots))
+        assert order_masks(rs, members, range(rs.rank))[1] == _arithmetic_down_masks(rs, members)
+        posets += 1
+    assert posets == 876
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])
+def test_order_check_raises_where_the_quadratic_scan_disagrees(name):
+    # Covers by alpha_1 alone close to less than the arithmetic order; the
+    # check names the first member where the scan sees more.
+    rs = build(name)
+    members = tuple(range(len(rs.positive_roots)))
+    _, down = coordinate_order_masks(rs.positive_roots, [0])
+    first = next(k for k, (d, arith) in enumerate(zip(down, _arithmetic_down_masks(rs, members)))
+                 if d != arith)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"cover closure disagrees with the arithmetic order at {rs.positive_roots[first]}")):
+        order_masks(rs, members, [0])
 
 
 @pytest.mark.parametrize("name", default_types(4))

@@ -1,6 +1,8 @@
 """The package surface: what `gradus` exports and what README shows of it."""
 
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -39,3 +41,18 @@ def test_readme_library_sketch_runs_and_its_figures_hold():
         assert got == int(figure.group()), line
         checked.append(got)
     assert checked == [20, 20, 24, 20]
+
+
+def test_the_package_and_the_cli_start_without_numpy():
+    # A fresh interpreter: the library, the CLI and the check suites, then a
+    # query, and numpy has never been imported.
+    script = (
+        "import contextlib, io, sys\n"
+        "import gradus, gradus.cli, gradus.checks\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = gradus.cli.main(['show', 'B3:0,1,0'])\n"
+        "print(code, 'B3:0,1,0' in out.getvalue(), 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "False"]

@@ -458,6 +458,49 @@ def test_closure_layers_pinned():
     assert closure_mask(rs, full) == layers[0] | layers[1]
 
 
+def _closure_layers_scan(rs, mask):
+    """closure_layers as it scanned every pair of a root of the mask and a
+    root of the last layer, before the per-root partner masks; kept as the
+    oracle."""
+    sums = rs.sums
+    layers = [mask]
+    total = mask
+    prev = mask
+    while True:
+        nxt = 0
+        rest = mask
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            other = prev
+            while other:
+                j = (other & -other).bit_length() - 1
+                other &= other - 1
+                k = sums[i].get(j)
+                if k is not None:
+                    nxt |= 1 << k
+        nxt &= ~total
+        if not nxt:
+            return layers
+        layers.append(nxt)
+        total |= nxt
+        prev = nxt
+
+
+def test_closure_layers_match_the_pair_scan_on_the_sweep_ideals():
+    # The ideals of every sweep grading of rank <= 5 (what w_min closes) and
+    # their complements in Delta(1) (what w_max closes).
+    count = 0
+    for name in default_types(5):
+        rs = build(name)
+        for g in sweep_gradings(rs):
+            for ideal in weight_poset(g).lower_ideals:
+                for mask in (ideal.mask, g.delta1_mask & ~ideal.mask):
+                    assert closure_layers(rs, mask) == _closure_layers_scan(rs, mask)
+                    count += 1
+    assert count == 10_400
+
+
 def test_closure_is_w_min_inversion_set():
     g = parse_grading_spec("G2:es")
     for w in enumerate_W0(g).minimal:
