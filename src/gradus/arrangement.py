@@ -58,8 +58,7 @@ class Arrangement:
     mask: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.mask < 1 << len(self.rs.positive_roots):
-            raise ValueError(f"{self.mask} is not a positive-root mask of {self.rs.cartan_type}")
+        self.rs._require_mask(self.mask)
 
     @property
     def normals(self) -> tuple[Root, ...]:
@@ -92,6 +91,7 @@ def upper_ideals_of_root_poset(rs: RootSystem) -> list[int]:
 def ideal_arrangement(rs: RootSystem, upper_mask: int) -> Arrangement:
     """The arrangement whose normals are the positive roots outside an upper
     ideal of the root poset."""
+    rs._require_mask(upper_mask)
     down = root_poset_down_masks(rs)
     for j in range(len(rs.positive_roots)):
         if not upper_mask >> j & 1 and down[j] & upper_mask:
@@ -309,23 +309,12 @@ def zaslavsky_regions(chi: Sequence[int]) -> int:
 # -- height partitions and the exponents ---------------------------------
 
 
-def height_partition(rs: RootSystem, mask: int) -> tuple[int, ...]:
-    """Occurrences of each height 1, 2, ... among the positive roots of a
-    mask, trailing zeros trimmed."""
-    counts = [0] * (rs.coxeter_number - 1)
-    for k in rs.indices_of(mask):
-        counts[rs.heights[k] - 1] += 1
-    while counts and not counts[-1]:
-        counts.pop()
-    return tuple(counts)
-
-
 def conjectural_exponents(g: Grading) -> tuple[int, ...]:
     """Dual of the height partition of the level-(0,1) normals, padded with
     zeros to the rank, ascending.  These normals are an ideal subarrangement,
     so by the theorem of Abe-Barakat-Cuntz-Hoge-Terao (ABCHT) they are its
     exponents; a zero for each dimension the normals do not span."""
-    dual = dual_partition(height_partition(g.rs, sub_arrangement_01(g).mask))
+    dual = dual_partition(g.rs.height_partition(sub_arrangement_01(g).mask))
     return (0,) * (g.rs.rank - len(dual)) + tuple(sorted(dual))
 
 
@@ -339,7 +328,7 @@ def arrangement_report(g: Grading) -> dict:
     """Summary of the level-(0,1) arrangement of a grading, with the
     characteristic polynomial when its point counts are within the budget."""
     arr = sub_arrangement_01(g)
-    partition = height_partition(g.rs, arr.mask)
+    partition = g.rs.height_partition(arr.mask)
     dual = dual_partition(partition)
     regions = regions_in_dominant_chamber(g)
     p = ideals_mod.weight_poset(g, 1)
@@ -380,7 +369,7 @@ def upper_ideal_partition_check(rs: RootSystem) -> dict:
     full = (1 << len(rs.positive_roots)) - 1
     for upper in upper_ideals_of_root_poset(rs):
         total += 1
-        lam = height_partition(rs, full & ~upper)
+        lam = rs.height_partition(full & ~upper)
         ok = all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
         if lam:
             ok = ok and (len(lam) == 1 or lam[0] > lam[1])

@@ -144,7 +144,7 @@ def suite_rootsys(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
     )
     yield CheckResult(
         "rootsys", sub, "highest-root",
-        rs.theta.height == h - 1 and rs.height_counts[-1] == 1,
+        rs.theta.height == h - 1 and rs.height_partition()[-1] == 1,
         f"theta {rs.theta} at height {rs.theta.height}",
     )
     long_pos = sum(1 for r in pos if rs.is_long(r))
@@ -156,7 +156,7 @@ def suite_rootsys(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
     m = rs.exponents
     yield CheckResult(
         "rootsys", sub, "exponents-from-heights",
-        m == tuple(sorted(dual_partition(rs.height_counts)))
+        m == tuple(sorted(dual_partition(rs.height_partition())))
         and m[0] == 1 and m[-1] == h - 1 and sum(m) == len(pos),
         f"exponents {m}",
     )
@@ -267,8 +267,8 @@ def suite_grading(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[Check
                 f"[theta:a{tilde + 1}] = {rs.theta.coords[tilde]}",
             )
         if g.is_standard:
-            comps = g.simple_components().get(1, [])
             p = ideals_mod.weight_poset(g, 1)
+            comps = p.components
             minimal = sum(1 << k for k, d in zip(p.positive_index, p.down_masks) if d == 1 << k)
             pi1 = g.pi(1)
             pi1_mask = sum(1 << rs.simple_indices[i] for i in pi1)
@@ -350,9 +350,8 @@ def suite_ideals(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
                 f"self-dual {fixed}, M(-1) {m_alt} (compared, not asserted)", "info",
             )
         if g.is_standard:
-            comps = g.simple_components().get(1, [])
             prod = 1
-            for comp in comps:
+            for comp in p.components:
                 prod *= _sub_ideal_count(p, comp)
             yield CheckResult(
                 "ideals", sub, "component-product",

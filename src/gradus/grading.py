@@ -11,6 +11,8 @@ coset table and the extremes of its fibers) is a cached_property of the
 Grading, so it lives exactly as long as the grading does.  The level masks
 come from one pass over the levels; a slice, and every other set of
 positive roots a grading names, is read off a mask by RootSystem.roots_of.
+The order on a slice, and so its connected components, belongs to the
+slice's WeightPoset.
 """
 
 from __future__ import annotations
@@ -138,45 +140,6 @@ class Grading:
 
     def spec_string(self) -> str:
         return f"{self.rs.cartan_type}:{','.join(str(m) for m in self.marks)}"
-
-    def simple_components(self) -> dict[int, list[int]]:
-        """Connected components of each positive slice Delta(i), i >= 1,
-        linked by covers gamma -> gamma + alpha with alpha of level 0, as
-        positive-root masks ordered by their lowest root.
-
-        Requires a standard grading; the Delta(1) components are then the
-        weights of the simple modules for the level-0 subalgebra, and their
-        lowest elements are exactly the level-1 simple roots.
-        """
-        if not self.is_standard:
-            raise ValueError("simple components are defined for standard gradings")
-        rs = self.rs
-        level0_simples = [rs.simple_indices[j] for j in self.pi0]
-        out: dict[int, list[int]] = {}
-        for i in range(1, self.max_level + 1):
-            members = rs.indices_of(self.level_mask(i))
-            parent = {k: k for k in members}
-
-            def find(k: int) -> int:
-                while parent[k] != k:
-                    parent[k] = parent[parent[k]]
-                    k = parent[k]
-                return k
-
-            # gamma + alpha_j keeps the level of gamma, so it is a member
-            # whenever it is a root at all
-            for k in members:
-                for j in level0_simples:
-                    other = rs.sums[j].get(k)
-                    if other is not None:
-                        parent[find(k)] = find(other)
-            # members ascend, so each group enters at its lowest root
-            groups: dict[int, int] = {}
-            for k in members:
-                top = find(k)
-                groups[top] = groups.get(top, 0) | 1 << k
-            out[i] = list(groups.values())
-        return out
 
     def __repr__(self) -> str:
         return f"Grading({self.spec_string()})"

@@ -14,7 +14,10 @@ down_masks, up_masks) are listed in canonical order, which is a linear
 extension; lower ideals are enumerated by depth-first search along it, so
 each ideal is produced exactly once.  A poset enumerates its lower ideals
 once and holds them: `ideal_masks` for counting, `lower_ideals` for every
-reader that needs validated `Ideal`s.
+reader that needs validated `Ideal`s.  The connected components of a poset
+(`components`) are read off the same tables; for a standard grading the
+components of Delta(1) are the weights of the simple modules of the level-0
+subalgebra, each with a level-1 simple root as its lowest element.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .grading import Grading
-from .polys import Poly, trimmed
+from .polys import Poly, from_exponent_counts
 from .rootsys import Root, RootSystem
 
 
@@ -45,6 +48,16 @@ def iter_downclosed(down_masks: Sequence[int]) -> Iterator[int]:
             yield from rec(k + 1, mask | own[k])
 
     return rec(0, 0)
+
+
+def _spread(index: Sequence[int], masks: Sequence[int], mask: int) -> int:
+    """The union of masks[i] over the elements index[i] in mask: the
+    down-set or up-set of a subset, as the masks are down- or up-sets."""
+    out = 0
+    for k, m in zip(index, masks):
+        if mask >> k & 1:
+            out |= m
+    return out
 
 
 def order_masks(
@@ -124,11 +137,22 @@ class WeightPoset:
         return mask
 
     def is_lower_mask(self, mask: int) -> bool:
-        closed = 0
-        for k, d in zip(self.positive_index, self.down_masks):
-            if mask >> k & 1:
-                closed |= d
-        return closed == mask
+        return _spread(self.positive_index, self.down_masks, mask) == mask
+
+    @cached_property
+    def components(self) -> tuple[int, ...]:
+        """The connected components, as positive-root masks in order of
+        their lowest root."""
+        links = tuple(d | u for d, u in zip(self.down_masks, self.up_masks))
+        out = []
+        rest = self.full_mask
+        while rest:
+            comp, grown = 0, rest & -rest
+            while grown != comp:
+                comp, grown = grown, _spread(self.positive_index, links, grown)
+            out.append(comp)
+            rest &= ~comp
+        return tuple(out)
 
     @cached_property
     def ideal_masks(self) -> tuple[int, ...]:
@@ -219,10 +243,7 @@ def count_lower_ideals(p: WeightPoset) -> int:
 
 def m_polynomial(p: WeightPoset) -> Poly:
     """Generating polynomial sum over lower ideals of t^(#ideal)."""
-    counts = [0] * (p.size + 1)
-    for mask in p.ideal_masks:
-        counts[bin(mask).count("1")] += 1
-    return trimmed(counts)
+    return from_exponent_counts(map(int.bit_count, p.ideal_masks))
 
 
 def count_antichains(p: WeightPoset) -> int:
@@ -260,22 +281,14 @@ def min_elements(p: WeightPoset, subset: int) -> Antichain:
 
 def lower_ideal_from_antichain(p: WeightPoset, a: Antichain | int) -> Ideal:
     mask = a.mask if isinstance(a, Antichain) else a
-    out = 0
-    for k, d in zip(p.positive_index, p.down_masks):
-        if mask >> k & 1:
-            out |= d
-    return Ideal(p, out)
+    return Ideal(p, _spread(p.positive_index, p.down_masks, mask))
 
 
 def upper_ideal_from_antichain(p: WeightPoset, a: Antichain | int) -> int:
     """Upward closure, returned as a bare mask (upper ideals are stored as
     complements of lower ideals)."""
     mask = a.mask if isinstance(a, Antichain) else a
-    out = 0
-    for k, u in zip(p.positive_index, p.up_masks):
-        if mask >> k & 1:
-            out |= u
-    return out
+    return _spread(p.positive_index, p.up_masks, mask)
 
 
 def lower_ideal_from_roots(p: WeightPoset, roots: Iterable[Root]) -> Ideal:

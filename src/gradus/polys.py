@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Sequence
 
 Poly = tuple[int, ...]
@@ -52,10 +53,8 @@ def value(p: Sequence[int], x):
 
 def from_exponent_counts(exponents: Iterable[int]) -> Poly:
     """Histogram polynomial sum_k t^e_k, e.g. from a list of lengths."""
-    counts: dict[int, int] = {}
-    for e in exponents:
-        counts[e] = counts.get(e, 0) + 1
-    out = [0] * (max(counts) + 1 if counts else 1)
+    counts = Counter(exponents)
+    out = [0] * (max(counts, default=0) + 1)
     for e, c in counts.items():
         out[e] = c
     return trimmed(out)

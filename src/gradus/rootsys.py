@@ -19,9 +19,10 @@ Conventions used throughout the package:
   as such a mask; roots_of is the one conversion from a mask to roots.
 - A root is also an index into roots(): positive root k keeps k, and its
   negative is k + N.  `index` maps the coordinates of every root to its
-  index, `heights` is the one table of heights, and `sums` is the one table
-  of root sums, so closures, convexity and the three-root lemma are
-  lookups, not coordinate arithmetic.
+  index, `heights` is the one table of heights, `height_partition` the one
+  histogram of them over a mask, and `sums` is the one table of root sums,
+  so closures, convexity and the three-root lemma are lookups, not
+  coordinate arithmetic.
 
 Everything is integer or Fraction arithmetic; no floating point.
 """
@@ -323,18 +324,27 @@ class RootSystem:
         """Height of each root of roots(), by index: -ht(root k) at k + N."""
         return tuple(r.height for r in self._roots)
 
-    @cached_property
-    def height_counts(self) -> tuple[int, ...]:
-        """Number of positive roots of each height 1..h-1."""
-        counts = [0] * (self.coxeter_number - 1)
-        for h in self.heights[: len(self.positive_roots)]:
-            counts[h - 1] += 1
+    def height_partition(self, mask: Optional[int] = None) -> tuple[int, ...]:
+        """Occurrences of each height 1, 2, ... among the positive roots of a
+        mask (all of them when None), trailing zeros trimmed: the one height
+        histogram.  With None it runs to h - 1, where theta is alone."""
+        if mask is None:
+            mask = (1 << len(self.positive_roots)) - 1
+        self._require_mask(mask)
+        # canonical order ascends in height, so the top bit has the top height
+        counts = [0] * self.heights[mask.bit_length() - 1] if mask else []
+        for k in self.indices_of(mask):
+            counts[self.heights[k] - 1] += 1
         return tuple(counts)
+
+    def _require_mask(self, mask: int) -> None:
+        if not 0 <= mask < 1 << len(self.positive_roots):
+            raise ValueError(f"{mask} is not a positive-root mask of {self.cartan_type}")
 
     @cached_property
     def exponents(self) -> tuple[int, ...]:
-        """Exponents, extracted as the dual partition of the height counts."""
-        m = dual_partition(self.height_counts)
+        """Exponents, extracted as the dual partition of the height histogram."""
+        m = dual_partition(self.height_partition())
         if len(m) != self.rank:
             raise AssertionError("height distribution is not a partition of the rank")
         return tuple(sorted(m))

@@ -58,6 +58,13 @@ def _identity_perm(rs: RootSystem) -> Perm:
     return tuple(range(2 * len(rs.positive_roots)))
 
 
+def _inverse(perm: Perm) -> Perm:
+    inv = [0] * len(perm)
+    for k, image in enumerate(perm):
+        inv[image] = k
+    return tuple(inv)
+
+
 class WeylElement:
     """A Weyl group element as the permutation w of the root indices:
     perm[k] is the index of w(root k)."""
@@ -90,10 +97,7 @@ class WeylElement:
         return WeylElement(self.rs, _compose(self.perm, other.perm))
 
     def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.perm)
-        for k, image in enumerate(self.perm):
-            inv[image] = k
-        return WeylElement(self.rs, tuple(inv))
+        return WeylElement(self.rs, _inverse(self.perm))
 
     @property
     def inversion_mask(self) -> int:
@@ -194,10 +198,7 @@ def _peel(rs: RootSystem, mask: int) -> Optional[tuple[Perm, tuple[int, ...]]]:
             return None
         word_rev.append(i)
         q = _compose(q, rs.reflection_table[i])
-    perm = [0] * len(q)
-    for k, image in enumerate(q):
-        perm[image] = k
-    return tuple(perm), tuple(reversed(word_rev))
+    return _inverse(q), tuple(reversed(word_rev))
 
 
 def element_from_inversions(rs: RootSystem, mask: int) -> WeylElement:
@@ -274,11 +275,9 @@ def km_poly(rs: RootSystem) -> Poly:
 def km_order(rs: RootSystem, mask: Optional[int] = None) -> Fraction:
     """Product over the positive roots of a mask (all of them when None) of
     (h+1)/h, h the height; equals the group order for Delta+."""
-    heights = rs.heights
     num = den = 1
-    for k in range(len(rs.positive_roots)) if mask is None else rs.indices_of(mask):
-        num *= heights[k] + 1
-        den *= heights[k]
+    for h, c in enumerate(rs.height_partition(mask), 1):
+        num, den = num * (h + 1) ** c, den * h ** c
     return Fraction(num, den)
 
 

@@ -18,7 +18,6 @@ from gradus.arrangement import (
     deleted_arrangement,
     geometric_inversions,
     good_primes,
-    height_partition,
     ideal_arrangement,
     ideal_count_formula,
     regions_in_dominant_chamber,
@@ -431,8 +430,11 @@ def test_geometric_inversions_match_inversions():
 def test_height_partition_and_exponents():
     g = parse_grading_spec("G2:es")
     walls = [r for r in g.rs.positive_roots if g.level(r) in (0, 1)]
-    assert height_partition(g.rs, g.delta0_mask | g.delta1_mask) == (2, 1, 1, 1)
-    assert height_partition(g.rs, 0) == ()
+    assert g.rs.height_partition(g.delta0_mask | g.delta1_mask) == (2, 1, 1, 1)
+    assert g.rs.height_partition(0) == ()
+    for mask in (1 << 6, -1):
+        with pytest.raises(ValueError, match=f"^{mask} is not a positive-root mask of G2$"):
+            g.rs.height_partition(mask)
     assert conjectural_exponents(g) == (1, 4)
     assert sum(conjectural_exponents(g)) == len(walls)
 
@@ -560,6 +562,10 @@ def test_ideal_arrangement_validates_mask():
     with pytest.raises(ValueError):
         ideal_arrangement(rs, low)
     assert theta_bit in ups
+    # so is an int with a bit beyond the positive roots
+    for mask in (1 << 3, -1):
+        with pytest.raises(ValueError, match=f"^{mask} is not a positive-root mask of A2$"):
+            ideal_arrangement(rs, mask)
 
 
 def _brute_point_count(normals, n, q):

@@ -127,7 +127,7 @@ def test_positive_slice_sizes():
 
 def test_simple_components_split_and_minima():
     g = parse_grading_spec("A3:1,0,1")
-    comps = [g.rs.roots_of(c) for c in g.simple_components()[1]]
+    comps = [g.rs.roots_of(c) for c in g.weight_poset(1).components]
     assert len(comps) == 2
     shapes = sorted(tuple(sorted(r.coords for r in c)) for c in comps)
     assert shapes == [
@@ -141,9 +141,9 @@ def test_simple_components_split_and_minima():
 
 def test_simple_components_connected_case():
     g = parse_grading_spec("B3:0,1,0")
-    comps = g.simple_components()
-    assert comps[1] == [g.delta1_mask] and comps[1][0].bit_count() == 6
-    assert comps[2] == [1 << g.rs.index[g.rs.theta.coords]]
+    comps = {i: g.weight_poset(i).components for i in (1, 2)}
+    assert comps[1] == (g.delta1_mask,) and comps[1][0].bit_count() == 6
+    assert comps[2] == (1 << g.rs.index[g.rs.theta.coords],)
 
 
 def test_level_masks_cover_positives():
@@ -213,8 +213,15 @@ def _components_by_coordinates(g):
 
 @pytest.mark.parametrize("name", default_types(6))
 def test_simple_components_match_the_coordinate_route(name):
+    """Poset components against the coordinate route on every level of
+    every grading with marks in {0,1} (in {0,1,2} at rank <= 3), a level
+    without roots having no components."""
     rs = build(name)
-    for marks in product((0, 1), repeat=rs.rank):
+    for marks in product((0, 1) if rs.rank > 3 else (0, 1, 2), repeat=rs.rank):
         if any(marks):
             g = grade(rs, marks)
-            assert g.simple_components() == _components_by_coordinates(g)
+            comps = {
+                i: list(g.weight_poset(i).components) if g.level_mask(i) else []
+                for i in range(1, g.max_level + 1)
+            }
+            assert comps == _components_by_coordinates(g)

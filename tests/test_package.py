@@ -56,3 +56,18 @@ def test_the_package_and_the_cli_start_without_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "True", "False"]
+
+
+def test_readme_names_only_attributes_that_exist():
+    # Every backticked rs.NAME, g.NAME and p.NAME outside the code blocks is
+    # an attribute of a built RootSystem, Grading or WeightPoset.
+    g = gradus.parse_grading_spec("B3:0,1,0")
+    built = {"rs": g.rs, "g": g, "p": g.weight_poset(1)}
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    named = {
+        (obj, attr)
+        for span in re.findall(r"`([^`]+)`", prose)
+        for obj, attr in re.findall(r"\b(rs|g|p)\.(\w+)", span)
+    }
+    assert ("rs", "roots_of") in named
+    assert sorted(f"{obj}.{attr}" for obj, attr in named if not hasattr(built[obj], attr)) == []

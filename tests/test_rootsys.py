@@ -132,10 +132,11 @@ def test_theta_is_highest():
 
 def test_height_counts_are_partition_shaped():
     rs = build("F4")
-    counts = rs.height_counts
+    counts = rs.height_partition()
     assert sum(counts) == len(rs.positive_roots)
     assert counts[0] == rs.rank
     assert all(a >= b for a, b in zip(counts, counts[1:]))
+    assert len(counts) == rs.coxeter_number - 1 and counts[-1] == 1
 
 
 def test_dual_partition_round_trip():

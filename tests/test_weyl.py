@@ -203,6 +203,23 @@ def test_km_identity_small():
         assert km_order(rs) == Fraction(ORDERS[name])
 
 
+def test_km_order_matches_the_product_over_each_root():
+    """The height histogram route against the old per-root product."""
+    for name in default_types(4):
+        rs = build(name)
+        for g in sweep_gradings(rs):
+            for mask in (None, 0, g.delta0_mask, g.delta1_mask, g.ge1_mask):
+                ks = range(len(rs.positive_roots)) if mask is None else rs.indices_of(mask)
+                expected = Fraction(1)
+                for k in ks:
+                    expected *= Fraction(rs.heights[k] + 1, rs.heights[k])
+                assert km_order(rs, mask) == expected
+    rs = build("A2")
+    for mask in (1 << 3, -1):
+        with pytest.raises(ValueError, match=f"^{mask} is not a positive-root mask of A2$"):
+            km_order(rs, mask)
+
+
 def _divexact_fractions(num, den):
     """Quotient num/den; raises ValueError unless it divides exactly over Z."""
     den = trimmed(den)
