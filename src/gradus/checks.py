@@ -461,7 +461,8 @@ def suite_fibers(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
         sub = g.spec_string()
         p = ideals_mod.weight_poset(g, 1)
         table = weyl_mod.enumerate_W0(g)
-        masks = [w.inversion_mask for w in table.elements()]
+        elements = table.elements()
+        masks = [w.inversion_mask for w in elements]
         bad_tau = bad_interval = bad_length = ""
         seen = 0
         for ideal in p.lower_ideals:
@@ -469,11 +470,12 @@ def suite_fibers(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckR
             hi = weyl_mod.w_max(g, ideal)
             if weyl_mod.tau(g, lo) != ideal or weyl_mod.tau(g, hi) != ideal:
                 bad_tau = bad_tau or f"tau mismatch at {ideal}"
-            fib = weyl_mod.fiber(g, ideal)
+            positions = table.by_tau.get(ideal.mask, [])
+            fib = [elements[k] for k in positions]
             seen += len(fib)
             a, b = lo.inversion_mask, hi.inversion_mask
             interval = [k for k, m in enumerate(masks) if m & a == a and m | b == b]
-            if interval != table.by_tau.get(ideal.mask, []):
+            if interval != positions:
                 bad_interval = bad_interval or f"fiber of {ideal} is not the interval"
             if fib[0] != lo or fib[-1] != hi:
                 bad_length = bad_length or f"endpoints of {ideal} out of place"

@@ -332,6 +332,8 @@ def cmd_element(args: argparse.Namespace) -> int:
     p = ideals_mod.weight_poset(g, 1)
     roots = parse_root_list(g.rs, args.ideal)
     ideal = ideals_mod.lower_ideal_from_roots(p, roots)
+    # the fiber is refused over the budget before either extreme is peeled
+    fiber = weyl_mod.fiber(g, ideal)
     lo = weyl_mod.w_min(g, ideal)
     hi = weyl_mod.w_max(g, ideal)
     payload = {
@@ -350,7 +352,7 @@ def cmd_element(args: argparse.Namespace) -> int:
         },
         "max_of_ideal": _root_strs(weyl_mod.max_roots(g, ideal).roots()),
         "min_of_complement": _root_strs(weyl_mod.min_complement_roots(g, ideal).roots()),
-        "fiber_size": len(weyl_mod.fiber(g, ideal)),
+        "fiber_size": len(fiber),
     }
     _emit(args, payload)
     return 0

@@ -280,15 +280,19 @@ def min_elements(p: WeightPoset, subset: int) -> Antichain:
 
 
 def lower_ideal_from_antichain(p: WeightPoset, a: Antichain | int) -> Ideal:
-    mask = a.mask if isinstance(a, Antichain) else a
-    return Ideal(p, _spread(p.positive_index, p.down_masks, mask))
+    """Downward closure; a bare mask is checked as an Antichain of p first."""
+    if not isinstance(a, Antichain):
+        a = Antichain(p, a)
+    return Ideal(p, _spread(p.positive_index, p.down_masks, a.mask))
 
 
 def upper_ideal_from_antichain(p: WeightPoset, a: Antichain | int) -> int:
     """Upward closure, returned as a bare mask (upper ideals are stored as
-    complements of lower ideals)."""
-    mask = a.mask if isinstance(a, Antichain) else a
-    return _spread(p.positive_index, p.up_masks, mask)
+    complements of lower ideals); a bare mask is checked as an Antichain of
+    p first."""
+    if not isinstance(a, Antichain):
+        a = Antichain(p, a)
+    return _spread(p.positive_index, p.up_masks, a.mask)
 
 
 def lower_ideal_from_roots(p: WeightPoset, roots: Iterable[Root]) -> Ideal:

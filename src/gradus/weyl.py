@@ -26,10 +26,15 @@ WeylElement: the table keeps the elements as one tuple, the minimal
 and maximal elements of the fibers as two frozensets of them, and the
 fibers as positions in the tuple keyed by level-1 inversion mask.  With
 every node marked W(0) is trivial, so the same walk enumerates W itself.
+A single fiber needs no table: it is the weak-order interval
+[w_min, w_max], and the same walk, started at w_min and taking only roots
+of level >= 2, visits exactly its elements.
 The table is a cached_property of its grading, and so are the minimal and
 maximal elements of its fibers (Grading.fiber_extremes, keyed by the
-ideal's positive-root mask and peeled once each); W itself is cached per
-root system, and longest elements per root system and generator tuple.
+ideal's positive-root mask).  A peel depends only on the root system and
+the mask, so it is cached per root system and mask and shared by every
+grading of that root system; W itself is cached per root system, and
+longest elements per root system and generator tuple.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import ideals as ideals_mod
 from .grading import Grading
@@ -85,7 +90,7 @@ class WeylElement:
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElement":
-        return cls(rs, _identity_perm(rs), word=())
+        return cls(rs, _identity_perm(rs), word=(), inv_mask=0)
 
     def apply(self, gamma: Root) -> Root:
         k = self.rs.index.get(gamma.coords)
@@ -173,10 +178,11 @@ def is_biconvex(rs: RootSystem, mask: int) -> bool:
     return biconvex_violation(rs, mask) is None
 
 
+@cache
 def _peel(rs: RootSystem, mask: int) -> Optional[tuple[Perm, tuple[int, ...]]]:
     """The permutation and a reduced word of the element w with inversion
     set `mask`, or None if peeling gets stuck (the mask is not an inversion
-    set).
+    set); peeled once per root system and mask.
 
     Each step peels the first simple root alpha_i, in canonical order, that
     is an inversion of the rest w Q, where Q = s_(i0) ... s_(im) is what has
@@ -289,6 +295,53 @@ def levi_order(g: Grading) -> Fraction:
 # -- minimal coset representatives --------------------------------------
 
 
+def _coset_count(g: Grading) -> Fraction:
+    """|W/W(0)|, refused over the budget before any walk starts."""
+    count = km_order(g.rs) / levi_order(g)
+    check_budget(int(count), f"cosets of {g.spec_string()}")
+    return count
+
+
+def _walk(
+    g: Grading, start: WeylElement, floor: int
+) -> Iterator[tuple[Perm, list[int], tuple[int, ...], int]]:
+    """Breadth-first walk up the left weak order from `start`, prepending
+    s_i whenever w^(-1)(alpha_i) is a root of level >= floor >= 1.
+
+    Yields (permutation, w^(-1)(alpha_j) for each simple root alpha_j, word,
+    inversion mask) per element, in breadth-first and so length-sorted
+    order.  An element is recognised by its inversion mask (N(w) determines
+    w), so s_i w and w^(-1) s_i are composed only for one not yet seen."""
+    rs = g.rs
+    simple_positions = rs.simple_indices
+    refl = rs.reflection_table
+    signed = g.signed_levels
+    seen = {start.inversion_mask}
+    queue: deque[tuple[Perm, Perm, tuple[int, ...], int]] = deque(
+        [(start.perm, _inverse(start.perm), start.word, start.inversion_mask)]
+    )
+    while queue:
+        perm, inv, word, inv_mask = queue.popleft()
+        preimages = [inv[k] for k in simple_positions]
+        yield perm, preimages, word, inv_mask
+        for i, gained in enumerate(preimages):
+            if signed[gained] < floor:
+                continue
+            # N(s_i w) = N(w) + {w^(-1)(alpha_i)}
+            new_mask = inv_mask | 1 << gained
+            if new_mask in seen:
+                continue
+            seen.add(new_mask)
+            queue.append(
+                (
+                    _compose(refl[i], perm),
+                    _compose(inv, refl[i]),
+                    (i,) + word,
+                    new_mask,
+                )
+            )
+
+
 class CosetTable:
     """All minimal-length representatives of W modulo the level-0 parabolic,
     in breadth-first (hence length-sorted) order.
@@ -296,36 +349,22 @@ class CosetTable:
     elements() is the tuple of representatives, each built with its word and
     inversion mask; `minimal` and `maximal` hold those whose w^(-1)(alpha_j)
     all have level >= -1, resp. <= 1, over the simple roots alpha_j; by_tau
-    maps a level-1 inversion mask to the positions of its fiber.  The walk
-    recognises a coset by its inversion mask (N(w) determines w), so it
-    composes s_i w and w^(-1) s_i only for a coset it has not seen.  A table
+    maps a level-1 inversion mask to the positions of its fiber.  The table
+    is the walk from the identity over the roots of positive level: at level
+    0 s_i w is in the same coset, and a negative root is a descent.  A table
     over the budget is refused before the walk starts."""
 
     def __init__(self, grading: Grading):
         rs = grading.rs
-        count = km_order(rs) / levi_order(grading)
-        check_budget(int(count), f"cosets of {grading.spec_string()}")
-        simple_positions = rs.simple_indices
-        refl = rs.reflection_table
-        ident = _identity_perm(rs)
-        # s_i grows w iff w^(-1)(alpha_i) has positive level: at level 0
-        # s_i w is in the same coset, and a negative root is a descent
-        signed = grading.signed_levels
+        count = _coset_count(grading)
         delta1 = grading.delta1_mask
+        signed = grading.signed_levels
         elements: list[WeylElement] = []
         minimal: list[WeylElement] = []
         maximal: list[WeylElement] = []
         self.by_tau: dict[int, list[int]] = {}
-        seen = {0}  # inversion masks
-        # (permutation of w, permutation of w^(-1), word, inversion mask)
-        queue: deque[tuple[Perm, Perm, tuple[int, ...], int]] = deque(
-            [(ident, ident, (), 0)]
-        )
-        while queue:
-            perm, inv, word, inv_mask = queue.popleft()
+        for perm, preimages, word, inv_mask in _walk(grading, WeylElement.identity(rs), 1):
             w = WeylElement(rs, perm, word=word, inv_mask=inv_mask)
-            # w^(-1)(alpha_j) for each simple root alpha_j, and its level
-            preimages = [inv[k] for k in simple_positions]
             preimage_levels = [signed[k] for k in preimages]
             if min(preimage_levels) >= -1:
                 minimal.append(w)
@@ -333,22 +372,6 @@ class CosetTable:
                 maximal.append(w)
             self.by_tau.setdefault(inv_mask & delta1, []).append(len(elements))
             elements.append(w)
-            for i, gained in enumerate(preimages):
-                if signed[gained] <= 0:
-                    continue
-                # N(s_i w) = N(w) + {w^(-1)(alpha_i)}
-                new_mask = inv_mask | 1 << gained
-                if new_mask in seen:
-                    continue
-                seen.add(new_mask)
-                queue.append(
-                    (
-                        _compose(refl[i], perm),
-                        _compose(inv, refl[i]),
-                        (i,) + word,
-                        new_mask,
-                    )
-                )
         if len(elements) != count:
             raise AssertionError("coset count disagrees with the order formula")
         self.grading = grading
@@ -386,10 +409,23 @@ def tau(g: Grading, w: WeylElement) -> Ideal:
 
 def fiber(g: Grading, ideal: Ideal) -> list[WeylElement]:
     """All minimal coset representatives whose level-1 inversions equal the
-    ideal, in increasing length."""
-    table = enumerate_W0(g)
-    elements = table.elements()
-    return [elements[k] for k in table.by_tau.get(ideal.mask, [])]
+    ideal, in increasing length, from w_min to w_max.
+
+    Refused, as the coset table is, when |W/W(0)| is over the budget.  The
+    fiber is the weak-order interval [w_min, w_max], walked up from w_min
+    over the roots of level >= 2 (level 1 would change the ideal, level 0
+    leave W0), so the walk costs the fiber's size.  Each element carries the
+    peeled reduced word of w_min with the walk's letters prepended, which
+    need not be the word its coset table entry carries."""
+    _coset_count(g)
+    lo, hi = w_min(g, ideal), w_max(g, ideal)
+    out = [
+        WeylElement(g.rs, perm, word=word, inv_mask=inv_mask)
+        for perm, _, word, inv_mask in _walk(g, lo, 2)
+    ]
+    if out[-1].inversion_mask != hi.inversion_mask:
+        raise AssertionError(f"the fiber of {ideal} does not end at w_max")
+    return out
 
 
 # -- closures and the minimal/maximal elements of a fiber ----------------

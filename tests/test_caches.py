@@ -2,7 +2,10 @@
 
 Values derived from a grading are cached_property values of the Grading and
 die with it; values derived from a root system are functools caches keyed by
-the memoised root system and tuples of ints or frozen arrangements.
+the memoised root system and tuples of ints or frozen arrangements.  A peel
+(the element with a given inversion mask) is such a value, keyed by the root
+system and the mask, so gradings of one root system share it; the extremes
+of a grading's fibers are still memoised per grading.
 """
 
 import gc
@@ -10,13 +13,13 @@ import weakref
 
 import pytest
 
-from gradus import arrangement, checks, ideals
+from gradus import arrangement, checks, ideals, weyl
 from gradus.arrangement import Arrangement, char_poly, coxeter_arrangement
 from gradus.cli import main
 from gradus.grading import extra_special, grade, parse_grading_spec
 from gradus.ideals import dual_ideal, iter_lower_ideals, weight_poset
 from gradus.rootsys import RootSystem, build, parse_cartan_type
-from gradus.weyl import enumerate_W0, involution, longest_element
+from gradus.weyl import closure_mask, enumerate_W0, involution, longest_element, w_min
 
 
 def test_repeated_queries_share_one_table_and_poset():
@@ -50,6 +53,34 @@ def test_no_global_cache_holds_a_grading():
     del g, p, ideal, w
     gc.collect()
     assert ref() is None
+
+
+def test_gradings_of_one_root_system_share_a_peel(monkeypatch):
+    # A root system that build() has not memoised keys nothing cached yet.
+    rs = RootSystem(parse_cartan_type("B3"))
+    g1, g2 = grade(rs, (0, 1, 1)), grade(rs, (1, 1, 1))
+    # w_min's inversion set is the closure of its ideal
+    shared = [
+        (i1, i2)
+        for i1 in iter_lower_ideals(weight_poset(g1))
+        for i2 in iter_lower_ideals(weight_poset(g2))
+        if closure_mask(rs, i1.mask) == closure_mask(rs, i2.mask)
+    ]
+    i1, i2 = max(shared, key=lambda pair: closure_mask(rs, pair[0].mask).bit_count())
+    calls = []
+    real = weyl._compose
+
+    def counting(u, v):
+        calls.append(v)
+        return real(u, v)
+
+    monkeypatch.setattr(weyl, "_compose", counting)
+    first = w_min(g1, i1)
+    assert first.length >= 2 and len(calls) == first.length
+    calls.clear()
+    again = w_min(g2, i2)
+    assert again is not first and again.perm is first.perm
+    assert calls == []
 
 
 def test_equal_arrangement_reuses_the_polynomial(monkeypatch):

@@ -125,6 +125,27 @@ def test_element_pinned(capsys):
     assert data["fiber_size"] == 2
 
 
+def test_element_walks_its_fiber_without_a_coset_table(capsys, monkeypatch):
+    def no_table(g):
+        raise AssertionError("coset table built for one fiber")
+
+    monkeypatch.setattr(weyl, "CosetTable", no_table)
+    code, out, _ = run_cli(["element", "B2:es", "--ideal", "a2", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["fiber_size"] == 2
+
+
+def test_element_is_refused_over_the_budget_before_any_work(capsys, monkeypatch):
+    def no_compose(u, v):
+        raise AssertionError("composed an element over the budget")
+
+    monkeypatch.setattr(weyl, "_compose", no_compose)
+    code, out, err = run_cli(["element", "E7:1,1,1,1,1,1,1", "--ideal", "a1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("gradus element: 2,903,040 cosets of E7:1,1,1,1,1,1,1 "
+                   "exceed the budget of 51,840\n")
+
+
 def test_element_empty_ideal(capsys):
     code, out, _ = run_cli(["element", "B2:es", "--ideal", "", "--json"], capsys)
     data = json.loads(out)

@@ -20,6 +20,7 @@ from gradus.ideals import (
     min_elements,
     order_masks,
     self_dual_count,
+    upper_ideal_from_antichain,
     weight_poset,
 )
 from gradus.polys import value
@@ -133,6 +134,22 @@ def test_min_elements_of_upward_closed_sets():
             if a.mask >> k & 1:
                 up |= u
         assert up == comp
+
+
+def test_antichain_closures_check_a_bare_mask():
+    g = parse_grading_spec("B3:0,1,0")
+    p = weight_poset(g)
+    assert g.delta0_mask & 1  # root 0 is at level 0
+    for close in (lower_ideal_from_antichain, upper_ideal_from_antichain):
+        with pytest.raises(ValueError, match="outside slice 1"):
+            close(p, 1)
+        with pytest.raises(ValueError, match="not pairwise incomparable"):
+            close(p, p.full_mask)
+    for ideal in p.lower_ideals:
+        a = max_elements(p, ideal)
+        assert lower_ideal_from_antichain(p, a.mask) == lower_ideal_from_antichain(p, a)
+        b = min_elements(p, ideal.complement_mask)
+        assert upper_ideal_from_antichain(p, b.mask) == ideal.complement_mask
 
 
 def test_ideal_validation():

@@ -1,6 +1,7 @@
 import gc
 import weakref
 from collections import deque
+import itertools
 from itertools import product
 
 import pytest
@@ -702,3 +703,35 @@ def test_fiber_extremes_are_the_fiber_endpoints(name):
         for ideal in iter_lower_ideals(weight_poset(g, 1)):
             fib = fiber(g, ideal)
             assert w_min(g, ideal) == fib[0] and w_max(g, ideal) == fib[-1]
+
+
+@pytest.mark.parametrize("name", default_types(5))
+def test_walked_fiber_matches_the_coset_table(name):
+    # the table's by_tau groups are the oracle for the walk from w_min; both
+    # are length-sorted, but equal lengths may come in another order
+    for g in sweep_gradings(build(name)):
+        table = enumerate_W0(g)
+        elements = table.elements()
+        for ideal in iter_lower_ideals(weight_poset(g, 1)):
+            fib = fiber(g, ideal)
+            want = [elements[k] for k in table.by_tau[ideal.mask]]
+            assert len(fib) == len(want) and set(fib) == set(want)
+            lengths = [w.length for w in fib]
+            assert lengths == sorted(lengths)
+            assert fib[0] == w_min(g, ideal) and fib[-1] == w_max(g, ideal)
+            assert all(from_word(g.rs, w.word) == w for w in fib)
+
+
+def test_a_fiber_walk_that_stops_early_is_refused(monkeypatch):
+    real = weyl._walk
+
+    def first_only(*args):
+        return itertools.islice(real(*args), 1)
+
+    g = parse_grading_spec("B3:es")
+    ideal = next(i for i in iter_lower_ideals(weight_poset(g, 1))
+                 if w_min(g, i) != w_max(g, i))
+    monkeypatch.setattr(weyl, "_walk", first_only)
+    with pytest.raises(AssertionError, match="does not end at w_max"):
+        fiber(g, ideal)
+
