@@ -8,6 +8,11 @@ check suites.  Output is a human table by default, or deterministic JSON
 (`--json`) and CSV (`--csv`); identical invocations produce identical
 bytes.
 
+The CLI keeps each grading it has parsed for the life of the process, so
+a repeated query in one process reuses what that grading has derived.
+`verify` builds its own gradings, and a library caller's grading still dies
+with its owner.
+
 Exit codes: 0 on success, 1 when a verification suite fails, 2 for usage
 or input errors.
 """
@@ -226,9 +231,14 @@ def parse_root_list(rs: RootSystem, text: str) -> list[Root]:
 
 # -- subcommands ---------------------------------------------------------
 
+# One grading per spec string for the life of the process, so a repeated query
+# reuses its weight posets, ideal walk, coset table and fibre extremes.  A spec
+# that fails to parse is not stored: functools.cache stores no exception.
+_grading = functools.cache(parse_grading_spec)
+
 
 def cmd_show(args: argparse.Namespace) -> int:
-    g = parse_grading_spec(args.spec)
+    g = _grading(args.spec)
     rs = g.rs
     slices = {}
     pis = {}
@@ -259,7 +269,7 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_ideals(args: argparse.Namespace) -> int:
-    g = parse_grading_spec(args.spec)
+    g = _grading(args.spec)
     check_budget(int(arr_mod.ideal_count_formula(g)), f"lower ideals of {g.spec_string()}")
     p = ideals_mod.weight_poset(g, 1)
     mp = ideals_mod.m_polynomial(p)
@@ -287,7 +297,7 @@ def cmd_ideals(args: argparse.Namespace) -> int:
 
 
 def cmd_weyl(args: argparse.Namespace) -> int:
-    g = parse_grading_spec(args.spec)
+    g = _grading(args.spec)
     if args.eta and g.k_standard != 1:
         raise UsageError("--eta needs a grading with a single marked node")
     table = weyl_mod.enumerate_W0(g)
@@ -328,7 +338,7 @@ def cmd_weyl(args: argparse.Namespace) -> int:
 
 
 def cmd_element(args: argparse.Namespace) -> int:
-    g = parse_grading_spec(args.spec)
+    g = _grading(args.spec)
     p = ideals_mod.weight_poset(g, 1)
     roots = parse_root_list(g.rs, args.ideal)
     ideal = ideals_mod.lower_ideal_from_roots(p, roots)
@@ -359,7 +369,7 @@ def cmd_element(args: argparse.Namespace) -> int:
 
 
 def cmd_arrangement(args: argparse.Namespace) -> int:
-    g = parse_grading_spec(args.spec)
+    g = _grading(args.spec)
     _emit(args, arr_mod.arrangement_report(g))
     return 0
 

@@ -373,11 +373,15 @@ class RootSystem:
         return f"RootSystem({self.cartan_type})"
 
 
+class BudgetExceeded(ValueError):
+    """An enumeration refused by check_budget: a refusal, not a fault."""
+
+
 def check_budget(size: int, what: str) -> None:
     """Refuse an enumeration of `size` items before it starts, naming the
     size and the budget."""
     if size > BUDGET:
-        raise ValueError(f"{size:,} {what} exceed the budget of {BUDGET:,}")
+        raise BudgetExceeded(f"{size:,} {what} exceed the budget of {BUDGET:,}")
 
 
 def dual_partition(counts: Sequence[int]) -> tuple[int, ...]:

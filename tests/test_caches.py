@@ -5,7 +5,9 @@ die with it; values derived from a root system are functools caches keyed by
 the memoised root system and tuples of ints or frozen arrangements.  A peel
 (the element with a given inversion mask) is such a value, keyed by the root
 system and the mask, so gradings of one root system share it; the extremes
-of a grading's fibers are still memoised per grading.
+of a grading's fibers are still memoised per grading.  The CLI keeps one
+grading per spec string for the life of the process, so a repeated query
+reuses what that grading derived; `verify` builds its own gradings.
 """
 
 import gc
@@ -185,3 +187,58 @@ def test_extra_special_marks_are_computed_once_per_root_system(monkeypatch):
 def test_a_query_walks_the_ideals_once(argv, walks, capsys):
     assert main(argv) == 0
     assert len(walks) == 1
+
+
+def _counting(monkeypatch, module, name):
+    """Record the arguments of each construction of module.name."""
+    built = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return built
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The (grading,) of each coset table built."""
+    return _counting(monkeypatch, weyl, "CosetTable")
+
+
+@pytest.fixture
+def posets(monkeypatch):
+    """The (grading, level) of each weight poset built."""
+    return _counting(monkeypatch, ideals, "WeightPoset")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ideals", "B3:es", "--list", "--poly", "--json"],
+    ["weyl", "B3:es", "--min", "--max", "--json"],
+    ["element", "B3:es", "--ideal", "a2", "--json"],
+])
+def test_a_repeated_query_reuses_its_grading(argv, walks, tables, posets, capsys):
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert posets and len(tables) == (argv[0] == "weyl")
+    for seen in (walks, tables, posets):
+        seen.clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert walks == tables == posets == []
+
+
+def test_queries_on_one_spec_share_one_poset(walks, posets, capsys):
+    for argv in (["ideals", "B3:es", "--list"], ["weyl", "B3:es", "--min"],
+                 ["element", "B3:es", "--ideal", "a2"]):
+        assert main(argv) == 0
+    assert [level for _, level in posets] == [1] and len(walks) == 1
+
+
+def test_verify_builds_its_own_gradings(tables, capsys):
+    for _ in range(2):
+        assert main(["verify", "B3:es", "--suite", "fibers"]) == 0
+    (g1,), (g2,) = tables
+    assert g1 is not g2

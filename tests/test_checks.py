@@ -1,15 +1,18 @@
-"""The rank gate of the check suites and the status of their rows."""
+"""The gate of the check suites (rank bound, raises as rows) and the status
+of their rows."""
 
 import inspect
+import json
 from itertools import product
 
 import pytest
 
-from gradus import arrangement, checks, ideals, weyl
+from gradus import arrangement, checks, ideals, rootsys, weyl
 from gradus.checks import CheckResult, sweep_gradings
+from gradus.cli import main
 from gradus.grading import Grading, grade
 from gradus.polys import value
-from gradus.rootsys import RootSystem, build
+from gradus.rootsys import RootSystem, build, parse_cartan_type
 
 # The rank above which each suite yields one skip row instead of running.
 BOUNDS = {
@@ -420,3 +423,87 @@ def test_involution_reports_the_first_failure_of_the_per_element_route(monkeypat
         failed += sum(1 for r in new if r.name == "involution-swaps-duality"
                       and r.detail.startswith("dual ideal mismatch at "))
     assert failed > 0
+
+
+# -- a raise inside a suite is a row -------------------------------------
+
+
+def test_a_raise_in_a_suite_is_a_fail_row(monkeypatch, capsys):
+    def not_an_inversion_set(rs, mask):
+        raise ValueError("not an inversion set (injected)")
+
+    monkeypatch.setattr(weyl, "element_from_inversions", not_an_inversion_set)
+    assert main(["verify", "B2:0,1", "--suite", "minmax"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        "[ FAIL ] minmax     B2               raised -- "
+        "ValueError: not an inversion set (injected)",
+        "1 checks, 1 failures, 0 skipped",
+    ]
+
+
+def test_rows_yielded_before_a_raise_are_kept():
+    @checks.suite("zz-flaky")
+    def _flaky(rs, gradings):
+        yield CheckResult("zz-flaky", str(rs.cartan_type), "first", True)
+        raise KeyError("lost")
+
+    try:
+        rows = checks.run([(build("A2"), [])], ["zz-flaky"])
+    finally:
+        del checks.SUITES["zz-flaky"]
+    assert rows == [
+        CheckResult("zz-flaky", "A2", "first", True),
+        CheckResult("zz-flaky", "A2", "raised", False, "KeyError: 'lost'"),
+    ]
+
+
+def test_a_failed_self_check_of_chi_is_a_row(monkeypatch, capsys):
+    # Off by q - 1 at A2's verification prime (good_primes gives 2, then 3).
+    real = arrangement._point_count
+    monkeypatch.setattr(arrangement, "_point_count",
+                        lambda normals, n, q: real(normals, n, q) + (q - 1) * (q == 3))
+    arrangement.char_poly.cache_clear()  # count again; a raise is not stored
+    assert main(["verify", "A2", "--suite", "charpoly", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert (data["total"], data["failures"]) == (1, 1)
+    assert data["checks"] == [{
+        "suite": "charpoly", "subject": "A2", "name": "raised", "ok": False,
+        "status": "fail",
+        "detail": "AssertionError: interpolated polynomial fails at the verification prime",
+    }]
+
+
+def test_a_budget_refusal_in_a_suite_is_a_skip_row(monkeypatch, capsys):
+    build("B2")  # its 16 reflection images are over the lowered budget too
+    monkeypatch.setattr(rootsys, "BUDGET", 3)
+    assert main(["verify", "B2:0,1", "--suite", "fibers"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        "[ skip ] fibers     B2               budget -- "
+        "4 cosets of B2:0,1 exceed the budget of 3",
+        "1 checks, 0 failures, 1 skipped",
+    ]
+
+
+def test_a_budget_refusal_keeps_its_cli_message():
+    with pytest.raises(rootsys.BudgetExceeded) as info:
+        rootsys.check_budget(rootsys.BUDGET + 1, "things")
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == "51,841 things exceed the budget of 51,840"
+
+
+def test_exponents_row_checks_the_classification(monkeypatch):
+    # A height partition whose dual (1, 3, 9, 11) starts at 1, ends at h - 1
+    # and sums to N, so only the classification tells it from F4's.
+    rs = RootSystem(parse_cartan_type("F4"))
+    monkeypatch.setattr(rs, "height_partition",
+                        lambda mask=None: (4, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1))
+    (row,) = [r for r in checks.SUITES["rootsys"](rs, [])
+              if r.name == "exponents-from-heights"]
+    assert row.status == "fail" and row.detail == "exponents (1, 3, 9, 11)"
+    (row,) = [r for r in checks.SUITES["rootsys"](build("F4"), [])
+              if r.name == "exponents-from-heights"]
+    assert row.status == "pass" and row.detail == "exponents (1, 5, 7, 11)"
