@@ -355,7 +355,8 @@ def catalan(rs: RootSystem) -> int:
     for m in rs.exponents:
         num *= rs.coxeter_number + m + 1
         den *= m + 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"Catalan number of {rs.cartan_type} is not an integer")
     return num // den
 
 

@@ -73,7 +73,7 @@ def test_no_pass_above_bound_at_rank_6():
 def test_report_rows_are_info():
     rs = build("F4")
     rows = checks.run([(rs, [grade(rs, (1, 0, 0, 0))])], ["ideals", "counting", "charpoly"])
-    rows += checks.SUITES["e7"](build("E7"), [])
+    rows += checks.SUITES["e7"](build("E7"), [checks.e7_paper_grading()])
     assert {r.name for r in rows if r.status == "info"} == REPORT_ROWS
     assert {r.status for r in rows if r.name not in REPORT_ROWS} == {"pass"}
     assert {r.name for r in rows if r.suite in ("counting", "charpoly")} >= {
@@ -433,20 +433,46 @@ def test_a_raise_in_a_suite_is_a_fail_row(monkeypatch, capsys):
         raise ValueError("not an inversion set (injected)")
 
     monkeypatch.setattr(weyl, "element_from_inversions", not_an_inversion_set)
-    assert main(["verify", "B2:0,1", "--suite", "minmax"]) == 1
+    assert main(["verify", "B2", "--suite", "minmax"]) == 1
     out, err = capsys.readouterr()
     assert err == ""
     assert out.splitlines() == [
-        "[ FAIL ] minmax     B2               raised -- "
-        "ValueError: not an inversion set (injected)",
-        "1 checks, 1 failures, 0 skipped",
-    ]
+        f"[ FAIL ] minmax     {spec:<16} raised -- "
+        "ValueError: not an inversion set (injected)"
+        for spec in ("B2:0,1", "B2:1,0", "B2:1,1")
+    ] + ["3 checks, 3 failures, 0 skipped"]
+
+
+def test_a_raise_costs_one_grading(monkeypatch, capsys):
+    # W0_max broken on one grading of B3: that grading gets one raised row
+    # and every other grading the rows of an unbroken run.
+    def minmax_rows(code):
+        assert main(["verify", "B3", "--suite", "minmax", "--json"]) == code
+        return json.loads(capsys.readouterr().out)["checks"]
+
+    clean = minmax_rows(0)
+    real = weyl.W0_max
+
+    def broken(g):
+        if g.spec_string() == "B3:0,1,0":
+            raise ValueError("injected")
+        return real(g)
+
+    monkeypatch.setattr(weyl, "W0_max", broken)
+    rows = minmax_rows(1)
+    assert [r for r in rows if r["name"] == "raised"] == [{
+        "suite": "minmax", "subject": "B3:0,1,0", "name": "raised", "ok": False,
+        "status": "fail", "detail": "ValueError: injected",
+    }]
+    others = [r for r in clean if r["subject"] != "B3:0,1,0"]
+    assert [r for r in rows if r["subject"] != "B3:0,1,0"] == others
+    assert len({r["subject"] for r in others}) == len(sweep_gradings(build("B3"))) - 1
 
 
 def test_rows_yielded_before_a_raise_are_kept():
-    @checks.suite("zz-flaky")
-    def _flaky(rs, gradings):
-        yield CheckResult("zz-flaky", str(rs.cartan_type), "first", True)
+    @checks.suite("zz-flaky", per="type")
+    def _flaky(rs):
+        yield "first", True, ""
         raise KeyError("lost")
 
     try:
@@ -459,6 +485,21 @@ def test_rows_yielded_before_a_raise_are_kept():
     ]
 
 
+def test_a_suite_takes_one_body_of_each_kind_under_one_bound():
+    def no_rows(on):
+        yield from ()
+
+    checks.suite("zz-pair", max_rank=2, per="type")(no_rows)
+    try:
+        for per, bound in (("type", 2), ("grading", 3), ("grading ", 2)):
+            with pytest.raises(ValueError, match="zz-pair"):
+                checks.suite("zz-pair", max_rank=bound, per=per)(no_rows)
+        checks.suite("zz-pair", max_rank=2)(no_rows)
+        assert checks.SUITES["zz-pair"].bodies == {"type": no_rows, "grading": no_rows}
+    finally:
+        del checks.SUITES["zz-pair"]
+
+
 def test_a_failed_self_check_of_chi_is_a_row(monkeypatch, capsys):
     # Off by q - 1 at A2's verification prime (good_primes gives 2, then 3).
     real = arrangement._point_count
@@ -467,25 +508,35 @@ def test_a_failed_self_check_of_chi_is_a_row(monkeypatch, capsys):
     arrangement.char_poly.cache_clear()  # count again; a raise is not stored
     assert main(["verify", "A2", "--suite", "charpoly", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
-    assert (data["total"], data["failures"]) == (1, 1)
-    assert data["checks"] == [{
-        "suite": "charpoly", "subject": "A2", "name": "raised", "ok": False,
-        "status": "fail",
+    assert (data["total"], data["failures"]) == (7, 4)
+    raised = {
+        "name": "raised", "ok": False, "status": "fail",
         "detail": "AssertionError: interpolated polynomial fails at the verification prime",
-    }]
+    }
+    # every chi of A2 is counted at q = 3: the type's, then each grading's
+    # after the rows that need no chi
+    assert data["checks"] == [{"suite": "charpoly", "subject": "A2"} | raised] + [
+        row
+        for spec, wall in (("A2:0,1", "abelian-uses-all-walls"),
+                           ("A2:1,0", "abelian-uses-all-walls"),
+                           ("A2:1,1", "extraspecial-drops-highest-wall"))
+        for row in ({"suite": "charpoly", "subject": spec, "name": wall, "ok": True,
+                     "status": "pass", "detail": ""},
+                    {"suite": "charpoly", "subject": spec} | raised)
+    ]
 
 
 def test_a_budget_refusal_in_a_suite_is_a_skip_row(monkeypatch, capsys):
     build("B2")  # its 16 reflection images are over the lowered budget too
     monkeypatch.setattr(rootsys, "BUDGET", 3)
-    assert main(["verify", "B2:0,1", "--suite", "fibers"]) == 0
+    assert main(["verify", "B2", "--suite", "fibers"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert out.splitlines() == [
-        "[ skip ] fibers     B2               budget -- "
-        "4 cosets of B2:0,1 exceed the budget of 3",
-        "1 checks, 0 failures, 1 skipped",
-    ]
+        f"[ skip ] fibers     {spec:<16} budget -- "
+        f"{cosets} cosets of {spec} exceed the budget of 3"
+        for spec, cosets in (("B2:0,1", 4), ("B2:1,0", 4), ("B2:1,1", 8))
+    ] + ["3 checks, 0 failures, 3 skipped"]
 
 
 def test_a_budget_refusal_keeps_its_cli_message():

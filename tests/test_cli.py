@@ -187,9 +187,9 @@ def test_verify_json(capsys):
 
 
 def test_verify_exit_one_on_failure(capsys):
-    @checks.suite("zz-always-red")
-    def _always_red(rs, gradings):
-        yield checks.CheckResult("zz-always-red", "unit", "forced", False, "boom")
+    @checks.suite("zz-always-red", per="type")
+    def _always_red(rs):
+        yield "forced", False, "boom"
 
     try:
         code, out, _ = run_cli(["verify", "--suite", "zz-always-red", "A2"], capsys)
@@ -205,9 +205,9 @@ def test_parser_is_built_once_and_reads_the_live_suite_registry(capsys):
     parser = _build_parser()
     assert _build_parser() is parser
 
-    @checks.suite("zz-late")
-    def _late(rs, gradings):
-        yield checks.CheckResult("zz-late", "unit", "late", True)
+    @checks.suite("zz-late", per="type")
+    def _late(rs):
+        yield "late", True, ""
 
     try:
         code, out, _ = run_cli(["verify", "--suite", "zz-late", "A2"], capsys)
@@ -431,6 +431,18 @@ def test_verify_all_rank_5_json_is_pinned():
         capture_output=True)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_RANK_5_SHA256
+
+
+# sha256 of `gradus verify --all --max-rank 4 --json`: the 4,712 rows of
+# every suite over every type up to rank 4, cheap enough to run in process.
+VERIFY_ALL_RANK_4_SHA256 = "0c66c54c9b3ba53517ff0a664fd3b7e8f7b1c18eacd824e0865a9510d0f584be"
+
+
+def test_verify_all_rank_4_json_is_pinned(capsys):
+    code, out, err = run_cli(["verify", "--all", "--max-rank", "4", "--json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["total"] == 4712
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_RANK_4_SHA256
 
 
 def test_ideals_formats_csv_rows_only_for_csv(capsys, monkeypatch):

@@ -71,3 +71,23 @@ def test_readme_names_only_attributes_that_exist():
     }
     assert ("rs", "roots_of") in named
     assert sorted(f"{obj}.{attr}" for obj, attr in named if not hasattr(built[obj], attr)) == []
+
+
+def test_internal_checks_hold_under_python_dash_o():
+    # `python -O` drops assert statements, so a self-check in the package
+    # raises AssertionError itself: fed a bad input, it still refuses.
+    script = (
+        "from types import SimpleNamespace\n"
+        "from gradus import arrangement, checks, grading\n"
+        "fake = SimpleNamespace(exponents=(1,), coxeter_number=1, cartan_type='X1')\n"
+        "checks.parse_grading_spec = lambda s: grading.parse_grading_spec('E7:1,0,0,0,0,0,0')\n"
+        "for check in (lambda: arrangement.catalan(fake), checks.e7_paper_grading):\n"
+        "    try:\n"
+        "        check()\n"
+        "        print('passed')\n"
+        "    except AssertionError:\n"
+        "        print('refused')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["refused", "refused"]
