@@ -375,7 +375,8 @@ def cmd_arrangement(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = args.suite
+    # a suite named twice runs once, in the order first named
+    suites = list(dict.fromkeys(args.suite)) if args.suite else None
     specs = [token for token in args.scope if ":" in token]
     names = [token for token in args.scope if ":" not in token]
     if args.all:

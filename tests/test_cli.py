@@ -247,7 +247,7 @@ def test_verify_shows_info_detail(capsys):
     assert code == 0
     assert ("[ info ] ideals     B2:0,1           self-dual-count-report"
             " -- self-dual 1, M(-1) 1 (compared, not asserted)\n") in out
-    assert out.endswith("7 checks, 0 failures, 0 skipped\n")
+    assert out.endswith("6 checks, 0 failures, 0 skipped\n")
     code, out, _ = run_cli(["verify", "--suite", "counting", "F4:1,0,0,0"], capsys)
     assert code == 0
     assert out == ("[  ok  ] counting   F4:1,0,0,0       height-product-formula\n"
@@ -269,7 +269,7 @@ def test_removed_flags_are_usage_errors(argv, capsys):
 def test_verify_rank_8_reads_max_rank(capsys):
     code, out, _ = run_cli(["verify", "--suite", "rootsys", "E8", "--max-rank", "8"], capsys)
     assert code == 0
-    assert out.endswith("6 checks, 0 failures, 0 skipped\n")
+    assert out.endswith("5 checks, 0 failures, 0 skipped\n")
     code, out, err = run_cli(["verify", "--suite", "rootsys", "E8"], capsys)
     assert code == 2 and out == ""
     assert "--max-rank" in err
@@ -278,7 +278,7 @@ def test_verify_rank_8_reads_max_rank(capsys):
 def test_verify_grading_token_follows_the_type_rule(capsys):
     code, out, _ = run_cli(["verify", "--suite", "rootsys", "E6:1,0,0,0,0,0"], capsys)
     assert code == 0
-    assert out.endswith("6 checks, 0 failures, 0 skipped\n")
+    assert out.endswith("5 checks, 0 failures, 0 skipped\n")
     code, out, err = run_cli(["verify", "--suite", "rootsys", "E8:1,0,0,0,0,0,0,0"], capsys)
     assert code == 2 and out == ""
     assert "need --max-rank 8" in err
@@ -360,7 +360,18 @@ def test_ideals_refuses_over_the_budget_before_enumerating(capsys, monkeypatch):
 def test_verify_passes_a_non_standard_grading(capsys):
     code, out, _ = run_cli(["verify", "A2:3,1"], capsys)
     assert code == 0
-    assert out.endswith("52 checks, 0 failures, 0 skipped\n")
+    assert out.endswith("46 checks, 0 failures, 0 skipped\n")
+
+
+def test_verify_runs_a_repeated_suite_once(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "rootsys", "--suite", "rootsys", "A2"], capsys)
+    assert code == 0
+    assert out.endswith("5 checks, 0 failures, 0 skipped\n")
+    argv = ["verify", "--suite", "km", "--suite", "rootsys", "--suite", "km", "A2", "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    data = json.loads(out)
+    assert code == 0 and data["suites"] == ["km", "rootsys"]
+    assert [r["suite"] for r in data["checks"]] == ["km"] * 4 + ["rootsys"] * 5
 
 
 def test_verify_unknown_suite(capsys):
@@ -421,7 +432,7 @@ def test_console_entry_point():
 
 # sha256 of `gradus verify --all --max-rank 5 --json`: every row name,
 # verdict and detail string of every suite over every type up to rank 5.
-VERIFY_ALL_RANK_5_SHA256 = "9baa0ff50fe4889106e2debe1b95f8008a7247e6641c28f003a171479a082250"
+VERIFY_ALL_RANK_5_SHA256 = "abd578bcffb0d8cebea465e8257a010cde93fb2b5b92461b424e6ca81d393a3c"
 
 
 @pytest.mark.slow
@@ -433,15 +444,15 @@ def test_verify_all_rank_5_json_is_pinned():
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_RANK_5_SHA256
 
 
-# sha256 of `gradus verify --all --max-rank 4 --json`: the 4,712 rows of
+# sha256 of `gradus verify --all --max-rank 4 --json`: the 4,332 rows of
 # every suite over every type up to rank 4, cheap enough to run in process.
-VERIFY_ALL_RANK_4_SHA256 = "0c66c54c9b3ba53517ff0a664fd3b7e8f7b1c18eacd824e0865a9510d0f584be"
+VERIFY_ALL_RANK_4_SHA256 = "29688f5efa56465d8926d3d4340c7eba11c0605c2ad6ea1f2b06695f27049f2c"
 
 
 def test_verify_all_rank_4_json_is_pinned(capsys):
     code, out, err = run_cli(["verify", "--all", "--max-rank", "4", "--json"], capsys)
     assert (code, err) == (0, "")
-    assert json.loads(out)["total"] == 4712
+    assert json.loads(out)["total"] == 4332
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_RANK_4_SHA256
 
 
