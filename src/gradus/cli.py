@@ -342,7 +342,6 @@ def cmd_element(args: argparse.Namespace) -> int:
     p = ideals_mod.weight_poset(g, 1)
     roots = parse_root_list(g.rs, args.ideal)
     ideal = ideals_mod.lower_ideal_from_roots(p, roots)
-    # the fiber is refused over the budget before either extreme is peeled
     fiber = weyl_mod.fiber(g, ideal)
     lo = weyl_mod.w_min(g, ideal)
     hi = weyl_mod.w_max(g, ideal)

@@ -14,11 +14,12 @@ canonical positive-root order.  A subset of the positive roots is an
 inversion set iff it and its complement are closed under root addition
 (bi-convexity); such masks are converted back to group elements by
 repeatedly peeling a simple root, which produces a reduced word and the
-permutation together.
+permutation together.  That peel is an element's only word: an element
+carries none of its own, so it prints the same however it was reached.
 
 The minimal coset representatives W0 = {w : N(w) avoids the level-0 roots}
 are enumerated without touching the rest of W, by breadth-first search that
-prepends s_i whenever w^(-1)(alpha_i) is a positive root of positive level;
+steps to s_i w whenever w^(-1)(alpha_i) is a positive root of positive level;
 the breadth-first depth equals the length of the representative.  The walk
 recognises a coset by its inversion mask, an int (N(w) determines w), and
 composes s_i w only for a coset it has not seen.  A coset is its
@@ -28,7 +29,8 @@ fibers as positions in the tuple keyed by level-1 inversion mask.  With
 every node marked W(0) is trivial, so the same walk enumerates W itself.
 A single fiber needs no table: it is the weak-order interval
 [w_min, w_max], and the same walk, started at w_min and taking only roots
-of level >= 2, visits exactly its elements.
+of level >= 2, visits exactly its elements, so it is bounded by its own
+size, not by the number of cosets.
 The table is a cached_property of its grading, and so are the minimal and
 maximal elements of its fibers (Grading.fiber_extremes, keyed by the
 ideal's positive-root mask).  A peel depends only on the root system and
@@ -42,14 +44,16 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import ideals as ideals_mod
+from . import rootsys
 from .grading import Grading
 from .ideals import Antichain, Ideal
 from .polys import Poly, divexact, from_exponent_counts, mul
-from .rootsys import Root, RootSystem, check_budget
+from .rootsys import BudgetExceeded, Root, RootSystem, check_budget
 
 Perm = tuple[int, ...]
 
@@ -74,23 +78,16 @@ class WeylElement:
     """A Weyl group element as the permutation w of the root indices:
     perm[k] is the index of w(root k)."""
 
-    __slots__ = ("rs", "perm", "_inv_mask", "_word")
+    __slots__ = ("rs", "perm", "_inv_mask")
 
-    def __init__(
-        self,
-        rs: RootSystem,
-        perm: Perm,
-        word: Optional[tuple[int, ...]] = None,
-        inv_mask: Optional[int] = None,
-    ):
+    def __init__(self, rs: RootSystem, perm: Perm, inv_mask: Optional[int] = None):
         self.rs = rs
         self.perm = perm
         self._inv_mask = inv_mask
-        self._word = word
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElement":
-        return cls(rs, _identity_perm(rs), word=(), inv_mask=0)
+        return cls(rs, _identity_perm(rs), 0)
 
     def apply(self, gamma: Root) -> Root:
         k = self.rs.index.get(gamma.coords)
@@ -121,12 +118,12 @@ class WeylElement:
 
     @property
     def word(self) -> tuple[int, ...]:
-        if self._word is None:
-            peeled = _peel(self.rs, self.inversion_mask)
-            if peeled is None:
-                raise AssertionError("inversion sets of group elements always peel")
-            self._word = peeled[1]
-        return self._word
+        """The reduced word peeled from the inversion set: the one word an
+        element is printed with, however it was reached."""
+        peeled = _peel(self.rs, self.inversion_mask)
+        if peeled is None:
+            raise AssertionError("inversion sets of group elements always peel")
+        return peeled[1]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.perm == other.perm
@@ -135,7 +132,7 @@ class WeylElement:
         return hash(self.perm)
 
     def __str__(self) -> str:
-        return " ".join(f"s{i + 1}" for i in self.word) if self.word else "e"
+        return " ".join(f"s{i + 1}" for i in self.word) or "e"
 
     def __repr__(self) -> str:
         return f"<WeylElement {self}>"
@@ -220,7 +217,7 @@ def element_from_inversions(rs: RootSystem, mask: int) -> WeylElement:
         raise ValueError(
             f"not an inversion set ({reason}): {pos[i]} + {pos[j]} = {pos[k]}"
         )
-    w = WeylElement(rs, *peeled)
+    w = WeylElement(rs, peeled[0])
     if w.inversion_mask != mask:
         raise AssertionError("reconstructed element has the wrong inversions")
     return w
@@ -250,16 +247,14 @@ def _longest_element(rs: RootSystem, idx: tuple[int, ...]) -> WeylElement:
     npos = len(rs.positive_roots)
     simple_positions = rs.simple_indices
     perm = _identity_perm(rs)
-    word: list[int] = []
     while True:
         for i in idx:
             # ascend while w(alpha_i) is still positive
             if perm[simple_positions[i]] < npos:
                 perm = _compose(perm, rs.reflection_table[i])
-                word.append(i)
                 break
         else:
-            return WeylElement(rs, perm, word=tuple(word))
+            return WeylElement(rs, perm)
 
 
 def poincare(lengths: Iterable[int]) -> Poly:
@@ -295,20 +290,13 @@ def levi_order(g: Grading) -> Fraction:
 # -- minimal coset representatives --------------------------------------
 
 
-def _coset_count(g: Grading) -> Fraction:
-    """|W/W(0)|, refused over the budget before any walk starts."""
-    count = km_order(g.rs) / levi_order(g)
-    check_budget(int(count), f"cosets of {g.spec_string()}")
-    return count
-
-
 def _walk(
     g: Grading, start: WeylElement, floor: int
-) -> Iterator[tuple[Perm, list[int], tuple[int, ...], int]]:
-    """Breadth-first walk up the left weak order from `start`, prepending
-    s_i whenever w^(-1)(alpha_i) is a root of level >= floor >= 1.
+) -> Iterator[tuple[Perm, list[int], int]]:
+    """Breadth-first walk up the left weak order from `start`, stepping to
+    s_i w whenever w^(-1)(alpha_i) is a root of level >= floor >= 1.
 
-    Yields (permutation, w^(-1)(alpha_j) for each simple root alpha_j, word,
+    Yields (permutation, w^(-1)(alpha_j) for each simple root alpha_j,
     inversion mask) per element, in breadth-first and so length-sorted
     order.  An element is recognised by its inversion mask (N(w) determines
     w), so s_i w and w^(-1) s_i are composed only for one not yet seen."""
@@ -317,13 +305,13 @@ def _walk(
     refl = rs.reflection_table
     signed = g.signed_levels
     seen = {start.inversion_mask}
-    queue: deque[tuple[Perm, Perm, tuple[int, ...], int]] = deque(
-        [(start.perm, _inverse(start.perm), start.word, start.inversion_mask)]
+    queue: deque[tuple[Perm, Perm, int]] = deque(
+        [(start.perm, _inverse(start.perm), start.inversion_mask)]
     )
     while queue:
-        perm, inv, word, inv_mask = queue.popleft()
+        perm, inv, inv_mask = queue.popleft()
         preimages = [inv[k] for k in simple_positions]
-        yield perm, preimages, word, inv_mask
+        yield perm, preimages, inv_mask
         for i, gained in enumerate(preimages):
             if signed[gained] < floor:
                 continue
@@ -332,39 +320,35 @@ def _walk(
             if new_mask in seen:
                 continue
             seen.add(new_mask)
-            queue.append(
-                (
-                    _compose(refl[i], perm),
-                    _compose(inv, refl[i]),
-                    (i,) + word,
-                    new_mask,
-                )
-            )
+            queue.append((_compose(refl[i], perm), _compose(inv, refl[i]), new_mask))
 
 
 class CosetTable:
     """All minimal-length representatives of W modulo the level-0 parabolic,
     in breadth-first (hence length-sorted) order.
 
-    elements() is the tuple of representatives, each built with its word and
-    inversion mask; `minimal` and `maximal` hold those whose w^(-1)(alpha_j)
+    elements() is the tuple of representatives, each built with its
+    permutation and inversion mask and no word (a word is peeled when it is
+    asked for); `minimal` and `maximal` hold those whose w^(-1)(alpha_j)
     all have level >= -1, resp. <= 1, over the simple roots alpha_j; by_tau
     maps a level-1 inversion mask to the positions of its fiber.  The table
     is the walk from the identity over the roots of positive level: at level
     0 s_i w is in the same coset, and a negative root is a descent.  A table
-    over the budget is refused before the walk starts."""
+    over the budget, |W/W(0)| = km_order / levi_order cosets, is refused
+    before the walk starts."""
 
     def __init__(self, grading: Grading):
         rs = grading.rs
-        count = _coset_count(grading)
+        count = km_order(rs) / levi_order(grading)
+        check_budget(int(count), f"cosets of {grading.spec_string()}")
         delta1 = grading.delta1_mask
         signed = grading.signed_levels
         elements: list[WeylElement] = []
         minimal: list[WeylElement] = []
         maximal: list[WeylElement] = []
         self.by_tau: dict[int, list[int]] = {}
-        for perm, preimages, word, inv_mask in _walk(grading, WeylElement.identity(rs), 1):
-            w = WeylElement(rs, perm, word=word, inv_mask=inv_mask)
+        for perm, preimages, inv_mask in _walk(grading, WeylElement.identity(rs), 1):
+            w = WeylElement(rs, perm, inv_mask)
             preimage_levels = [signed[k] for k in preimages]
             if min(preimage_levels) >= -1:
                 minimal.append(w)
@@ -411,18 +395,22 @@ def fiber(g: Grading, ideal: Ideal) -> list[WeylElement]:
     """All minimal coset representatives whose level-1 inversions equal the
     ideal, in increasing length, from w_min to w_max.
 
-    Refused, as the coset table is, when |W/W(0)| is over the budget.  The
-    fiber is the weak-order interval [w_min, w_max], walked up from w_min
-    over the roots of level >= 2 (level 1 would change the ideal, level 0
-    leave W0), so the walk costs the fiber's size.  Each element carries the
-    peeled reduced word of w_min with the walk's letters prepended, which
-    need not be the word its coset table entry carries."""
-    _coset_count(g)
+    The fiber is the weak-order interval [w_min, w_max], walked up from
+    w_min over the roots of level >= 2 (level 1 would change the ideal,
+    level 0 leave W0), so the walk costs the fiber's size, whatever the
+    number of cosets: it is refused when it would list a fiber element past
+    the budget."""
     lo, hi = w_min(g, ideal), w_max(g, ideal)
+    budget = rootsys.BUDGET
     out = [
-        WeylElement(g.rs, perm, word=word, inv_mask=inv_mask)
-        for perm, _, word, inv_mask in _walk(g, lo, 2)
+        WeylElement(g.rs, perm, inv_mask)
+        for perm, _, inv_mask in islice(_walk(g, lo, 2), budget + 1)
     ]
+    if len(out) > budget:
+        raise BudgetExceeded(
+            f"the fiber of {ideal} in {g.spec_string()} "
+            f"exceeds the budget of {budget:,} elements"
+        )
     if out[-1].inversion_mask != hi.inversion_mask:
         raise AssertionError(f"the fiber of {ideal} does not end at w_max")
     return out

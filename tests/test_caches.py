@@ -151,7 +151,7 @@ def test_a_sweep_pass_walks_each_poset_once(walks):
 
 def test_a_sweep_pass_counts_a_whole_component_from_its_walk(walks):
     # the component-product row walks the sub-poset of each level-1
-    # component, except a component that is the whole poset
+    # component, and runs only where the poset has more than one
     targets = checks.targets_for(checks.default_types(4))
     checks.run(targets, [name for name in checks.SUITES if name != "charpoly"])
     posets = {id(weight_poset(g, 1).down_masks) for _, gs in targets for g in gs}

@@ -104,6 +104,16 @@ def test_weyl_counts(capsys):
     assert words == ["e", "s2", "s2 s1 s2"]
 
 
+@pytest.mark.parametrize("spec", ["A3:0,1,0", "B3:0,1,0", "D4:0,1,0,0"])
+def test_weyl_prints_each_element_with_one_word(capsys, spec):
+    # every w_min and w_max is a coset too, and its eta row spells it the same
+    code, out, _ = run_cli(["weyl", spec, "--min", "--max", "--eta", "--json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    extremes = {row["word"] for key in ("minimal", "maximal") for row in data[key]}
+    assert extremes <= {row["word"] for row in data["eta"]}
+
+
 def test_weyl_eta_rejects_a_grading_before_any_work(capsys, monkeypatch):
     def no_table(g):
         raise AssertionError("coset table built before --eta was checked")
@@ -135,15 +145,25 @@ def test_element_walks_its_fiber_without_a_coset_table(capsys, monkeypatch):
     assert json.loads(out)["fiber_size"] == 2
 
 
-def test_element_is_refused_over_the_budget_before_any_work(capsys, monkeypatch):
-    def no_compose(u, v):
-        raise AssertionError("composed an element over the budget")
+def test_element_is_bounded_by_its_fiber_not_its_cosets(capsys):
+    # 2,903,040 cosets, far over the budget, but this fiber has 125 elements
+    code, out, err = run_cli(["element", "E7:1,1,1,1,1,1,1", "--ideal", "a1", "--json"],
+                             capsys)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["fiber_size"], data["w_max"]["length"]) == (125, 33)
 
-    monkeypatch.setattr(weyl, "_compose", no_compose)
-    code, out, err = run_cli(["element", "E7:1,1,1,1,1,1,1", "--ideal", "a1"], capsys)
+
+def test_element_is_refused_when_its_fiber_exceeds_the_budget(capsys, monkeypatch):
+    build("E7")  # its 882 reflection images are over the lowered budget too
+    argv = ["element", "E7:1,1,1,1,1,1,1", "--ideal", "a1"]
+    monkeypatch.setattr(rootsys, "BUDGET", 100)
+    code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
-    assert err == ("gradus element: 2,903,040 cosets of E7:1,1,1,1,1,1,1 "
-                   "exceed the budget of 51,840\n")
+    assert err == ("gradus element: the fiber of {a1} in E7:1,1,1,1,1,1,1 "
+                   "exceeds the budget of 100 elements\n")
+    monkeypatch.setattr(rootsys, "BUDGET", 125)
+    assert run_cli(argv, capsys)[0] == 0
 
 
 def test_element_empty_ideal(capsys):
@@ -247,7 +267,7 @@ def test_verify_shows_info_detail(capsys):
     assert code == 0
     assert ("[ info ] ideals     B2:0,1           self-dual-count-report"
             " -- self-dual 1, M(-1) 1 (compared, not asserted)\n") in out
-    assert out.endswith("6 checks, 0 failures, 0 skipped\n")
+    assert out.endswith("5 checks, 0 failures, 0 skipped\n")
     code, out, _ = run_cli(["verify", "--suite", "counting", "F4:1,0,0,0"], capsys)
     assert code == 0
     assert out == ("[  ok  ] counting   F4:1,0,0,0       height-product-formula\n"
@@ -432,7 +452,7 @@ def test_console_entry_point():
 
 # sha256 of `gradus verify --all --max-rank 5 --json`: every row name,
 # verdict and detail string of every suite over every type up to rank 5.
-VERIFY_ALL_RANK_5_SHA256 = "abd578bcffb0d8cebea465e8257a010cde93fb2b5b92461b424e6ca81d393a3c"
+VERIFY_ALL_RANK_5_SHA256 = "829366e02088061249252df23142fa7613f5880256aa99fd4ba07aafb5bd66e6"
 
 
 @pytest.mark.slow
@@ -444,15 +464,15 @@ def test_verify_all_rank_5_json_is_pinned():
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_RANK_5_SHA256
 
 
-# sha256 of `gradus verify --all --max-rank 4 --json`: the 4,332 rows of
+# sha256 of `gradus verify --all --max-rank 4 --json`: the 4,269 rows of
 # every suite over every type up to rank 4, cheap enough to run in process.
-VERIFY_ALL_RANK_4_SHA256 = "29688f5efa56465d8926d3d4340c7eba11c0605c2ad6ea1f2b06695f27049f2c"
+VERIFY_ALL_RANK_4_SHA256 = "1b8cedbd7a9bb8ef0af89011c3a0454f7a9e5483ff43dc307c23460b20324d19"
 
 
 def test_verify_all_rank_4_json_is_pinned(capsys):
     code, out, err = run_cli(["verify", "--all", "--max-rank", "4", "--json"], capsys)
     assert (code, err) == (0, "")
-    assert json.loads(out)["total"] == 4332
+    assert json.loads(out)["total"] == 4269
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_RANK_4_SHA256
 
 
