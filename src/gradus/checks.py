@@ -43,7 +43,7 @@ from . import weyl as weyl_mod
 from .grading import Grading, extra_special, grade, parse_grading_spec
 from .ideals import Ideal
 from .polys import from_int_roots, to_str, value
-from .rootsys import _FIXED_RANK, _MIN_RANK, BudgetExceeded, RootSystem, build
+from .rootsys import _FIXED_RANK, _MIN_RANK, BudgetExceeded, RootSystem, build, check_budget
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,9 @@ def _gate(name: str, max_rank: Optional[int]) -> Suite:
 def sweep_gradings(rs: RootSystem) -> list[Grading]:
     """All nonzero standard mark vectors, plus the extra-special grading when
     its marks are not already standard; gradings with empty level 1 are
-    dropped (only the rank-1 extra-special case)."""
+    dropped (only the rank-1 extra-special case).  Refused before the first
+    grading is built when the 2^n - 1 standard ones exceed the budget."""
+    check_budget(2 ** rs.rank - 1, f"gradings of {rs.cartan_type}")
     out: list[Grading] = []
     seen: set[tuple[int, ...]] = set()
     for marks in iproduct((0, 1), repeat=rs.rank):
@@ -151,8 +153,25 @@ def run(
             for row in SUITES[name](rs, gradings)]
 
 
-def targets_for(type_names: Sequence[str]) -> list[tuple[RootSystem, list[Grading]]]:
-    return [(rs, sweep_gradings(rs)) for rs in map(build, type_names)]
+def targets_for(scope: Sequence[str]) -> list[tuple[RootSystem, list[Grading]]]:
+    """One target per root system, in the order first named: a type ("B3")
+    adds every grading of its sweep, a spec ("B3:0,1,0") adds one grading,
+    and a grading named twice runs once.  A named grading whose level 1 is
+    empty is refused by its weight poset, as every graded command refuses
+    it."""
+    targets: dict[RootSystem, dict[tuple[int, ...], Grading]] = {}
+    for token in scope:
+        if ":" in token:
+            g = parse_grading_spec(token)
+            ideals_mod.weight_poset(g, 1)
+            rs, gradings = g.rs, [g]
+        else:
+            rs = build(token)
+            gradings = sweep_gradings(rs)
+        by_marks = targets.setdefault(rs, {})
+        for g in gradings:
+            by_marks.setdefault(g.marks, g)
+    return [(rs, list(by_marks.values())) for rs, by_marks in targets.items()]
 
 
 def _sub_ideal_count(p: ideals_mod.WeightPoset, subset: int) -> int:

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .grading import Grading
 from .polys import Poly, from_exponent_counts
-from .rootsys import Root, RootSystem
+from .rootsys import Root, RootSystem, check_budget
 
 
 def iter_downclosed(down_masks: Sequence[int]) -> Iterator[int]:
@@ -156,7 +156,15 @@ class WeightPoset:
 
     @cached_property
     def ideal_masks(self) -> tuple[int, ...]:
-        """Every lower ideal as a positive-root mask, in depth-first order."""
+        """Every lower ideal as a positive-root mask, in depth-first order.
+        On Delta(1) the walk is refused before it starts when the ideals,
+        counted by the height product over the slice (ABCHT), exceed the
+        budget; other levels are not bounded."""
+        if self.level == 1:
+            from . import weyl
+
+            count = weyl.km_order(self.grading.rs, self.full_mask)
+            check_budget(int(count), f"lower ideals of {self.grading.spec_string()}")
         return tuple(iter_downclosed(self.down_masks))
 
     @cached_property

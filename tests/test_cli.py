@@ -286,37 +286,74 @@ def test_removed_flags_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in err
 
 
-def test_verify_rank_8_reads_max_rank(capsys):
-    code, out, _ = run_cli(["verify", "--suite", "rootsys", "E8", "--max-rank", "8"], capsys)
+def test_verify_runs_rank_8_without_a_flag(capsys):
+    # A rank-8 type is a sweep of 255 gradings, well within the budget;
+    # --max-rank bounds --all and nothing else.
+    code, out, _ = run_cli(["verify", "--suite", "rootsys", "E8"], capsys)
     assert code == 0
     assert out.endswith("5 checks, 0 failures, 0 skipped\n")
-    code, out, err = run_cli(["verify", "--suite", "rootsys", "E8"], capsys)
+    code, out, err = run_cli(["verify", "--suite", "rootsys", "E8", "--max-rank", "8"], capsys)
     assert code == 2 and out == ""
-    assert "--max-rank" in err
+    assert "--all" in err
 
 
-def test_verify_grading_token_follows_the_type_rule(capsys):
-    code, out, _ = run_cli(["verify", "--suite", "rootsys", "E6:1,0,0,0,0,0"], capsys)
-    assert code == 0
-    assert out.endswith("5 checks, 0 failures, 0 skipped\n")
-    code, out, err = run_cli(["verify", "--suite", "rootsys", "E8:1,0,0,0,0,0,0,0"], capsys)
-    assert code == 2 and out == ""
-    assert "need --max-rank 8" in err
+def test_verify_grading_token_needs_no_flag_at_rank_8(capsys):
+    for spec in ["E6:1,0,0,0,0,0", "E8:1,0,0,0,0,0,0,0"]:
+        code, out, _ = run_cli(["verify", "--suite", "rootsys", spec], capsys)
+        assert code == 0
+        assert out.endswith("5 checks, 0 failures, 0 skipped\n")
+
+
+def test_verify_refuses_a_sweep_by_its_number_of_gradings(capsys, monkeypatch):
+    # 2^16 - 1 gradings: refused before the first one is built, however
+    # cheap the rank-16 root system itself is.
+    def no_grading(self, rs, marks):
+        raise AssertionError("a grading was built before the sweep was refused")
+
+    monkeypatch.setattr(Grading, "__init__", no_grading)
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", "A16"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "gradus verify: 65,535 gradings of A16 exceed the budget of 51,840\n"
+
+
+def test_verify_refuses_a_grading_with_an_empty_level_1(capsys):
+    for spec, name in [("B2:2,0", "B2:2,0"), ("A1:es", "A1:2")]:
+        for command in ["verify", "ideals"]:
+            assert run_cli([command, spec], capsys) == (
+                2, "", f"gradus {command}: slice 1 of {name} is empty\n")
+
+
+def test_verify_runs_one_target_per_type(capsys):
+    totals = []
+    for scope in [["A3"], ["A3", "A3:0,1,0"], ["A3:0,1,0", "A3", "A3:0,1,0"]]:
+        code, out, _ = run_cli(["verify", *scope, "--json"], capsys)
+        data = json.loads(out)
+        assert code == 0 and data["targets"] == ["A3"]
+        totals.append(data["total"])
+    assert totals == [268, 268, 268]
+    # a mixed scope is grouped per type, in the order first named
+    code, out, _ = run_cli(["verify", "--suite", "grading", "A2:0,1", "B2:es", "A2:1,0",
+                            "A2:0,1", "--json"], capsys)
+    data = json.loads(out)
+    assert code == 0 and data["targets"] == ["A2", "B2"]
+    subjects = list(dict.fromkeys(r["subject"] for r in data["checks"]))
+    assert subjects == ["A2:0,1", "A2:1,0", "B2:0,1"]
 
 
 def test_input_checks_run_before_any_build(capsys, monkeypatch):
-    # Building A120 takes about 20 s; a wrong mark count or a rank-8 type
-    # without --max-rank 8 is refused from the parsed type alone.
+    # Building A120 takes about 20 s; a wrong mark count, or --max-rank
+    # without --all, is refused before anything is built.
     def no_build(cartan_type):
         raise AssertionError(f"{cartan_type} built before its input was checked")
 
     monkeypatch.setattr(rootsys, "_build", no_build)
+    refusal = "gradus verify: --max-rank bounds the types of --all; pass --all or drop it\n"
     for argv, err in [
         (["show", "A120:1"], "gradus show: expected 120 marks, got 1\n"),
-        (["verify", "--suite", "rootsys", "E8"],
-         "gradus verify: E8: rank-8 sweeps need --max-rank 8\n"),
-        (["verify", "--suite", "rootsys", "E8:1,0,0,0,0,0,0,0"],
-         "gradus verify: E8:1,0,0,0,0,0,0,0: rank-8 sweeps need --max-rank 8\n"),
+        (["verify", "--suite", "rootsys", "E8", "--max-rank", "8"], refusal),
+        (["verify", "--suite", "rootsys", "E8:1,0,0,0,0,0,0,0", "--max-rank", "8"], refusal),
     ]:
         assert run_cli(argv, capsys) == (2, "", err)
 
@@ -366,12 +403,13 @@ def test_a_build_over_the_budget_is_refused_at_once(capsys):
 
 
 def test_ideals_refuses_over_the_budget_before_enumerating(capsys, monkeypatch):
-    def no_poset(g, i=1):
-        raise AssertionError("weight poset built before the budget was checked")
+    # The walk refuses itself: the refusal comes from the poset, not the CLI.
+    def no_walk(down_masks):
+        raise AssertionError("ideals walked before the budget was checked")
 
     build("A3")  # its 36 reflection images are over the lowered budget too
     monkeypatch.setattr(rootsys, "BUDGET", 5)
-    monkeypatch.setattr(ideals_mod, "weight_poset", no_poset)
+    monkeypatch.setattr(ideals_mod, "iter_downclosed", no_walk)
     code, out, err = run_cli(["ideals", "A3:0,1,0", "--list"], capsys)
     assert (code, out) == (2, "")
     assert err == "gradus ideals: 6 lower ideals of A3:0,1,0 exceed the budget of 5\n"

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from gradus import rootsys
 from gradus.checks import default_types, sweep_gradings
 from gradus.grading import parse_grading_spec
 from gradus.ideals import (
@@ -24,7 +25,7 @@ from gradus.ideals import (
     weight_poset,
 )
 from gradus.polys import value
-from gradus.rootsys import build
+from gradus.rootsys import BudgetExceeded, build
 from gradus.weyl import closure_mask, enumerate_W0, fiber, tau, w_min
 
 
@@ -329,3 +330,17 @@ def test_order_masks_match_the_coordinate_builder_on_root_posets(name):
     _assert_matches_the_coordinate_builder(
         rs, tuple(range(len(rs.positive_roots))), range(rs.rank)
     )
+
+
+def test_a_level_1_ideal_walk_refuses_itself_over_the_budget(monkeypatch):
+    # Counted by the height product over Delta(1) before the walk starts, so
+    # every library reader of the ideals is refused as `gradus ideals` is.
+    level1 = parse_grading_spec("A3:0,1,0")
+    level2 = parse_grading_spec("A4:1,1,1,1")
+    monkeypatch.setattr(rootsys, "BUDGET", 5)
+    message = "6 lower ideals of A3:0,1,0 exceed the budget of 5"
+    for reader in (count_lower_ideals, m_polynomial, lambda p: p.lower_ideals):
+        with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+            reader(weight_poset(level1))
+    # levels >= 2 are not bounded: three incomparable roots, 8 ideals
+    assert count_lower_ideals(weight_poset(level2, 2)) == 8

@@ -1,12 +1,16 @@
 """The package surface: what `gradus` exports and what README shows of it."""
 
+import contextlib
+import io
 import re
+import shlex
 import subprocess
 import sys
 import types
 from pathlib import Path
 
 import gradus
+from gradus import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,6 +45,21 @@ def test_readme_library_sketch_runs_and_its_figures_hold():
         assert got == int(figure.group()), line
         checked.append(got)
     assert checked == [20, 20, 24, 20]
+
+
+def _cli_block_commands():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_cli_block_runs():
+    commands = _cli_block_commands()
+    assert len(commands) == 9 and all(argv[0] == "gradus" for argv in commands)
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv[1:]) == 0, " ".join(argv)
 
 
 def test_the_package_and_the_cli_start_without_numpy():
