@@ -20,14 +20,16 @@ subject is the type (`B3`) or the grading (`B3:0,1,0`) the body ran on.
 
 A row's status is "pass" or "fail" for an asserted check, "skip" for a
 check that did not run and "info" for a figure that is reported but not
-asserted; only "fail" clears `ok`.  Each suite declares its rank bound when
-it registers (`@suite("weylcore", max_rank=3, per="type")`).  What `SUITES`
-holds is the gate: above its bound it yields one "skip" row naming the rank
-and the bound, and never enters a body.  The gate also turns a raise in a
-body into one row about that body's subject and goes on with the next
-grading, so one fault cannot hide the other verdicts of a run: a budget
-refusal (rootsys.BudgetExceeded) is a "skip" row named "budget", and any
-other exception a "fail" row named "raised".
+asserted; only "fail" clears `ok`.  What `SUITES` holds is the gate.  It
+turns a raise in a body into one row about that body's subject and goes on
+with the next grading, so one fault cannot hide the other verdicts of a run:
+a budget refusal (rootsys.BudgetExceeded) is a "skip" row named "budget"
+that names the size and the budget, and any other exception a "fail" row
+named "raised".  A type body is bounded only by the budget of what it
+enumerates.  A grading body, which a sweep runs on 2^n - 1 gradings, may
+also declare a rank bound when it registers (`@suite("ideals", max_rank=5)`):
+above it the gate runs the type body alone, then yields one "skip" row named
+"sweep" that names the rank and the bound, and never enters the grading body.
 """
 
 from __future__ import annotations
@@ -70,33 +72,32 @@ SUITES: dict[str, Suite] = {}
 
 def suite(name: str, max_rank: Optional[int] = None,
           per: str = "grading") -> Callable[[Body], Body]:
-    """Register a body of the suite `name`: per="type" runs it once on the
-    root system, per="grading" once on each grading, after the type body.
-    Both bodies of a suite declare the same max_rank (None: no bound)."""
+    """Register a body of the suite `name`: per="type" runs once on the root
+    system, per="grading" on each grading after it.  Only a grading body,
+    which a sweep repeats, may declare a max_rank (None: no bound)."""
+    if per not in ("type", "grading") or per == "type" and max_rank is not None:
+        raise ValueError(f"suite {name!r}: no {per} body with the bound {max_rank}")
+
     def deco(body: Body) -> Body:
-        if name not in SUITES:
-            SUITES[name] = _gate(name, max_rank)
-        gated = SUITES[name]
-        if per not in ("type", "grading") or per in gated.bodies or gated.max_rank != max_rank:
-            raise ValueError(f"suite {name!r}: a second {per} body, or another bound")
+        gated = SUITES.setdefault(name, _gate(name))
+        if per in gated.bodies:
+            raise ValueError(f"suite {name!r}: a second {per} body")
         gated.bodies[per] = body
+        if per == "grading":
+            gated.max_rank = max_rank
         return body
 
     return deco
 
 
-def _gate(name: str, max_rank: Optional[int]) -> Suite:
-    bodies: dict[str, Body] = {}
-
+def _gate(name: str) -> Suite:
     # a generator function like the bodies it gates, so that tracing by
     # function kind sees its rows
     def gated(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
-        if max_rank is not None and rs.rank > max_rank:
-            yield CheckResult(name, str(rs.cartan_type), "sweep", True,
-                              f"rank {rs.rank} exceeds the bound {max_rank}", "skip")
-            return
+        bodies, bound = gated.bodies, gated.max_rank
+        over = bound is not None and rs.rank > bound
         runs = [(str(rs.cartan_type), bodies["type"], rs)] if "type" in bodies else []
-        if "grading" in bodies:
+        if "grading" in bodies and not over:
             runs += [(g.spec_string(), bodies["grading"], g) for g in gradings]
         for sub, body, on in runs:
             try:
@@ -106,28 +107,26 @@ def _gate(name: str, max_rank: Optional[int]) -> Suite:
                 yield CheckResult(name, sub, "budget", True, str(exc), "skip")
             except Exception as exc:
                 yield CheckResult(name, sub, "raised", False, f"{type(exc).__name__}: {exc}")
+        if over:
+            yield CheckResult(name, str(rs.cartan_type), "sweep", True,
+                              f"rank {rs.rank} exceeds the bound {bound}", "skip")
 
-    gated.max_rank = max_rank  # type: ignore[attr-defined]
-    gated.bodies = bodies  # type: ignore[attr-defined]
+    gated.bodies, gated.max_rank = {}, None  # type: ignore[attr-defined]
     return gated
 
 
 def sweep_gradings(rs: RootSystem) -> list[Grading]:
     """All nonzero standard mark vectors, plus the extra-special grading when
-    its marks are not already standard; gradings with empty level 1 are
-    dropped (only the rank-1 extra-special case).  Refused before the first
-    grading is built when the 2^n - 1 standard ones exceed the budget."""
+    its marks are not standard and its level 1 is not empty (empty only in
+    rank 1; a standard grading always has a level-1 simple root), so only
+    that grading computes its levels here.  Refused before the first grading
+    is built when the 2^n - 1 standard ones exceed the budget."""
     check_budget(2 ** rs.rank - 1, f"gradings of {rs.cartan_type}")
-    out: list[Grading] = []
-    seen: set[tuple[int, ...]] = set()
-    for marks in iproduct((0, 1), repeat=rs.rank):
-        if any(marks):
-            out.append(grade(rs, marks))
-            seen.add(marks)
+    out = [grade(rs, marks) for marks in iproduct((0, 1), repeat=rs.rank) if any(marks)]
     es = extra_special(rs)
-    if es.marks not in seen:
+    if not es.is_standard and es.level_mask(1):
         out.append(es)
-    return [g for g in out if g.level_mask(1)]
+    return out
 
 
 def default_types(max_rank: int) -> list[str]:
@@ -136,8 +135,9 @@ def default_types(max_rank: int) -> list[str]:
             if (n >= _MIN_RANK[f] if f in _MIN_RANK else n in _FIXED_RANK[f])]
 
 
-# Above rank 5, exhaustive grading sweeps stop being desk-sized; the suites
-# that enumerate cosets, ideals or arrangements per grading are bounded there.
+# Above rank 5 a sweep of 2^n - 1 gradings stops being desk-sized, so the
+# grading bodies that enumerate cosets, ideals or arrangements are bounded
+# there; the type bodies beside them answer to the budget alone.
 SWEEP_MAX_RANK = 5
 
 
@@ -158,18 +158,23 @@ def targets_for(scope: Sequence[str]) -> list[tuple[RootSystem, list[Grading]]]:
     adds every grading of its sweep, a spec ("B3:0,1,0") adds one grading,
     and a grading named twice runs once.  A named grading whose level 1 is
     empty is refused by its weight poset, as every graded command refuses
-    it."""
-    targets: dict[RootSystem, dict[tuple[int, ...], Grading]] = {}
+    it.  Every token is resolved before any sweep is built, and the sweeps
+    are built from the highest rank down, so a sweep over the budget is
+    refused before a smaller one is built."""
+    named: list[tuple[RootSystem, Optional[list[Grading]]]] = []
     for token in scope:
         if ":" in token:
             g = parse_grading_spec(token)
             ideals_mod.weight_poset(g, 1)
-            rs, gradings = g.rs, [g]
+            named.append((g.rs, [g]))
         else:
-            rs = build(token)
-            gradings = sweep_gradings(rs)
+            named.append((build(token), None))
+    types = dict.fromkeys(rs for rs, gradings in named if gradings is None)
+    sweeps = {rs: sweep_gradings(rs) for rs in sorted(types, key=lambda rs: -rs.rank)}
+    targets: dict[RootSystem, dict[tuple[int, ...], Grading]] = {}
+    for rs, gradings in named:
         by_marks = targets.setdefault(rs, {})
-        for g in gradings:
+        for g in sweeps[rs] if gradings is None else gradings:
             by_marks.setdefault(g.marks, g)
     return [(rs, list(by_marks.values())) for rs, by_marks in targets.items()]
 
@@ -219,8 +224,10 @@ def suite_rootsys(rs: RootSystem) -> Iterator[Row]:
     )
     m = rs.exponents
     yield "exponents-from-heights", m == classified_exponents(rs), f"exponents {m}"
+    # the exponent product from the classification, not from the height
+    # partition that km_order is a product over
     order = 1
-    for e in m:
+    for e in classified_exponents(rs):
         order *= e + 1
     yield (
         "group-order-two-ways",
@@ -398,8 +405,9 @@ def suite_ideals(g: Grading) -> Iterator[Row]:
 # -- Weyl group core -----------------------------------------------------
 
 
-@suite("weylcore", max_rank=3, per="type")
+@suite("weylcore", per="type")
 def suite_weylcore(rs: RootSystem) -> Iterator[Row]:
+    check_budget(2 ** len(rs.positive_roots), f"positive-root masks of {rs.cartan_type}")
     elements = weyl_mod.weyl_elements(rs)
     inv_sets = {w.inversion_mask: w for w in elements}
     bad = ""
@@ -428,7 +436,7 @@ def suite_weylcore(rs: RootSystem) -> Iterator[Row]:
     )
 
 
-@suite("km", max_rank=SWEEP_MAX_RANK, per="type")
+@suite("km", per="type")
 def suite_km_of_type(rs: RootSystem) -> Iterator[Row]:
     lhs = weyl_mod.poincare(w.length for w in weyl_mod.weyl_elements(rs))
     rhs = weyl_mod.km_poly(rs)
@@ -670,7 +678,7 @@ def suite_classes(g: Grading) -> Iterator[Row]:
         npl = len(rs.long_simple)
         yield (
             "extraspecial-coset-count",
-            len(table) == long_roots == npl * h,
+            len(table) == long_roots,
             f"#W0 {len(table)}, long roots {long_roots}, {npl}*{h}",
         )
         yield "extraspecial-ideal-count", count == npl * (h - 1), f"{count} vs {npl}*{h - 1}"
@@ -729,7 +737,7 @@ def _first_disagreement(
     return None
 
 
-@suite("signs", max_rank=SWEEP_MAX_RANK, per="type")
+@suite("signs", per="type")
 def suite_signs_of_type(rs: RootSystem) -> Iterator[Row]:
     pos = rs.positive_roots
     elements = weyl_mod.weyl_elements(rs)
@@ -759,7 +767,7 @@ def suite_counting(g: Grading) -> Iterator[Row]:
     yield "height-product-formula", formula == count, f"product {formula}, enumeration {count}"
 
 
-@suite("charpoly", max_rank=SWEEP_MAX_RANK, per="type")
+@suite("charpoly", per="type")
 def suite_charpoly_of_type(rs: RootSystem) -> Iterator[Row]:
     chi_full = arr_mod.char_poly(arr_mod.coxeter_arrangement(rs))
     yield (
@@ -792,7 +800,7 @@ def suite_charpoly(g: Grading) -> Iterator[Row]:
     )
 
 
-@suite("appendix", max_rank=SWEEP_MAX_RANK, per="type")
+@suite("appendix", per="type")
 def suite_appendix(rs: RootSystem) -> Iterator[Row]:
     report = arr_mod.upper_ideal_partition_check(rs)
     yield (

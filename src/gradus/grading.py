@@ -6,9 +6,10 @@ levels Delta(i).  Standard gradings have marks in {0,1}; the abelian ones
 are those of maximal level 1 and the extra-special ones those of maximal
 level 2 with a single root on top.
 
-What a grading derives once (its level masks, its weight posets, its
-coset table and the extremes of its fibers) is a cached_property of the
-Grading, so it lives exactly as long as the grading does.  The level masks
+What a grading derives once (its levels, its level masks, its weight
+posets, its coset table and the extremes of its fibers) is a cached_property
+of the Grading, computed on first use and kept exactly as long as the
+grading lives, so building a grading costs only its marks.  The level masks
 come from one pass over the levels; a slice, and every other set of
 positive roots a grading names, is read off a mask by RootSystem.roots_of.
 The order on a slice, and so its connected components, belongs to the
@@ -41,8 +42,15 @@ class Grading:
             raise ValueError("marks must not all vanish")
         self.rs = rs
         self.marks = marks
-        self.levels = tuple(self.level(r) for r in rs.positive_roots)
-        self.max_level = max(self.levels)
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        """Level of each positive root, by index."""
+        return tuple(self.level(r) for r in self.rs.positive_roots)
+
+    @cached_property
+    def max_level(self) -> int:
+        return max(self.levels)
 
     def level(self, gamma: Root | Sequence[int]) -> int:
         coords = gamma.coords if isinstance(gamma, Root) else tuple(gamma)

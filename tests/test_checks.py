@@ -1,5 +1,5 @@
-"""The gate of the check suites (rank bound, raises as rows) and the status
-of their rows."""
+"""The gate of the check suites (the rank bound of a grading body, raises as
+rows) and the status of their rows."""
 
 import ast
 import inspect
@@ -15,12 +15,14 @@ from gradus.grading import Grading, grade
 from gradus.polys import value
 from gradus.rootsys import RootSystem, build, parse_cartan_type
 
-# The rank above which each suite yields one skip row instead of running.
+# The rank above which a suite's grading body gives way to one skip row.  A
+# type body declares no bound: only the budget of what it enumerates refuses
+# it, so the type-only suites read None.
 BOUNDS = {
     "rootsys": None, "threeroot": None, "grading": None, "ideals": 5,
-    "weylcore": 3, "km": 5, "biconvex": 5, "fibers": 5, "minmax": 5,
+    "weylcore": None, "km": 5, "biconvex": 5, "fibers": 5, "minmax": 5,
     "involution": 5, "extreme": 5, "eta": 5, "classes": 5, "regions": 5,
-    "signs": 5, "counting": 5, "charpoly": 5, "appendix": 5, "e7": None,
+    "signs": 5, "counting": 5, "charpoly": 5, "appendix": None, "e7": None,
 }
 
 REPORT_ROWS = {"self-dual-count-report", "stated-count-verdict"}
@@ -46,29 +48,64 @@ def test_status_follows_ok_unless_given():
 
 @pytest.mark.parametrize("name", sorted(n for n, b in BOUNDS.items() if b is not None))
 def test_direct_call_above_bound_skips_without_work(name, monkeypatch):
+    # Above the bound the grading body is never entered; the type body, if
+    # the suite has one, still runs first.
     bound = BOUNDS[name]
     rs = build(f"A{bound + 1}")
     gradings = [grade(rs, (1,) + (0,) * bound)]
+    bodies = checks.SUITES[name].bodies
 
-    def no_work(*args):
-        raise AssertionError(f"{name} entered its body above rank {bound}")
+    def no_work(g):
+        raise AssertionError(f"{name} entered its grading body above rank {bound}")
 
-    for module, attr in ((weyl, "enumerate_W0"), (weyl, "weyl_elements"),
-                         (ideals, "weight_poset"), (arrangement, "char_poly"),
-                         (arrangement, "upper_ideal_partition_check"),
-                         (RootSystem, "three_root_witness_index")):
-        monkeypatch.setattr(module, attr, no_work)
-    rows = list(checks.SUITES[name](rs, gradings))
-    assert rows == [CheckResult(name, f"A{bound + 1}", "sweep", True,
-                                f"rank {bound + 1} exceeds the bound {bound}", "skip")]
+    def type_row(rs):
+        yield "of-the-type", True, ""
+
+    monkeypatch.setitem(bodies, "grading", no_work)
+    if "type" in bodies:
+        monkeypatch.setitem(bodies, "type", type_row)
+    sub = f"A{bound + 1}"
+    expected = [CheckResult(name, sub, "of-the-type", True)] if "type" in bodies else []
+    expected.append(CheckResult(name, sub, "sweep", True,
+                                f"rank {bound + 1} exceeds the bound {bound}", "skip"))
+    assert list(checks.SUITES[name](rs, gradings)) == expected
+
+
+# A type-only suite that lost its rank bound: a type above the old bound
+# that it now checks, and the size that refuses a larger type.
+TYPE_BODY_REACH = {
+    "weylcore": ("D4", "B4", "65,536 positive-root masks of B4 exceed the budget of 51,840"),
+    "appendix": ("E6", "A10",
+                 "58,786 upper ideals of the A10 root poset exceed the budget of 51,840"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPE_BODY_REACH))
+def test_a_type_body_answers_to_its_budget_alone(name):
+    runs, refused, detail = TYPE_BODY_REACH[name]
+    rows = list(checks.SUITES[name](build(runs), []))
+    assert rows and {r.status for r in rows} == {"pass"}
+    assert list(checks.SUITES[name](build(refused), [])) == [
+        CheckResult(name, refused, "budget", True, detail, "skip")]
 
 
 def test_no_pass_above_bound_at_rank_6():
+    # A bounded suite gives no row about a grading above rank 5: its type
+    # rows, each a pass or a budget refusal, then one sweep row per type.
     rows = checks.run(checks.targets_for(["A6", "E6"]))
     low = {n for n, b in BOUNDS.items() if b is not None and b < 6}
-    assert [r for r in rows if r.suite in low and r.status != "skip"] == []
-    assert sum(r.status == "skip" for r in rows) == 2 * len(low)
+    assert [r for r in rows if r.suite in low and r.subject not in ("A6", "E6")] == []
+    for t in ("A6", "E6"):
+        for n in low:
+            mine = [r for r in rows if r.suite == n and r.subject == t]
+            assert [r.name for r in mine].count("sweep") == 1 and mine[-1].name == "sweep"
+    assert {r.name for r in rows if r.status == "skip"} == {"sweep", "budget"}
+    assert {r.suite for r in rows if r.name == "sweep"} == low  # none from a type body
     assert all(r.ok for r in rows)
+    passed = {(r.suite, r.name) for r in rows if r.subject == "E6" and r.status == "pass"}
+    assert passed >= {("km", "length-generating-identity"), ("signs", "oracle-matches-inversions"),
+                      ("appendix", "complement-heights-partition"),
+                      ("appendix", "upper-ideal-count")}
 
 
 def test_report_rows_are_info():
@@ -329,14 +366,16 @@ RANK_4 = [n for n in checks.default_types(4) if n not in RANK_3]
 @pytest.mark.parametrize("name", RANK_3 + [pytest.param(n, marks=pytest.mark.slow) for n in RANK_4])
 def test_every_suite_asserts_on_the_non_standard_family(name):
     # Every grading with marks in 0..2, some mark 2 and a nonempty Delta(1):
-    # each suite whose bound admits the rank checks it, with no fail and no
-    # skip row.
+    # each suite whose bound admits the rank checks it, with no fail row and
+    # no skip row about a grading.  A type body may be refused by its budget
+    # (weylcore's 2^N masks at B4, C4 and F4).
     rs = build(name)
     gradings = [g for marks in product(range(3), repeat=rs.rank)
                 if 2 in marks and (g := grade(rs, marks)).level_mask(1)]
     names = [n for n, s in checks.SUITES.items() if s.max_rank is None or s.max_rank >= rs.rank]
     rows = checks.run([(rs, gradings)], names)
-    assert [r for r in rows if r.status in ("fail", "skip")] == []
+    assert [r for r in rows if r.status == "fail"
+            or r.status == "skip" and (r.subject, r.name) != (name, "budget")] == []
     assert len({r.subject for r in rows} - {name}) == len(gradings)
 
 
@@ -486,16 +525,25 @@ def test_rows_yielded_before_a_raise_are_kept():
 
 
 def test_a_suite_takes_one_body_of_each_kind_under_one_bound():
+    # The one bound is the grading body's: a type body declares none.
     def no_rows(on):
         yield from ()
 
-    checks.suite("zz-pair", max_rank=2, per="type")(no_rows)
+    for per, bound in (("type", 5), ("type", 0), ("grading ", None)):
+        with pytest.raises(ValueError, match="zz-pair"):
+            checks.suite("zz-pair", max_rank=bound, per=per)
+    assert "zz-pair" not in checks.SUITES
+    checks.suite("zz-pair", per="type")(no_rows)
     try:
-        for per, bound in (("type", 2), ("grading", 3), ("grading ", 2)):
-            with pytest.raises(ValueError, match="zz-pair"):
-                checks.suite("zz-pair", max_rank=bound, per=per)(no_rows)
+        with pytest.raises(ValueError, match="zz-pair"):
+            checks.suite("zz-pair", per="type")(no_rows)
+        assert checks.SUITES["zz-pair"].max_rank is None
         checks.suite("zz-pair", max_rank=2)(no_rows)
+        assert checks.SUITES["zz-pair"].max_rank == 2
+        with pytest.raises(ValueError, match="zz-pair"):
+            checks.suite("zz-pair", max_rank=2)(no_rows)
         assert checks.SUITES["zz-pair"].bodies == {"type": no_rows, "grading": no_rows}
+        assert checks.SUITES["zz-pair"].max_rank == 2
     finally:
         del checks.SUITES["zz-pair"]
 
@@ -556,6 +604,21 @@ def test_exponents_row_checks_the_classification(monkeypatch):
     (row,) = [r for r in checks.SUITES["rootsys"](build("F4"), [])
               if r.name == "exponents-from-heights"]
     assert row.status == "pass" and row.detail == "exponents (1, 5, 7, 11)"
+
+
+def test_group_order_row_checks_the_classification(monkeypatch):
+    # The same patched F4: its height product and the product over the dual
+    # partition of its heights agree (960) for any height partition, so the
+    # row reads the exponent product off the classification (1,152).
+    rs = RootSystem(parse_cartan_type("F4"))
+    monkeypatch.setattr(rs, "height_partition",
+                        lambda mask=None: (4, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1))
+    (row,) = [r for r in checks.SUITES["rootsys"](rs, [])
+              if r.name == "group-order-two-ways"]
+    assert row.status == "fail" and row.detail == "height product 960, exponent product 1152"
+    (row,) = [r for r in checks.SUITES["rootsys"](build("F4"), [])
+              if r.name == "group-order-two-ways"]
+    assert row.status == "pass" and row.detail == "height product 1152, exponent product 1152"
 
 
 def test_no_asserted_row_is_the_literal_true():

@@ -1,7 +1,9 @@
 import csv
+import functools
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +19,7 @@ from gradus.arrangement import (
     char_poly, char_poly_points, coxeter_arrangement, ideal_count_formula,
 )
 from gradus.cli import UsageError, _json_text, main, parse_root, parse_root_list
-from gradus.grading import Grading
+from gradus.grading import Grading, extra_special
 from gradus.polys import from_int_roots
 from gradus.rootsys import BUDGET, build
 
@@ -251,11 +253,12 @@ def test_non_essential_arrangement_matches_its_exponents(capsys):
 
 
 def test_verify_reports_skip_above_bound(capsys):
-    code, out, _ = run_cli(["verify", "E6", "--suite", "appendix"], capsys)
+    # counting has a grading body only, bounded at rank 5
+    code, out, _ = run_cli(["verify", "E6", "--suite", "counting"], capsys)
     assert code == 0
-    assert out == ("[ skip ] appendix   E6               sweep -- rank 6 exceeds the bound 5\n"
+    assert out == ("[ skip ] counting   E6               sweep -- rank 6 exceeds the bound 5\n"
                    "1 checks, 0 failures, 1 skipped\n")
-    code, out, _ = run_cli(["verify", "E6", "--suite", "appendix", "--json"], capsys)
+    code, out, _ = run_cli(["verify", "E6", "--suite", "counting", "--json"], capsys)
     data = json.loads(out)
     assert code == 0
     assert (data["total"], data["failures"], data["skipped"]) == (1, 0, 1)
@@ -318,6 +321,82 @@ def test_verify_refuses_a_sweep_by_its_number_of_gradings(capsys, monkeypatch):
     assert err == "gradus verify: 65,535 gradings of A16 exceed the budget of 51,840\n"
 
 
+def test_verify_all_refuses_the_largest_sweep_before_building_any(capsys, monkeypatch):
+    # Every type up to rank 16 is resolved first and the sweeps are built
+    # from the highest rank down, so A16's 65,535 gradings are refused
+    # before a grading of a smaller sweep is built.
+    def no_grading(self, rs, marks):
+        raise AssertionError("a grading was built before the sweep was refused")
+
+    monkeypatch.setattr(Grading, "__init__", no_grading)
+    code, out, err = run_cli(["verify", "--all", "--max-rank", "16"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "gradus verify: 65,535 gradings of A16 exceed the budget of 51,840\n"
+
+
+def test_a_type_only_suite_computes_no_levels_of_its_sweep(capsys, monkeypatch):
+    # A sweep builds its gradings but a type body reads none of them: only
+    # the extra-special grading computes its levels, to test its level 1.
+    computed = []
+    real = Grading.levels.func
+
+    def counted(self):
+        computed.append(self.marks)
+        return real(self)
+
+    levels = functools.cached_property(counted)
+    levels.__set_name__(Grading, "levels")
+    monkeypatch.setattr(Grading, "levels", levels)
+    for scope in ["E8", "B5", "D6"]:
+        code, out, _ = run_cli(["verify", "--suite", "rootsys", scope], capsys)
+        assert code == 0 and out.endswith("5 checks, 0 failures, 0 skipped\n")
+        assert set(computed) <= {extra_special(build(scope)).marks}, scope
+        computed.clear()
+
+
+def test_verify_with_no_scope_has_nothing_to_verify(capsys):
+    assert run_cli(["verify"], capsys) == (
+        2, "", "gradus verify: nothing to verify: pass types/gradings or --all\n")
+
+
+def test_verify_e7_alone_runs_the_paper_grading_without_a_sweep(capsys, monkeypatch):
+    def no_sweep(rs):
+        raise AssertionError(f"the sweep of {rs.cartan_type} was built")
+
+    monkeypatch.setattr(checks, "sweep_gradings", no_sweep)
+    code, out, err = run_cli(["verify", "--suite", "e7"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "[  ok  ] e7         E7:0,1,0,0,0,0,0 height-partition",
+        "[  ok  ] e7         E7:0,1,0,0,0,0,0 counts-internally-consistent",
+        "[ info ] e7         E7:0,1,0,0,0,0,0 stated-count-verdict -- direct enumeration "
+        "352 vs 252 quoted in the source example (reported, not asserted)",
+        "3 checks, 0 failures, 0 skipped",
+    ]
+
+
+def test_show_csv_is_one_key_value_row_per_field(capsys):
+    code, out, err = run_cli(["show", "B2:es", "--csv"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        'key,value\n'
+        'grading,"B2:0,1"\n'
+        'rank,2\n'
+        'marks,"[0, 1]"\n'
+        'coxeter_number,4\n'
+        'theta,a1+2a2\n'
+        'exponents,"[1, 3]"\n'
+        'long_simple,"[""a1""]"\n'
+        'standard,True\n'
+        'abelian,False\n'
+        'extra_special,True\n'
+        'max_level,2\n'
+        'positive_slice_sizes,"[1, 2, 1]"\n'
+        'marked_simples_by_level,"{""0"": [""a1""], ""1"": [""a2""]}"\n'
+        'positive_slices,"{""0"": [""a1""], ""1"": [""a2"", ""a1+a2""], ""2"": [""a1+2a2""]}"\n'
+    )
+
+
 def test_verify_refuses_a_grading_with_an_empty_level_1(capsys):
     for spec, name in [("B2:2,0", "B2:2,0"), ("A1:es", "A1:2")]:
         for command in ["verify", "ideals"]:
@@ -340,6 +419,11 @@ def test_verify_runs_one_target_per_type(capsys):
     assert code == 0 and data["targets"] == ["A2", "B2"]
     subjects = list(dict.fromkeys(r["subject"] for r in data["checks"]))
     assert subjects == ["A2:0,1", "A2:1,0", "B2:0,1"]
+    # the sweeps are built from the highest rank down, the targets kept
+    # in the order first named
+    code, out, _ = run_cli(["verify", "--suite", "rootsys", "A2", "E6", "B3:es", "A4",
+                            "--json"], capsys)
+    assert code == 0 and json.loads(out)["targets"] == ["A2", "E6", "B3", "A4"]
 
 
 def test_input_checks_run_before_any_build(capsys, monkeypatch):
@@ -490,7 +574,7 @@ def test_console_entry_point():
 
 # sha256 of `gradus verify --all --max-rank 5 --json`: every row name,
 # verdict and detail string of every suite over every type up to rank 5.
-VERIFY_ALL_RANK_5_SHA256 = "829366e02088061249252df23142fa7613f5880256aa99fd4ba07aafb5bd66e6"
+VERIFY_ALL_RANK_5_SHA256 = "f4c8f057c3a997b1ab30fb1f8cf3fed5a9006e4a6c109a7f3e98a074a98c4a9a"
 
 
 @pytest.mark.slow
@@ -502,16 +586,36 @@ def test_verify_all_rank_5_json_is_pinned():
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_RANK_5_SHA256
 
 
-# sha256 of `gradus verify --all --max-rank 4 --json`: the 4,269 rows of
+# sha256 of `gradus verify --all --max-rank 4 --json`: the 4,273 rows of
 # every suite over every type up to rank 4, cheap enough to run in process.
-VERIFY_ALL_RANK_4_SHA256 = "1b8cedbd7a9bb8ef0af89011c3a0454f7a9e5483ff43dc307c23460b20324d19"
+VERIFY_ALL_RANK_4_SHA256 = "86a7e89c6d245319ccca38e09555b11b5664403a4f96e4c509a2b803ca631da3"
 
 
 def test_verify_all_rank_4_json_is_pinned(capsys):
     code, out, err = run_cli(["verify", "--all", "--max-rank", "4", "--json"], capsys)
     assert (code, err) == (0, "")
-    assert json.loads(out)["total"] == 4269
+    assert json.loads(out)["total"] == 4273
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_RANK_4_SHA256
+
+
+def test_every_skip_names_a_size_or_a_swept_rank(capsys):
+    # A skip row is a budget refusal that names a size and the budget, or
+    # the one sweep row of a suite with a grading body above its bound; a
+    # type body never yields a sweep row.
+    code, out, _ = run_cli(["verify", "--all", "--max-rank", "5", "--json"], capsys)
+    data = json.loads(out)
+    assert code == 0 and data["failures"] == 0
+    skips = [r for r in data["checks"] if r["status"] == "skip"]
+    assert len(skips) == data["skipped"] > 0
+    budget = re.compile(rf"[1-9][\d,]* .+ exceed the budget of {BUDGET:,}")
+    for r in skips:
+        suite = checks.SUITES[r["suite"]]
+        if r["name"] == "budget":
+            assert budget.fullmatch(r["detail"]), r
+        else:
+            n = build(r["subject"]).rank
+            assert r["name"] == "sweep" and "grading" in suite.bodies, r
+            assert r["detail"] == f"rank {n} exceeds the bound {suite.max_rank}", r
 
 
 def test_ideals_formats_csv_rows_only_for_csv(capsys, monkeypatch):
