@@ -26,10 +26,12 @@ with the next grading, so one fault cannot hide the other verdicts of a run:
 a budget refusal (rootsys.BudgetExceeded) is a "skip" row named "budget"
 that names the size and the budget, and any other exception a "fail" row
 named "raised".  A type body is bounded only by the budget of what it
-enumerates.  A grading body, which a sweep runs on 2^n - 1 gradings, may
-also declare a rank bound when it registers (`@suite("ideals", max_rank=5)`):
-above it the gate runs the type body alone, then yields one "skip" row named
-"sweep" that names the rank and the bound, and never enters the grading body.
+enumerates, and so is a grading body on a named grading.  A sweep runs a
+grading body on 2^n - 1 gradings, so a grading body is also bounded by the
+number of gradings of one call, unless it registers as cheap on any sweep
+(`@suite("grading", every_sweep=True)`): over SWEEP_MAX_GRADINGS the gate
+runs the type body alone, then yields one "skip" row named "sweep" that names
+the number of gradings and the bound, and never enters the grading body.
 """
 
 from __future__ import annotations
@@ -70,13 +72,22 @@ Suite = Callable[[RootSystem, Sequence[Grading]], Iterator[CheckResult]]
 SUITES: dict[str, Suite] = {}
 
 
-def suite(name: str, max_rank: Optional[int] = None,
-          per: str = "grading") -> Callable[[Body], Body]:
+# A sweep of rank n has 2^n - 1 standard gradings and perhaps the
+# extra-special one: at most 32 up to rank 5, at least 63 from rank 6 (E8
+# has 255), where the coset, ideal and arrangement bodies stop being
+# desk-sized over a whole sweep.  62 also admits a rank <= 5 sweep with
+# named gradings beside it, and a named grading of any rank.
+SWEEP_MAX_GRADINGS = 2 ** 6 - 2
+
+
+def suite(name: str, per: str = "grading",
+          every_sweep: bool = False) -> Callable[[Body], Body]:
     """Register a body of the suite `name`: per="type" runs once on the root
-    system, per="grading" on each grading after it.  Only a grading body,
-    which a sweep repeats, may declare a max_rank (None: no bound)."""
-    if per not in ("type", "grading") or per == "type" and max_rank is not None:
-        raise ValueError(f"suite {name!r}: no {per} body with the bound {max_rank}")
+    system, per="grading" on each grading after it.  A grading body gives way
+    to one sweep row on more than SWEEP_MAX_GRADINGS gradings unless it is
+    cheap on every sweep (every_sweep); a type body, run once, takes no flag."""
+    if per not in ("type", "grading") or per == "type" and every_sweep:
+        raise ValueError(f"suite {name!r}: no {per} body with every_sweep={every_sweep}")
 
     def deco(body: Body) -> Body:
         gated = SUITES.setdefault(name, _gate(name))
@@ -84,7 +95,7 @@ def suite(name: str, max_rank: Optional[int] = None,
             raise ValueError(f"suite {name!r}: a second {per} body")
         gated.bodies[per] = body
         if per == "grading":
-            gated.max_rank = max_rank
+            gated.every_sweep = every_sweep
         return body
 
     return deco
@@ -94,8 +105,9 @@ def _gate(name: str) -> Suite:
     # a generator function like the bodies it gates, so that tracing by
     # function kind sees its rows
     def gated(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
-        bodies, bound = gated.bodies, gated.max_rank
-        over = bound is not None and rs.rank > bound
+        bodies = gated.bodies
+        over = ("grading" in bodies and not gated.every_sweep
+                and len(gradings) > SWEEP_MAX_GRADINGS)
         runs = [(str(rs.cartan_type), bodies["type"], rs)] if "type" in bodies else []
         if "grading" in bodies and not over:
             runs += [(g.spec_string(), bodies["grading"], g) for g in gradings]
@@ -108,10 +120,12 @@ def _gate(name: str) -> Suite:
             except Exception as exc:
                 yield CheckResult(name, sub, "raised", False, f"{type(exc).__name__}: {exc}")
         if over:
-            yield CheckResult(name, str(rs.cartan_type), "sweep", True,
-                              f"rank {rs.rank} exceeds the bound {bound}", "skip")
+            yield CheckResult(
+                name, str(rs.cartan_type), "sweep", True,
+                f"{len(gradings):,} gradings of {rs.cartan_type} exceed the sweep bound "
+                f"of {SWEEP_MAX_GRADINGS}", "skip")
 
-    gated.bodies, gated.max_rank = {}, None  # type: ignore[attr-defined]
+    gated.bodies, gated.every_sweep = {}, False  # type: ignore[attr-defined]
     return gated
 
 
@@ -133,12 +147,6 @@ def default_types(max_rank: int) -> list[str]:
     """Every Cartan type of rank <= max_rank, by rank, then family."""
     return [f"{f}{n}" for n in range(1, max_rank + 1) for f in "ABCDEFG"
             if (n >= _MIN_RANK[f] if f in _MIN_RANK else n in _FIXED_RANK[f])]
-
-
-# Above rank 5 a sweep of 2^n - 1 gradings stops being desk-sized, so the
-# grading bodies that enumerate cosets, ideals or arrangements are bounded
-# there; the type bodies beside them answer to the budget alone.
-SWEEP_MAX_RANK = 5
 
 
 def run(
@@ -285,7 +293,8 @@ def suite_threeroot(rs: RootSystem) -> Iterator[Row]:
 # -- grading level -------------------------------------------------------
 
 
-@suite("grading")
+# cheap on any sweep: E8's 255 gradings take about 2 s
+@suite("grading", every_sweep=True)
 def suite_grading(g: Grading) -> Iterator[Row]:
     rs = g.rs
     npos, lv = len(rs.positive_roots), g.levels
@@ -335,7 +344,7 @@ def suite_grading(g: Grading) -> Iterator[Row]:
 # -- weight poset and ideals ---------------------------------------------
 
 
-@suite("ideals", max_rank=SWEEP_MAX_RANK)
+@suite("ideals")
 def suite_ideals(g: Grading) -> Iterator[Row]:
     # the poset checks its cover closure against the arithmetic order as it
     # is built, and raises where they disagree
@@ -443,7 +452,7 @@ def suite_km_of_type(rs: RootSystem) -> Iterator[Row]:
     yield "length-generating-identity", lhs == rhs, f"W(t) = {to_str(rhs)}"
 
 
-@suite("km", max_rank=SWEEP_MAX_RANK)
+@suite("km")
 def suite_km(g: Grading) -> Iterator[Row]:
     # W0 by its definition, N(w) avoiding level 0: the coset table is built
     # to the order formula and raises where it fails
@@ -457,7 +466,7 @@ def suite_km(g: Grading) -> Iterator[Row]:
 # -- closures, fibers, minimal and maximal elements ----------------------
 
 
-@suite("biconvex", max_rank=SWEEP_MAX_RANK)
+@suite("biconvex")
 def suite_biconvex(g: Grading) -> Iterator[Row]:
     rs = g.rs
     p = ideals_mod.weight_poset(g, 1)
@@ -485,7 +494,7 @@ def suite_biconvex(g: Grading) -> Iterator[Row]:
     yield "closures-biconvex", not bad_convex, bad_convex
 
 
-@suite("fibers", max_rank=SWEEP_MAX_RANK)
+@suite("fibers")
 def suite_fibers(g: Grading) -> Iterator[Row]:
     p = ideals_mod.weight_poset(g, 1)
     table = weyl_mod.enumerate_W0(g)
@@ -516,7 +525,7 @@ def suite_fibers(g: Grading) -> Iterator[Row]:
     yield "fibers-partition", seen == len(table), f"{seen} vs {len(table)}"
 
 
-@suite("minmax", max_rank=SWEEP_MAX_RANK)
+@suite("minmax")
 def suite_minmax(g: Grading) -> Iterator[Row]:
     rs = g.rs
     table = weyl_mod.enumerate_W0(g)
@@ -561,7 +570,7 @@ def suite_minmax(g: Grading) -> Iterator[Row]:
         yield "middle-elements-exist", union != whole, f"{len(union)} vs {len(whole)}"
 
 
-@suite("involution", max_rank=SWEEP_MAX_RANK)
+@suite("involution")
 def suite_involution(g: Grading) -> Iterator[Row]:
     rs = g.rs
     table = weyl_mod.enumerate_W0(g)
@@ -617,7 +626,7 @@ def suite_involution(g: Grading) -> Iterator[Row]:
         )
 
 
-@suite("extreme", max_rank=SWEEP_MAX_RANK)
+@suite("extreme")
 def suite_extreme(g: Grading) -> Iterator[Row]:
     p = ideals_mod.weight_poset(g, 1)
     bad = ""
@@ -633,7 +642,7 @@ def suite_extreme(g: Grading) -> Iterator[Row]:
     yield "extreme-roots-match-poset", not bad, bad
 
 
-@suite("eta", max_rank=SWEEP_MAX_RANK)
+@suite("eta")
 def suite_eta(g: Grading) -> Iterator[Row]:
     if g.k_standard != 1:
         return
@@ -653,7 +662,7 @@ def suite_eta(g: Grading) -> Iterator[Row]:
         yield "abelian-eta-small", all(set(v) <= {-1, 0, 1} for v in vectors), ""
 
 
-@suite("classes", max_rank=SWEEP_MAX_RANK)
+@suite("classes")
 def suite_classes(g: Grading) -> Iterator[Row]:
     rs = g.rs
     table = weyl_mod.enumerate_W0(g)
@@ -699,7 +708,7 @@ def suite_classes(g: Grading) -> Iterator[Row]:
 # -- arrangements --------------------------------------------------------
 
 
-@suite("regions", max_rank=SWEEP_MAX_RANK)
+@suite("regions")
 def suite_regions(g: Grading) -> Iterator[Row]:
     p = ideals_mod.weight_poset(g, 1)
     regions = arr_mod.regions_in_dominant_chamber(g)
@@ -751,7 +760,7 @@ def suite_signs_of_type(rs: RootSystem) -> Iterator[Row]:
     yield "oracle-matches-inversions", not bad, bad
 
 
-@suite("signs", max_rank=SWEEP_MAX_RANK)
+@suite("signs")
 def suite_signs(g: Grading) -> Iterator[Row]:
     elements = weyl_mod.enumerate_W0(g).elements()
     walls = arr_mod.geometric_inversions(g.rs, elements)
@@ -760,7 +769,7 @@ def suite_signs(g: Grading) -> Iterator[Row]:
     yield "coset-signs-match-inversions", not bad, bad
 
 
-@suite("counting", max_rank=SWEEP_MAX_RANK)
+@suite("counting")
 def suite_counting(g: Grading) -> Iterator[Row]:
     count = ideals_mod.count_lower_ideals(ideals_mod.weight_poset(g, 1))
     formula = arr_mod.ideal_count_formula(g)
@@ -780,7 +789,7 @@ def suite_charpoly_of_type(rs: RootSystem) -> Iterator[Row]:
     yield "deleted-factorisation", chi_del == expect, f"chi = {to_str(chi_del)}"
 
 
-@suite("charpoly", max_rank=SWEEP_MAX_RANK)
+@suite("charpoly")
 def suite_charpoly(g: Grading) -> Iterator[Row]:
     arr = arr_mod.sub_arrangement_01(g)
     if g.is_extra_special:
@@ -845,7 +854,7 @@ def e7_example_report() -> dict:
     }
 
 
-@suite("e7")
+@suite("e7", every_sweep=True)
 def suite_e7(g: Grading) -> Iterator[Row]:
     # the example answers for its own grading and is silent on the others
     if g.spec_string() != E7_PAPER_SPEC:

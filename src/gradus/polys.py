@@ -89,7 +89,7 @@ def interpolate(points: Sequence[tuple[int, int]]) -> Poly:
     return trimmed(out)
 
 
-def to_str(p: Sequence[int], var: str = "t") -> str:
+def to_str(p: Sequence[int]) -> str:
     """Render with ascending powers, e.g. '1 + 2t + t^3'."""
     terms = []
     for k, c in enumerate(trimmed(p)):
@@ -99,7 +99,7 @@ def to_str(p: Sequence[int], var: str = "t") -> str:
             body = str(abs(c))
         else:
             head = "" if abs(c) == 1 else str(abs(c))
-            body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+            body = f"{head}t" if k == 1 else f"{head}t^{k}"
         if not terms:
             terms.append(body if c >= 0 else f"-{body}")
         else:

@@ -35,15 +35,15 @@ The table is a cached_property of its grading, and so are the minimal and
 maximal elements of its fibers (Grading.fiber_extremes, keyed by the
 ideal's positive-root mask).  A peel depends only on the root system and
 the mask, so it is cached per root system and mask and shared by every
-grading of that root system; W itself is cached per root system, and
-longest elements per root system and generator tuple.
+grading of that root system; the last W walked is kept, and longest
+elements are cached per root system and generator tuple.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -226,12 +226,14 @@ def element_from_inversions(rs: RootSystem, mask: int) -> WeylElement:
 # -- group enumeration --------------------------------------------------
 
 
-@cache
+@lru_cache(maxsize=1)
 def weyl_elements(rs: RootSystem) -> tuple[WeylElement, ...]:
     """The Weyl group in breadth-first order: the coset table of the grading
-    with every node marked, where W(0) is trivial and so W0 = W, walked once
-    per root system.  Like every coset table it is refused over the budget,
-    as |W(E7)| = 2,903,040 is."""
+    with every node marked, where W(0) is trivial and so W0 = W.  Refused by
+    its order before the walk (|W(E7)| = 2,903,040 is over the budget).  The
+    last group walked is kept, so the suites of one type share one walk and
+    a run over many types holds one group at a time."""
+    check_budget(int(km_order(rs)), f"elements of W({rs.cartan_type})")
     return CosetTable(Grading(rs, (1,) * rs.rank)).elements()
 
 

@@ -7,7 +7,8 @@ the memoised root system and tuples of ints or frozen arrangements.  A peel
 system and the mask, so gradings of one root system share it; the extremes
 of a grading's fibers are still memoised per grading.  The CLI keeps one
 grading per spec string for the life of the process, so a repeated query
-reuses what that grading derived; `verify` builds its own gradings.
+reuses what that grading derived; `verify` builds its own gradings.  The
+whole group W is kept for the last root system walked only.
 """
 
 import gc
@@ -55,6 +56,18 @@ def test_no_global_cache_holds_a_grading():
     del g, p, ideal, w
     gc.collect()
     assert ref() is None
+
+
+def test_only_the_last_whole_group_walked_is_kept():
+    # A run takes the suites of one type one after another, so the group
+    # kept is the one in use and a run over many types holds one group.
+    a3, b3 = build("A3"), build("B3")
+    first = weyl.weyl_elements(a3)
+    assert weyl.weyl_elements(a3) is first
+    weyl.weyl_elements(b3)
+    assert weyl.weyl_elements.cache_info().currsize == 1
+    again = weyl.weyl_elements(a3)
+    assert again is not first and again == first
 
 
 def test_gradings_of_one_root_system_share_a_peel(monkeypatch):

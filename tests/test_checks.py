@@ -1,5 +1,5 @@
-"""The gate of the check suites (the rank bound of a grading body, raises as
-rows) and the status of their rows."""
+"""The gate of the check suites (the sweep bound of a grading body, raises
+as rows) and the status of their rows."""
 
 import ast
 import inspect
@@ -15,21 +15,21 @@ from gradus.grading import Grading, grade
 from gradus.polys import value
 from gradus.rootsys import RootSystem, build, parse_cartan_type
 
-# The rank above which a suite's grading body gives way to one skip row.  A
-# type body declares no bound: only the budget of what it enumerates refuses
-# it, so the type-only suites read None.
-BOUNDS = {
-    "rootsys": None, "threeroot": None, "grading": None, "ideals": 5,
-    "weylcore": None, "km": 5, "biconvex": 5, "fibers": 5, "minmax": 5,
-    "involution": 5, "extreme": 5, "eta": 5, "classes": 5, "regions": 5,
-    "signs": 5, "counting": 5, "charpoly": 5, "appendix": None, "e7": None,
-}
+# The suites whose grading body gives way to one skip row on a call of more
+# than 62 gradings (a sweep from rank 6), and the two whose grading body is
+# cheap on any sweep.  A type body takes no bound: only the budget of what
+# it enumerates refuses it.
+BOUNDED = ["biconvex", "charpoly", "classes", "counting", "eta", "extreme", "fibers",
+           "ideals", "involution", "km", "minmax", "regions", "signs"]
+EVERY_SWEEP = {"grading", "e7"}
 
 REPORT_ROWS = {"self-dual-count-report", "stated-count-verdict"}
 
 
 def test_bounds_are_declared_at_registration():
-    assert {name: s.max_rank for name, s in checks.SUITES.items()} == BOUNDS
+    assert {name for name, s in checks.SUITES.items() if s.every_sweep} == EVERY_SWEEP
+    assert sorted(name for name, s in checks.SUITES.items()
+                  if "grading" in s.bodies and not s.every_sweep) == BOUNDED
 
 
 def test_gated_suites_are_generator_functions():
@@ -46,17 +46,16 @@ def test_status_follows_ok_unless_given():
         CheckResult("s", "x", "n", False, "", "skip")
 
 
-@pytest.mark.parametrize("name", sorted(n for n, b in BOUNDS.items() if b is not None))
+@pytest.mark.parametrize("name", BOUNDED)
 def test_direct_call_above_bound_skips_without_work(name, monkeypatch):
-    # Above the bound the grading body is never entered; the type body, if
-    # the suite has one, still runs first.
-    bound = BOUNDS[name]
-    rs = build(f"A{bound + 1}")
-    gradings = [grade(rs, (1,) + (0,) * bound)]
+    # On the 63 gradings of A6's sweep the grading body is never entered;
+    # the type body, if the suite has one, still runs first.
+    rs = build("A6")
+    gradings = sweep_gradings(rs)
     bodies = checks.SUITES[name].bodies
 
     def no_work(g):
-        raise AssertionError(f"{name} entered its grading body above rank {bound}")
+        raise AssertionError(f"{name} entered its grading body on {len(gradings)} gradings")
 
     def type_row(rs):
         yield "of-the-type", True, ""
@@ -64,11 +63,36 @@ def test_direct_call_above_bound_skips_without_work(name, monkeypatch):
     monkeypatch.setitem(bodies, "grading", no_work)
     if "type" in bodies:
         monkeypatch.setitem(bodies, "type", type_row)
-    sub = f"A{bound + 1}"
-    expected = [CheckResult(name, sub, "of-the-type", True)] if "type" in bodies else []
-    expected.append(CheckResult(name, sub, "sweep", True,
-                                f"rank {bound + 1} exceeds the bound {bound}", "skip"))
+    expected = [CheckResult(name, "A6", "of-the-type", True)] if "type" in bodies else []
+    expected.append(CheckResult(name, "A6", "sweep", True,
+                                "63 gradings of A6 exceed the sweep bound of 62", "skip"))
     assert list(checks.SUITES[name](rs, gradings)) == expected
+
+
+def test_the_sweep_bound_counts_gradings():
+    # A bounded grading body runs on 62 gradings of A6 and not on 63, where
+    # the type body still runs first and one sweep row follows it.
+    @checks.suite("zz-bound", per="type")
+    def _of_type(rs):
+        yield "of-the-type", True, ""
+
+    @checks.suite("zz-bound")
+    def _per_grading(g):
+        yield "per-grading", True, ""
+
+    rs = build("A6")
+    gradings = sweep_gradings(rs)
+    try:
+        assert len(gradings) == checks.SWEEP_MAX_GRADINGS + 1 == 63
+        rows = list(checks.SUITES["zz-bound"](rs, gradings[:62]))
+        assert [(r.subject, r.name) for r in rows] == [("A6", "of-the-type")] + [
+            (g.spec_string(), "per-grading") for g in gradings[:62]]
+        assert list(checks.SUITES["zz-bound"](rs, gradings)) == [
+            CheckResult("zz-bound", "A6", "of-the-type", True),
+            CheckResult("zz-bound", "A6", "sweep", True,
+                        "63 gradings of A6 exceed the sweep bound of 62", "skip")]
+    finally:
+        del checks.SUITES["zz-bound"]
 
 
 # A type-only suite that lost its rank bound: a type above the old bound
@@ -90,10 +114,10 @@ def test_a_type_body_answers_to_its_budget_alone(name):
 
 
 def test_no_pass_above_bound_at_rank_6():
-    # A bounded suite gives no row about a grading above rank 5: its type
-    # rows, each a pass or a budget refusal, then one sweep row per type.
+    # A bounded suite gives no row about a grading of a rank-6 sweep: its
+    # type rows, each a pass or a budget refusal, then one sweep row per type.
     rows = checks.run(checks.targets_for(["A6", "E6"]))
-    low = {n for n, b in BOUNDS.items() if b is not None and b < 6}
+    low = set(BOUNDED)
     assert [r for r in rows if r.suite in low and r.subject not in ("A6", "E6")] == []
     for t in ("A6", "E6"):
         for n in low:
@@ -365,15 +389,14 @@ RANK_4 = [n for n in checks.default_types(4) if n not in RANK_3]
 
 @pytest.mark.parametrize("name", RANK_3 + [pytest.param(n, marks=pytest.mark.slow) for n in RANK_4])
 def test_every_suite_asserts_on_the_non_standard_family(name):
-    # Every grading with marks in 0..2, some mark 2 and a nonempty Delta(1):
-    # each suite whose bound admits the rank checks it, with no fail row and
-    # no skip row about a grading.  A type body may be refused by its budget
-    # (weylcore's 2^N masks at B4, C4 and F4).
+    # Every grading with marks in 0..2, some mark 2 and a nonempty Delta(1)
+    # (at most 50, within the sweep bound): every suite checks it, with no
+    # fail row and no skip row about a grading.  A type body may be refused
+    # by its budget (weylcore's 2^N masks at B4, C4 and F4).
     rs = build(name)
     gradings = [g for marks in product(range(3), repeat=rs.rank)
                 if 2 in marks and (g := grade(rs, marks)).level_mask(1)]
-    names = [n for n, s in checks.SUITES.items() if s.max_rank is None or s.max_rank >= rs.rank]
-    rows = checks.run([(rs, gradings)], names)
+    rows = checks.run([(rs, gradings)])
     assert [r for r in rows if r.status == "fail"
             or r.status == "skip" and (r.subject, r.name) != (name, "budget")] == []
     assert len({r.subject for r in rows} - {name}) == len(gradings)
@@ -525,25 +548,25 @@ def test_rows_yielded_before_a_raise_are_kept():
 
 
 def test_a_suite_takes_one_body_of_each_kind_under_one_bound():
-    # The one bound is the grading body's: a type body declares none.
+    # The one bound is the grading body's: a type body takes no flag.
     def no_rows(on):
         yield from ()
 
-    for per, bound in (("type", 5), ("type", 0), ("grading ", None)):
+    for per, every_sweep in (("type", True), ("grading ", False)):
         with pytest.raises(ValueError, match="zz-pair"):
-            checks.suite("zz-pair", max_rank=bound, per=per)
+            checks.suite("zz-pair", per=per, every_sweep=every_sweep)
     assert "zz-pair" not in checks.SUITES
     checks.suite("zz-pair", per="type")(no_rows)
     try:
         with pytest.raises(ValueError, match="zz-pair"):
             checks.suite("zz-pair", per="type")(no_rows)
-        assert checks.SUITES["zz-pair"].max_rank is None
-        checks.suite("zz-pair", max_rank=2)(no_rows)
-        assert checks.SUITES["zz-pair"].max_rank == 2
+        assert checks.SUITES["zz-pair"].every_sweep is False
+        checks.suite("zz-pair", every_sweep=True)(no_rows)
+        assert checks.SUITES["zz-pair"].every_sweep is True
         with pytest.raises(ValueError, match="zz-pair"):
-            checks.suite("zz-pair", max_rank=2)(no_rows)
+            checks.suite("zz-pair")(no_rows)
         assert checks.SUITES["zz-pair"].bodies == {"type": no_rows, "grading": no_rows}
-        assert checks.SUITES["zz-pair"].max_rank == 2
+        assert checks.SUITES["zz-pair"].every_sweep is True
     finally:
         del checks.SUITES["zz-pair"]
 

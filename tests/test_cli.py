@@ -253,10 +253,11 @@ def test_non_essential_arrangement_matches_its_exponents(capsys):
 
 
 def test_verify_reports_skip_above_bound(capsys):
-    # counting has a grading body only, bounded at rank 5
+    # counting has a grading body only, bounded at 62 gradings
     code, out, _ = run_cli(["verify", "E6", "--suite", "counting"], capsys)
     assert code == 0
-    assert out == ("[ skip ] counting   E6               sweep -- rank 6 exceeds the bound 5\n"
+    assert out == ("[ skip ] counting   E6               sweep -- "
+                   "63 gradings of E6 exceed the sweep bound of 62\n"
                    "1 checks, 0 failures, 1 skipped\n")
     code, out, _ = run_cli(["verify", "E6", "--suite", "counting", "--json"], capsys)
     data = json.loads(out)
@@ -598,24 +599,59 @@ def test_verify_all_rank_4_json_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_RANK_4_SHA256
 
 
+# A skip row names a size and the bound it is over: a budget refusal names
+# the budget, the one sweep row of a bounded grading body the sweep bound.
+SKIP_DETAIL = re.compile(r"[1-9][\d,]* .+ exceed the (budget|sweep bound) of ([\d,]+)")
+SKIP_BOUNDS = {("budget", "budget", f"{BUDGET:,}"),
+               ("sweep", "sweep bound", f"{checks.SWEEP_MAX_GRADINGS:,}")}
+
+
+def _skips_name_a_size(data):
+    skips = [r for r in data["checks"] if r["status"] == "skip"]
+    assert len(skips) == data["skipped"]
+    for r in skips:
+        m = SKIP_DETAIL.fullmatch(r["detail"])
+        assert m and (r["name"], *m.groups()) in SKIP_BOUNDS, r
+    return skips
+
+
 def test_every_skip_names_a_size_or_a_swept_rank(capsys):
-    # A skip row is a budget refusal that names a size and the budget, or
-    # the one sweep row of a suite with a grading body above its bound; a
-    # type body never yields a sweep row.
-    code, out, _ = run_cli(["verify", "--all", "--max-rank", "5", "--json"], capsys)
+    # A type body never yields a sweep row, and a named grading at rank 6
+    # or 7 meets no sweep bound.
+    for argv in (["--all", "--max-rank", "5"], ["A6", "--suite", "counting"],
+                 ["E7:0,1,0,0,0,0,0"], ["E6:1,0,0,0,0,0"]):
+        code, out, _ = run_cli(["verify", *argv, "--json"], capsys)
+        data = json.loads(out)
+        assert code == 0 and data["failures"] == 0
+        skips = _skips_name_a_size(data)
+        assert skips, argv
+        for r in skips:
+            if r["name"] == "sweep":
+                assert ("grading" in checks.SUITES[r["suite"]].bodies
+                        and r["subject"] == "A6"), r
+
+
+def test_verify_runs_the_paper_grading_through_every_suite(capsys):
+    # Only the budget refuses anything on E7:0,1,0,0,0,0,0: W(E7), its 2^63
+    # masks and chi's fibre points.  Three suites count its 352 ideals.
+    code, out, _ = run_cli(["verify", "E7:0,1,0,0,0,0,0", "--json"], capsys)
+    data = json.loads(out)
+    assert code == 0
+    assert (data["total"], data["failures"], data["skipped"]) == (50, 0, 6)
+    assert {r["name"] for r in _skips_name_a_size(data)} == {"budget"}
+    detail = {(r["suite"], r["name"]): r["detail"] for r in data["checks"]}
+    assert detail["ideals", "count-three-ways"] == "M(1)=352, ideals=352, antichains=352"
+    assert detail["regions", "region-ideal-bijection"] == "352 regions, 352 ideals"
+    assert detail["counting", "height-product-formula"] == "product 352, enumeration 352"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ["E8:0,0,0,0,0,0,0,1", "E8:0,1,0,0,0,0,0,0"])
+def test_verify_runs_a_rank_8_grading_through_every_suite(spec, capsys):
+    code, out, _ = run_cli(["verify", spec, "--json"], capsys)
     data = json.loads(out)
     assert code == 0 and data["failures"] == 0
-    skips = [r for r in data["checks"] if r["status"] == "skip"]
-    assert len(skips) == data["skipped"] > 0
-    budget = re.compile(rf"[1-9][\d,]* .+ exceed the budget of {BUDGET:,}")
-    for r in skips:
-        suite = checks.SUITES[r["suite"]]
-        if r["name"] == "budget":
-            assert budget.fullmatch(r["detail"]), r
-        else:
-            n = build(r["subject"]).rank
-            assert r["name"] == "sweep" and "grading" in suite.bodies, r
-            assert r["detail"] == f"rank {n} exceeds the bound {suite.max_rank}", r
+    assert {r["name"] for r in _skips_name_a_size(data)} == {"budget"}
 
 
 def test_ideals_formats_csv_rows_only_for_csv(capsys, monkeypatch):
