@@ -2,14 +2,16 @@
 
 The central objects are the arrangement with normals Delta(0)+ union
 Delta(1), the full Coxeter arrangement Delta+, and the arrangements that
-drop an upper ideal of the root poset.  Regions inside the dominant cone of
-the level-0 subsystem are read off from the level-1 signs of the minimal
-coset representatives and are in bijection with the lower ideals of the
-weight poset.  The walls that separate a chamber w^(-1)(C) from the
-dominant chamber C are exactly the inversion set of w, so the arrangement
-side's answer is a positive-root mask too: geometric_inversions reads an
-interior point of each chamber off the permutation of w and takes the walls
-of a batch from one packed integer per chamber, without an inversion set.
+drop an upper ideal of the root poset.  A region inside the dominant cone
+of the level-0 subsystem is the set of chambers of the minimal coset
+representatives with one set of level-1 signs, a fiber of tau, so the
+regions are the fibers of the coset table (CosetTable.by_tau) and are in
+bijection with the lower ideals of the weight poset.  The walls that
+separate a chamber w^(-1)(C) from the dominant chamber C are exactly the
+inversion set of w, so the arrangement side's answer is a positive-root
+mask too: geometric_inversions reads an interior point of each chamber off
+the permutation of w and takes the walls of a batch from one packed integer
+per chamber, without an inversion set.
 
 Characteristic polynomials are computed by exact point counts over the
 prime fields F_q.  By Kamiya-Takemura-Terao (2008, 2010) the count over
@@ -45,7 +47,7 @@ from typing import Sequence
 from . import ideals as ideals_mod
 from . import weyl as weyl_mod
 from .grading import Grading
-from .ideals import Ideal, iter_downclosed, order_masks
+from .ideals import iter_downclosed, order_masks
 from .polys import Poly, from_int_roots, interpolate, mul, value
 from .rootsys import BudgetExceeded, Root, RootSystem, check_budget, dual_partition
 
@@ -105,30 +107,7 @@ def deleted_arrangement(rs: RootSystem) -> Arrangement:
     return ideal_arrangement(rs, theta_mask)
 
 
-# -- regions of the level-(0,1) arrangement -----------------------------
-
-
-@dataclass
-class Region:
-    """A region inside the level-0 dominant cone, i.e. a fiber of chambers."""
-
-    ideal: Ideal
-    chambers: list[weyl_mod.WeylElement]  # sorted by increasing length
-
-
-def regions_in_dominant_chamber(g: Grading) -> list[Region]:
-    """Group the minimal coset representatives by their level-1 signs; each
-    group is one region, labelled by a lower ideal."""
-    table = weyl_mod.enumerate_W0(g)
-    elements = table.elements()
-    p = ideals_mod.weight_poset(g, 1)
-    return [
-        Region(
-            ideal=Ideal(p, tau_mask),
-            chambers=[elements[k] for k in table.by_tau[tau_mask]],
-        )
-        for tau_mask in sorted(table.by_tau)
-    ]
+# -- the walls of a chamber ---------------------------------------------
 
 
 @cache
@@ -330,14 +309,13 @@ def arrangement_report(g: Grading) -> dict:
     arr = sub_arrangement_01(g)
     partition = g.rs.height_partition(arr.mask)
     dual = dual_partition(partition)
-    regions = regions_in_dominant_chamber(g)
     p = ideals_mod.weight_poset(g, 1)
     count = ideals_mod.count_lower_ideals(p)
     report = {
         "grading": g.spec_string(),
         "partition": list(partition),
         "dual_partition": list(dual),
-        "region_count": len(regions),
+        "region_count": len(weyl_mod.enumerate_W0(g).by_tau),
         "ideal_count": count,
         "formula_value": str(ideal_count_formula(g)),
     }

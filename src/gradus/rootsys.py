@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Q = Fraction
 

@@ -24,13 +24,13 @@ the breadth-first depth equals the length of the representative.  The walk
 recognises a coset by its inversion mask, an int (N(w) determines w), and
 composes s_i w only for a coset it has not seen.  A coset is its
 WeylElement: the table keeps the elements as one tuple, the minimal
-and maximal elements of the fibers as two frozensets of them, and the
-fibers as positions in the tuple keyed by level-1 inversion mask.  With
-every node marked W(0) is trivial, so the same walk enumerates W itself.
-A single fiber needs no table: it is the weak-order interval
-[w_min, w_max], and the same walk, started at w_min and taking only roots
-of level >= 2, visits exactly its elements, so it is bounded by its own
-size, not by the number of cosets.
+and maximal elements of the fibers as two frozensets of them, and each
+fiber as the list of its elements in walk (length-sorted) order, keyed by
+level-1 inversion mask.  With every node marked W(0) is trivial, so the
+same walk enumerates W itself.  A single fiber needs no table: it is the
+weak-order interval [w_min, w_max], and the same walk, started at w_min
+and taking only roots of level >= 2, visits exactly its elements, so it is
+bounded by its own size, not by the number of cosets.
 The table is a cached_property of its grading, and so are the minimal and
 maximal elements of its fibers (Grading.fiber_extremes, keyed by the
 ideal's positive-root mask).  A peel depends only on the root system and
@@ -333,11 +333,12 @@ class CosetTable:
     permutation and inversion mask and no word (a word is peeled when it is
     asked for); `minimal` and `maximal` hold those whose w^(-1)(alpha_j)
     all have level >= -1, resp. <= 1, over the simple roots alpha_j; by_tau
-    maps a level-1 inversion mask to the positions of its fiber.  The table
-    is the walk from the identity over the roots of positive level: at level
-    0 s_i w is in the same coset, and a negative root is a descent.  A table
-    over the budget, |W/W(0)| = km_order / levi_order cosets, is refused
-    before the walk starts."""
+    maps a level-1 inversion mask to its fiber, the elements with that mask
+    in walk order, so from w_min to w_max.  The table is the walk from the
+    identity over the roots of positive level: at level 0 s_i w is in the
+    same coset, and a negative root is a descent.  A table over the budget,
+    |W/W(0)| = km_order / levi_order cosets, is refused before the walk
+    starts."""
 
     def __init__(self, grading: Grading):
         rs = grading.rs
@@ -348,7 +349,7 @@ class CosetTable:
         elements: list[WeylElement] = []
         minimal: list[WeylElement] = []
         maximal: list[WeylElement] = []
-        self.by_tau: dict[int, list[int]] = {}
+        self.by_tau: dict[int, list[WeylElement]] = {}
         for perm, preimages, inv_mask in _walk(grading, WeylElement.identity(rs), 1):
             w = WeylElement(rs, perm, inv_mask)
             preimage_levels = [signed[k] for k in preimages]
@@ -356,7 +357,7 @@ class CosetTable:
                 minimal.append(w)
             if max(preimage_levels) <= 1:
                 maximal.append(w)
-            self.by_tau.setdefault(inv_mask & delta1, []).append(len(elements))
+            self.by_tau.setdefault(inv_mask & delta1, []).append(w)
             elements.append(w)
         if len(elements) != count:
             raise AssertionError("coset count disagrees with the order formula")

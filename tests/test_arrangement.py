@@ -20,7 +20,6 @@ from gradus.arrangement import (
     good_primes,
     ideal_arrangement,
     ideal_count_formula,
-    regions_in_dominant_chamber,
     sub_arrangement_01,
     upper_ideal_partition_check,
     upper_ideals_of_root_poset,
@@ -258,19 +257,18 @@ def test_char_poly_is_monic_with_unit_chi_one():
                                   "C3:1,0,0", "A3:1,0,1"])
 def test_regions_biject_with_ideals(spec):
     g = parse_grading_spec(spec)
-    regions = regions_in_dominant_chamber(g)
+    regions = enumerate_W0(g).by_tau
     p = weight_poset(g)
     assert len(regions) == count_lower_ideals(p)
-    masks = {r.ideal.mask for r in regions}
-    assert len(masks) == len(regions)
-    total = sum(len(r.chambers) for r in regions)
+    assert set(regions) == set(p.ideal_masks)
+    total = sum(len(chambers) for chambers in regions.values())
     assert total == len(enumerate_W0(g).elements())
 
 
 def test_region_chambers_sorted_by_distance():
     g = parse_grading_spec("G2:es")
-    for region in regions_in_dominant_chamber(g):
-        lengths = [w.length for w in region.chambers]
+    for chambers in enumerate_W0(g).by_tau.values():
+        lengths = [w.length for w in chambers]
         assert lengths == sorted(lengths)
 
 

@@ -683,3 +683,44 @@ def test_a_missing_cover_step_is_a_raised_row():
     assert list(checks.SUITES["ideals"](rs, [g])) == [CheckResult(
         "ideals", "B3:0,1,0", "raised", False,
         "AssertionError: cover closure disagrees with the arithmetic order at a2+a3")]
+
+
+def test_a_fiber_past_its_interval_fails_only_the_interval_row(monkeypatch, capsys):
+    # With w_max read as w_min every fiber of more than one coset reaches
+    # past its interval [w_min, w_min], while tau(w_min) is still the ideal.
+    monkeypatch.setattr(weyl, "w_max", weyl.w_min)
+    assert main(["verify", "B3:0,1,0", "--suite", "fibers", "--json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["checks"]
+    assert [(r["name"], r["ok"]) for r in rows] == [
+        ("min-max-hit-the-ideal", True), ("fiber-is-weak-interval", False),
+        ("extremes-unique", True), ("fibers-partition", True)]
+
+
+def test_a_fiber_missing_from_the_table_fails_its_rows():
+    rs = RootSystem(build("B3").cartan_type)  # a private instance, nothing cached
+    g = grade(rs, (0, 1, 0))
+    table = weyl.enumerate_W0(g)
+    del table.by_tau[max(table.by_tau)]
+    rows = [r for name in ("fibers", "regions") for r in checks.SUITES[name](rs, [g])]
+    assert {(r.suite, r.name) for r in rows if not r.ok} == {
+        ("fibers", "fiber-is-weak-interval"),
+        ("fibers", "fibers-partition"),
+        ("regions", "region-ideal-bijection"),
+    }
+
+
+@pytest.mark.parametrize("name", checks.default_types(4))
+def test_each_fiber_is_the_interval_the_table_scan_finds(name):
+    # The scan of the whole table per ideal that the fibers suite made
+    # before it read each coset once, kept as its oracle: the positions of
+    # the cosets whose masks lie between N(w_min) and N(w_max).
+    for g in sweep_gradings(build(name)):
+        table = weyl.enumerate_W0(g)
+        elements = table.elements()
+        masks = [w.inversion_mask for w in elements]
+        position = {w: k for k, w in enumerate(elements)}
+        for ideal in ideals.weight_poset(g, 1).lower_ideals:
+            a = weyl.w_min(g, ideal).inversion_mask
+            b = weyl.w_max(g, ideal).inversion_mask
+            interval = [k for k, m in enumerate(masks) if m & a == a and m | b == b]
+            assert interval == [position[w] for w in table.by_tau[ideal.mask]], (g, ideal)

@@ -645,6 +645,13 @@ def test_verify_runs_the_paper_grading_through_every_suite(capsys):
     assert detail["counting", "height-product-formula"] == "product 352, enumeration 352"
 
 
+# sha256 of `gradus verify SPEC --json` where it is pinned: on
+# E8:0,1,0,0,0,0,0,0, 47 rows, 0 failures, 6 skipped.
+VERIFY_RANK_8_SHA256 = {
+    "E8:0,1,0,0,0,0,0,0": "2e43207a2031196c7e6590028031fbf3fd15cfd0dc280531c2a3d4565bf47a16",
+}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("spec", ["E8:0,0,0,0,0,0,0,1", "E8:0,1,0,0,0,0,0,0"])
 def test_verify_runs_a_rank_8_grading_through_every_suite(spec, capsys):
@@ -652,6 +659,8 @@ def test_verify_runs_a_rank_8_grading_through_every_suite(spec, capsys):
     data = json.loads(out)
     assert code == 0 and data["failures"] == 0
     assert {r["name"] for r in _skips_name_a_size(data)} == {"budget"}
+    if spec in VERIFY_RANK_8_SHA256:
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_RANK_8_SHA256[spec]
 
 
 def test_ideals_formats_csv_rows_only_for_csv(capsys, monkeypatch):

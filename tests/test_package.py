@@ -1,5 +1,7 @@
-"""The package surface: what `gradus` exports and what README shows of it."""
+"""The package surface: what `gradus` exports, what README shows of it, and
+the imports of its modules."""
 
+import ast
 import contextlib
 import io
 import re
@@ -110,3 +112,27 @@ def test_internal_checks_hold_under_python_dash_o():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["refused", "refused"]
+
+
+def _unused_imports(path):
+    """The names an import binds in a module and no expression reads, as
+    `module:line name`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_every_import_of_a_module_is_read():
+    # __init__ imports names to export them, so it is left out.
+    modules = sorted(Path(gradus.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    assert [u for path in modules if path.name != "__init__.py"
+            for u in _unused_imports(path)] == []

@@ -369,13 +369,14 @@ def _coset_columns_by_perm(g):
 
 def _coset_columns(table):
     elements = table.elements()
+    position = {w: k for k, w in enumerate(elements)}
     return [
         [w.perm for w in elements],
         [w.word for w in elements],
         [w.inversion_mask for w in elements],
         [w in table.minimal for w in elements],
         [w in table.maximal for w in elements],
-        table.by_tau,
+        {tau: [position[w] for w in fib] for tau, fib in table.by_tau.items()},
     ]
 
 
@@ -444,9 +445,10 @@ def test_an_element_has_one_word_however_it_was_reached(name):
             assert w.word == element_from_inversions(rs, w.inversion_mask).word, (g, w)
 
 
-def test_a_coset_table_keeps_at_most_650_bytes_per_coset():
+def test_a_coset_table_keeps_at_most_560_bytes_per_coset():
     # what tracemalloc sees a built table keep; B5's 3,840 cosets kept about
-    # 720 B each while every coset carried its breadth-first word
+    # 720 B each while every coset carried its breadth-first word, and about
+    # 573 B while its fibers held positions instead of the elements
     g = parse_grading_spec("B5:1,1,1,1,1")
     weyl.CosetTable(g)  # fill the root system's and the grading's caches first
     gc.collect()
@@ -458,7 +460,7 @@ def test_a_coset_table_keeps_at_most_650_bytes_per_coset():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained <= 650 * len(table), retained / len(table)
+    assert retained <= 560 * len(table), retained / len(table)
 
 
 @pytest.mark.parametrize("name,cosets", [("A16", 17), ("B12", 24), ("D12", 24)])
@@ -745,10 +747,9 @@ def test_walked_fiber_matches_the_coset_table(name):
     # are length-sorted, but equal lengths may come in another order
     for g in sweep_gradings(build(name)):
         table = enumerate_W0(g)
-        elements = table.elements()
         for ideal in iter_lower_ideals(weight_poset(g, 1)):
             fib = fiber(g, ideal)
-            want = [elements[k] for k in table.by_tau[ideal.mask]]
+            want = table.by_tau[ideal.mask]
             assert len(fib) == len(want) and set(fib) == set(want)
             lengths = [w.length for w in fib]
             assert lengths == sorted(lengths)
