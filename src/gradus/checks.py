@@ -27,13 +27,11 @@ turns a raise in a body into one row about that body's subject and goes on
 with the next grading, so one fault cannot hide the other verdicts of a run:
 a budget refusal (rootsys.BudgetExceeded) is a "skip" row named "budget"
 that names the size and the budget, and any other exception a "fail" row
-named "raised".  A type body is bounded only by the budget of what it
-enumerates, and so is a grading body on a named grading.  A sweep runs a
-grading body on 2^n - 1 gradings, so a grading body is also bounded by the
-number of gradings of one call, unless it registers as cheap on any sweep
-(`@suite("grading", every_sweep=True)`): over SWEEP_MAX_GRADINGS the gate
-runs the type body alone, then yields one "skip" row named "sweep" that names
-the number of gradings and the bound, and never enters the grading body.
+named "raised".  A call over several gradings is also refused by the sum
+over them of what its grading body walks, if it declares that unit
+(`@suite("fibers", size="cosets")`): then the gate runs the type body alone,
+yields one "budget" row about the type naming the sum and the number of
+gradings, and never enters the grading body.
 """
 
 from __future__ import annotations
@@ -74,22 +72,19 @@ Suite = Callable[[RootSystem, Sequence[Grading]], Iterator[CheckResult]]
 SUITES: dict[str, Suite] = {}
 
 
-# A sweep of rank n has 2^n - 1 standard gradings and perhaps the
-# extra-special one: at most 32 up to rank 5, at least 63 from rank 6 (E8
-# has 255), where the coset, ideal and arrangement bodies stop being
-# desk-sized over a whole sweep.  62 also admits a rank <= 5 sweep with
-# named gradings beside it, and a named grading of any rank.
-SWEEP_MAX_GRADINGS = 2 ** 6 - 2
+# The units a grading body may declare, each counted as its walk is refused by;
+# charpoly declares none, as summed fibre points would refuse B5 (137,640).
+SIZES = {"cosets": weyl_mod.coset_count, "lower ideals": arr_mod.ideal_count_formula}
 
 
 def suite(name: str, per: str = "grading",
-          every_sweep: bool = False) -> Callable[[Body], Body]:
+          size: Optional[str] = None) -> Callable[[Body], Body]:
     """Register a body of the suite `name`: per="type" runs once on the root
-    system, per="grading" on each grading after it.  A grading body gives way
-    to one sweep row on more than SWEEP_MAX_GRADINGS gradings unless it is
-    cheap on every sweep (every_sweep); a type body, run once, takes no flag."""
-    if per not in ("type", "grading") or per == "type" and every_sweep:
-        raise ValueError(f"suite {name!r}: no {per} body with every_sweep={every_sweep}")
+    system, per="grading" on each grading after it.  A grading body that
+    walks cosets or lower ideals declares that unit of SIZES; a type body,
+    run once, declares nothing."""
+    if per not in ("type", "grading") or size is not None and (per == "type" or size not in SIZES):
+        raise ValueError(f"suite {name!r}: no {per} body of size {size!r}")
 
     def deco(body: Body) -> Body:
         gated = SUITES.setdefault(name, _gate(name))
@@ -97,7 +92,7 @@ def suite(name: str, per: str = "grading",
             raise ValueError(f"suite {name!r}: a second {per} body")
         gated.bodies[per] = body
         if per == "grading":
-            gated.every_sweep = every_sweep
+            gated.size = size
         return body
 
     return deco
@@ -107,11 +102,15 @@ def _gate(name: str) -> Suite:
     # a generator function like the bodies it gates, so that tracing by
     # function kind sees its rows
     def gated(rs: RootSystem, gradings: Sequence[Grading]) -> Iterator[CheckResult]:
-        bodies = gated.bodies
-        over = ("grading" in bodies and not gated.every_sweep
-                and len(gradings) > SWEEP_MAX_GRADINGS)
+        bodies, size, over = gated.bodies, gated.size, None
+        try:  # a single grading meets the refusal of its own walk
+            if size is not None and len(gradings) > 1:
+                check_budget(int(sum(map(SIZES[size], gradings))),
+                             f"{size} over {len(gradings):,} gradings of {rs.cartan_type}")
+        except BudgetExceeded as exc:
+            over = exc
         runs = [(str(rs.cartan_type), bodies["type"], rs)] if "type" in bodies else []
-        if "grading" in bodies and not over:
+        if "grading" in bodies and over is None:
             runs += [(g.spec_string(), bodies["grading"], g) for g in gradings]
         for sub, body, on in runs:
             try:
@@ -121,13 +120,10 @@ def _gate(name: str) -> Suite:
                 yield CheckResult(name, sub, "budget", True, str(exc), "skip")
             except Exception as exc:
                 yield CheckResult(name, sub, "raised", False, f"{type(exc).__name__}: {exc}")
-        if over:
-            yield CheckResult(
-                name, str(rs.cartan_type), "sweep", True,
-                f"{len(gradings):,} gradings of {rs.cartan_type} exceed the sweep bound "
-                f"of {SWEEP_MAX_GRADINGS}", "skip")
+        if over is not None:
+            yield CheckResult(name, str(rs.cartan_type), "budget", True, str(over), "skip")
 
-    gated.bodies, gated.every_sweep = {}, False  # type: ignore[attr-defined]
+    gated.bodies, gated.size = {}, None  # type: ignore[attr-defined]
     return gated
 
 
@@ -295,8 +291,7 @@ def suite_threeroot(rs: RootSystem) -> Iterator[Row]:
 # -- grading level -------------------------------------------------------
 
 
-# cheap on any sweep: E8's 255 gradings take about 2 s
-@suite("grading", every_sweep=True)
+@suite("grading")
 def suite_grading(g: Grading) -> Iterator[Row]:
     rs = g.rs
     npos, lv = len(rs.positive_roots), g.levels
@@ -346,7 +341,7 @@ def suite_grading(g: Grading) -> Iterator[Row]:
 # -- weight poset and ideals ---------------------------------------------
 
 
-@suite("ideals")
+@suite("ideals", size="lower ideals")
 def suite_ideals(g: Grading) -> Iterator[Row]:
     # the poset checks its cover closure against the arithmetic order as it
     # is built, and raises where they disagree
@@ -454,7 +449,7 @@ def suite_km_of_type(rs: RootSystem) -> Iterator[Row]:
     yield "length-generating-identity", lhs == rhs, f"W(t) = {to_str(rhs)}"
 
 
-@suite("km")
+@suite("km", size="cosets")
 def suite_km(g: Grading) -> Iterator[Row]:
     # W0 by its definition, N(w) avoiding level 0: the coset table is built
     # to the order formula and raises where it fails
@@ -468,7 +463,7 @@ def suite_km(g: Grading) -> Iterator[Row]:
 # -- closures, fibers, minimal and maximal elements ----------------------
 
 
-@suite("biconvex")
+@suite("biconvex", size="lower ideals")
 def suite_biconvex(g: Grading) -> Iterator[Row]:
     rs = g.rs
     p = ideals_mod.weight_poset(g, 1)
@@ -496,7 +491,7 @@ def suite_biconvex(g: Grading) -> Iterator[Row]:
     yield "closures-biconvex", not bad_convex, bad_convex
 
 
-@suite("fibers")
+@suite("fibers", size="cosets")
 def suite_fibers(g: Grading) -> Iterator[Row]:
     p = ideals_mod.weight_poset(g, 1)
     table = weyl_mod.enumerate_W0(g)
@@ -527,7 +522,7 @@ def suite_fibers(g: Grading) -> Iterator[Row]:
     yield "fibers-partition", seen == len(table), f"{seen} vs {len(table)}"
 
 
-@suite("minmax")
+@suite("minmax", size="cosets")
 def suite_minmax(g: Grading) -> Iterator[Row]:
     rs = g.rs
     table = weyl_mod.enumerate_W0(g)
@@ -572,7 +567,7 @@ def suite_minmax(g: Grading) -> Iterator[Row]:
         yield "middle-elements-exist", union != whole, f"{len(union)} vs {len(whole)}"
 
 
-@suite("involution")
+@suite("involution", size="cosets")
 def suite_involution(g: Grading) -> Iterator[Row]:
     rs = g.rs
     table = weyl_mod.enumerate_W0(g)
@@ -628,7 +623,7 @@ def suite_involution(g: Grading) -> Iterator[Row]:
         )
 
 
-@suite("extreme")
+@suite("extreme", size="lower ideals")
 def suite_extreme(g: Grading) -> Iterator[Row]:
     p = ideals_mod.weight_poset(g, 1)
     bad = ""
@@ -644,7 +639,7 @@ def suite_extreme(g: Grading) -> Iterator[Row]:
     yield "extreme-roots-match-poset", not bad, bad
 
 
-@suite("eta")
+@suite("eta", size="cosets")
 def suite_eta(g: Grading) -> Iterator[Row]:
     if g.k_standard != 1:
         return
@@ -664,18 +659,17 @@ def suite_eta(g: Grading) -> Iterator[Row]:
         yield "abelian-eta-small", all(set(v) <= {-1, 0, 1} for v in vectors), ""
 
 
-@suite("classes")
+@suite("classes", size="cosets")
 def suite_classes(g: Grading) -> Iterator[Row]:
     rs = g.rs
     table = weyl_mod.enumerate_W0(g)
     p = ideals_mod.weight_poset(g, 1)
     count = ideals_mod.count_lower_ideals(p)
     if g.is_abelian:
-        index = weyl_mod.km_order(rs) / weyl_mod.levi_order(g)
         yield (
             "abelian-counts",
             count == len(table),
-            f"ideals {count}, cosets {len(table)}, index {index}",
+            f"ideals {count}, cosets {len(table)}, index {weyl_mod.coset_count(g)}",
         )
         yield (
             "abelian-poincare-is-ideal-polynomial",
@@ -710,7 +704,7 @@ def suite_classes(g: Grading) -> Iterator[Row]:
 # -- arrangements --------------------------------------------------------
 
 
-@suite("regions")
+@suite("regions", size="cosets")
 def suite_regions(g: Grading) -> Iterator[Row]:
     p = ideals_mod.weight_poset(g, 1)
     fibers = weyl_mod.enumerate_W0(g).by_tau  # one region per fiber
@@ -763,7 +757,7 @@ def suite_signs_of_type(rs: RootSystem) -> Iterator[Row]:
     yield "oracle-matches-inversions", not bad, bad
 
 
-@suite("signs")
+@suite("signs", size="cosets")
 def suite_signs(g: Grading) -> Iterator[Row]:
     elements = weyl_mod.enumerate_W0(g).elements()
     walls = arr_mod.geometric_inversions(g.rs, elements)
@@ -772,7 +766,7 @@ def suite_signs(g: Grading) -> Iterator[Row]:
     yield "coset-signs-match-inversions", not bad, bad
 
 
-@suite("counting")
+@suite("counting", size="lower ideals")
 def suite_counting(g: Grading) -> Iterator[Row]:
     count = ideals_mod.count_lower_ideals(ideals_mod.weight_poset(g, 1))
     formula = arr_mod.ideal_count_formula(g)
@@ -857,7 +851,7 @@ def e7_example_report() -> dict:
     }
 
 
-@suite("e7", every_sweep=True)
+@suite("e7")
 def suite_e7(g: Grading) -> Iterator[Row]:
     # the example answers for its own grading and is silent on the others
     if g.spec_string() != E7_PAPER_SPEC:

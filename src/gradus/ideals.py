@@ -158,12 +158,12 @@ class WeightPoset:
     def ideal_masks(self) -> tuple[int, ...]:
         """Every lower ideal as a positive-root mask, in depth-first order.
         On Delta(1) the walk is refused before it starts when the ideals,
-        counted by the height product over the slice (ABCHT), exceed the
+        counted by arrangement.ideal_count_formula (ABCHT), exceed the
         budget; other levels are not bounded."""
         if self.level == 1:
-            from . import weyl
+            from . import arrangement
 
-            count = weyl.km_order(self.grading.rs, self.full_mask)
+            count = arrangement.ideal_count_formula(self.grading)
             check_budget(int(count), f"lower ideals of {self.grading.spec_string()}")
         return tuple(iter_downclosed(self.down_masks))
 

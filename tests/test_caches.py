@@ -4,19 +4,28 @@ Values derived from a grading are cached_property values of the Grading and
 die with it; values derived from a root system are functools caches keyed by
 the memoised root system and tuples of ints or frozen arrangements.  A peel
 (the element with a given inversion mask) is such a value, keyed by the root
-system and the mask, so gradings of one root system share it; the extremes
-of a grading's fibers are still memoised per grading.  The CLI keeps one
-grading per spec string for the life of the process, so a repeated query
-reuses what that grading derived; `verify` builds its own gradings.  The
-whole group W is kept for the last root system walked only.
+system and the mask, so gradings of one root system share it; the memo keeps
+the last 2^14 peels, and the extremes of a grading's fibers are still
+memoised per grading.  The CLI keeps one grading per spec string for the last
+128 specs, so a repeated query reuses what that grading derived;
+`verify` builds its own gradings.  The whole group W is kept for the last
+root system walked only.
 """
 
+import contextlib
 import gc
+import importlib
+import inspect
+import io
+import json
+import pkgutil
 import weakref
+from pathlib import Path
 
 import pytest
 
-from gradus import arrangement, checks, ideals, weyl
+import gradus
+from gradus import arrangement, checks, cli, ideals, weyl
 from gradus.arrangement import Arrangement, char_poly, coxeter_arrangement
 from gradus.cli import main
 from gradus.grading import extra_special, grade, parse_grading_spec
@@ -255,3 +264,97 @@ def test_verify_builds_its_own_gradings(tables, capsys):
         assert main(["verify", "B3:es", "--suite", "fibers"]) == 0
     (g1,), (g2,) = tables
     assert g1 is not g2
+
+
+def test_verify_drops_a_types_gradings_once_its_suites_have_run(monkeypatch, capsys):
+    # What a sweep's gradings built lives while their type runs, not until
+    # the whole run ends.
+    seen = {}
+    real = checks.SUITES["fibers"].bodies["grading"]
+
+    def body(g):
+        gc.collect()
+        alive = {t for t, refs in seen.items() if any(r() is not None for r in refs)}
+        seen.setdefault(str(g.rs.cartan_type), []).append(weakref.ref(g))
+        assert alive <= {str(g.rs.cartan_type)}, alive
+        yield from real(g)
+
+    monkeypatch.setitem(checks.SUITES["fibers"].bodies, "grading", body)
+    assert main(["verify", "A2", "B2", "G2", "--suite", "fibers"]) == 0
+    assert sorted(seen) == ["A2", "B2", "G2"]
+
+
+POOL = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def pool_misses():
+    """The misses of the peel memo and of the CLI's grading memo over each of
+    two passes of the benchmark session's query pool, in process."""
+    memos = (weyl._peel, cli._grading)
+    out = []
+    for _ in range(2):
+        before = [m.cache_info().misses for m in memos]
+        for argv in POOL:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        out.append([m.cache_info().misses - b for m, b in zip(memos, before)])
+    return out
+
+
+def test_a_second_pool_pass_peels_nothing_again(pool_misses):
+    assert pool_misses[1][0] == 0
+
+
+def test_a_second_pool_pass_parses_nothing_again(pool_misses):
+    assert len({argv[1] for argv in POOL}) == 72 < cli._grading.cache_parameters()["maxsize"]
+    assert pool_misses[1][1] == 0
+
+
+def test_the_cli_grading_memo_stops_growing_at_its_size():
+    size = cli._grading.cache_parameters()["maxsize"]
+    for k in range(1, size + 10):
+        cli._grading(f"A1:{k}")
+    assert cli._grading.cache_info().currsize == size
+
+
+# The process-wide memos that take no bound, each keyed by a root system that
+# build() memoises (or by nothing), so that each grows with the Cartan types
+# a process names, not with the gradings, masks or queries it meets.
+UNBOUNDED_MEMOS = {
+    "rootsys._build": "the memo of root systems itself: one per Cartan type",
+    "grading._extra_special_marks": "one mark vector per root system",
+    "weyl._longest_element": "per root system and generator tuple, at most 2^rank",
+    "weyl._positive_partners": "one table per root system",
+    "arrangement.root_poset_down_masks": "one table per root system",
+    "arrangement._wall_lanes": "one table per root system",
+    "arrangement.char_poly_points": "one count per root system",
+    "arrangement.char_poly": "one polynomial per distinct arrangement, which the budget "
+                             "on fibre points limits to types of rank <= 5 and A6",
+    "cli._build_parser": "takes no argument: one parser",
+}
+
+
+def _memos():
+    """Every functools memo that a gradus module or one of its classes
+    binds, by module and name (`__main__` only runs the CLI)."""
+    found = {}
+    for info in pkgutil.iter_modules(gradus.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"gradus.{info.name}")
+        scopes = [vars(module)] + [vars(c) for c in vars(module).values()
+                                   if inspect.isclass(c) and c.__module__ == module.__name__]
+        for scope in scopes:
+            for name, value in scope.items():
+                if hasattr(value, "cache_parameters") and id(value) not in found:
+                    found[id(value)] = (f"{info.name}.{name}", value)
+    return dict(found.values())
+
+
+def test_every_process_wide_memo_is_bounded():
+    memos = _memos()
+    assert {"weyl._peel", "weyl.weyl_elements", "cli._grading"} <= memos.keys()
+    unbounded = {name for name, memo in memos.items()
+                 if memo.cache_parameters()["maxsize"] is None}
+    assert unbounded == UNBOUNDED_MEMOS.keys()

@@ -1,5 +1,5 @@
-"""The gate of the check suites (the sweep bound of a grading body, raises
-as rows) and the status of their rows."""
+"""The gate of the check suites (the budget summed over a call's gradings,
+raises as rows) and the status of their rows."""
 
 import ast
 import inspect
@@ -15,21 +15,30 @@ from gradus.grading import Grading, grade
 from gradus.polys import value
 from gradus.rootsys import RootSystem, build, parse_cartan_type
 
-# The suites whose grading body gives way to one skip row on a call of more
-# than 62 gradings (a sweep from rank 6), and the two whose grading body is
-# cheap on any sweep.  A type body takes no bound: only the budget of what
-# it enumerates refuses it.
-BOUNDED = ["biconvex", "charpoly", "classes", "counting", "eta", "extreme", "fibers",
-           "ideals", "involution", "km", "minmax", "regions", "signs"]
-EVERY_SWEEP = {"grading", "e7"}
+# The size each grading body declares: a call over several gradings is
+# refused by its sum.  grading and e7 enumerate neither cosets nor ideals,
+# and charpoly's chi has no sweep unit yet.  A type body declares nothing:
+# only the budget of what it enumerates refuses it.
+SIZED = {"biconvex": "lower ideals", "classes": "cosets", "counting": "lower ideals",
+         "eta": "cosets", "extreme": "lower ideals", "fibers": "cosets",
+         "ideals": "lower ideals", "involution": "cosets", "km": "cosets",
+         "minmax": "cosets", "regions": "cosets", "signs": "cosets"}
+UNSIZED = {"grading", "e7", "charpoly"}
 
 REPORT_ROWS = {"self-dual-count-report", "stated-count-verdict"}
 
 
 def test_bounds_are_declared_at_registration():
-    assert {name for name, s in checks.SUITES.items() if s.every_sweep} == EVERY_SWEEP
-    assert sorted(name for name, s in checks.SUITES.items()
-                  if "grading" in s.bodies and not s.every_sweep) == BOUNDED
+    assert {name: s.size for name, s in checks.SUITES.items()
+            if "grading" in s.bodies} == SIZED | dict.fromkeys(UNSIZED)
+    assert {s.size for s in checks.SUITES.values() if "grading" not in s.bodies} == {None}
+
+
+@pytest.mark.parametrize("name", checks.default_types(3))
+def test_a_declared_size_is_what_its_enumeration_holds(name):
+    for g in sweep_gradings(build(name)):
+        assert checks.SIZES["cosets"](g) == len(weyl.enumerate_W0(g))
+        assert checks.SIZES["lower ideals"](g) == len(ideals.weight_poset(g, 1).ideal_masks)
 
 
 def test_gated_suites_are_generator_functions():
@@ -46,12 +55,15 @@ def test_status_follows_ok_unless_given():
         CheckResult("s", "x", "n", False, "", "skip")
 
 
-@pytest.mark.parametrize("name", BOUNDED)
+@pytest.mark.parametrize("name", sorted(SIZED))
 def test_direct_call_above_bound_skips_without_work(name, monkeypatch):
-    # On the 63 gradings of A6's sweep the grading body is never entered;
-    # the type body, if the suite has one, still runs first.
-    rs = build("A6")
+    # On B3's 7 gradings, with the budget one short of what they sum to, the
+    # grading body is never entered; the type body, if the suite has one,
+    # still runs first.
+    rs = build("B3")
     gradings = sweep_gradings(rs)
+    size = SIZED[name]
+    total = int(sum(map(checks.SIZES[size], gradings)))
     bodies = checks.SUITES[name].bodies
 
     def no_work(g):
@@ -63,36 +75,48 @@ def test_direct_call_above_bound_skips_without_work(name, monkeypatch):
     monkeypatch.setitem(bodies, "grading", no_work)
     if "type" in bodies:
         monkeypatch.setitem(bodies, "type", type_row)
-    expected = [CheckResult(name, "A6", "of-the-type", True)] if "type" in bodies else []
-    expected.append(CheckResult(name, "A6", "sweep", True,
-                                "63 gradings of A6 exceed the sweep bound of 62", "skip"))
+    expected = [CheckResult(name, "B3", "of-the-type", True)] if "type" in bodies else []
+    expected.append(CheckResult(
+        name, "B3", "budget", True,
+        f"{total:,} {size} over 7 gradings of B3 exceed the budget of {total - 1:,}", "skip"))
+    monkeypatch.setattr(rootsys, "BUDGET", total - 1)
     assert list(checks.SUITES[name](rs, gradings)) == expected
 
 
-def test_the_sweep_bound_counts_gradings():
-    # A bounded grading body runs on 62 gradings of A6 and not on 63, where
-    # the type body still runs first and one sweep row follows it.
-    @checks.suite("zz-bound", per="type")
+@pytest.mark.parametrize("size, counts", [("cosets", [4, 4, 8]), ("lower ideals", [3, 4, 4])],
+                         ids=["cosets", "ideals"])
+def test_the_summed_budget_counts_every_grading(size, counts, monkeypatch):
+    # A sized grading body runs on B2's three gradings when what they
+    # enumerate sums to the budget, and not at one less, where the type body
+    # still runs first and one budget row about the type follows it.  A
+    # single grading is not summed: it meets the budget of its own walk.
+    @checks.suite("zz-sum", per="type")
     def _of_type(rs):
         yield "of-the-type", True, ""
 
-    @checks.suite("zz-bound")
+    @checks.suite("zz-sum", size=size)
     def _per_grading(g):
         yield "per-grading", True, ""
 
-    rs = build("A6")
+    rs = build("B2")
     gradings = sweep_gradings(rs)
+    of_type = CheckResult("zz-sum", "B2", "of-the-type", True)
     try:
-        assert len(gradings) == checks.SWEEP_MAX_GRADINGS + 1 == 63
-        rows = list(checks.SUITES["zz-bound"](rs, gradings[:62]))
-        assert [(r.subject, r.name) for r in rows] == [("A6", "of-the-type")] + [
-            (g.spec_string(), "per-grading") for g in gradings[:62]]
-        assert list(checks.SUITES["zz-bound"](rs, gradings)) == [
-            CheckResult("zz-bound", "A6", "of-the-type", True),
-            CheckResult("zz-bound", "A6", "sweep", True,
-                        "63 gradings of A6 exceed the sweep bound of 62", "skip")]
+        assert [checks.SIZES[size](g) for g in gradings] == counts
+        monkeypatch.setattr(rootsys, "BUDGET", sum(counts))
+        rows = list(checks.SUITES["zz-sum"](rs, gradings))
+        assert rows == [of_type] + [
+            CheckResult("zz-sum", g.spec_string(), "per-grading", True) for g in gradings]
+        monkeypatch.setattr(rootsys, "BUDGET", sum(counts) - 1)
+        assert list(checks.SUITES["zz-sum"](rs, gradings)) == [of_type, CheckResult(
+            "zz-sum", "B2", "budget", True,
+            f"{sum(counts)} {size} over 3 gradings of B2 exceed the budget of {sum(counts) - 1}",
+            "skip")]
+        monkeypatch.setattr(rootsys, "BUDGET", 1)
+        assert list(checks.SUITES["zz-sum"](rs, gradings[-1:])) == [
+            of_type, CheckResult("zz-sum", "B2:1,1", "per-grading", True)]
     finally:
-        del checks.SUITES["zz-bound"]
+        del checks.SUITES["zz-sum"]
 
 
 # A type-only suite that lost its rank bound: a type above the old bound
@@ -114,22 +138,19 @@ def test_a_type_body_answers_to_its_budget_alone(name):
 
 
 def test_no_pass_above_bound_at_rank_6():
-    # A bounded suite gives no row about a grading of a rank-6 sweep: its
-    # type rows, each a pass or a budget refusal, then one sweep row per type.
-    rows = checks.run(checks.targets_for(["A6", "E6"]))
-    low = set(BOUNDED)
-    assert [r for r in rows if r.suite in low and r.subject not in ("A6", "E6")] == []
-    for t in ("A6", "E6"):
-        for n in low:
-            mine = [r for r in rows if r.suite == n and r.subject == t]
-            assert [r.name for r in mine].count("sweep") == 1 and mine[-1].name == "sweep"
-    assert {r.name for r in rows if r.status == "skip"} == {"sweep", "budget"}
-    assert {r.suite for r in rows if r.name == "sweep"} == low  # none from a type body
-    assert all(r.ok for r in rows)
-    passed = {(r.suite, r.name) for r in rows if r.subject == "E6" and r.status == "pass"}
-    assert passed >= {("km", "length-generating-identity"), ("signs", "oracle-matches-inversions"),
-                      ("appendix", "complement-heights-partition"),
-                      ("appendix", "upper-ideal-count")}
+    # A coset suite gives no row about a grading of E6's sweep: its type
+    # rows, each a pass, then one budget row that names the summed cosets.
+    coset_suites = sorted(n for n, size in SIZED.items() if size == "cosets")
+    rows = checks.run(checks.targets_for(["E6"]), coset_suites + ["appendix"])
+    assert {r.subject for r in rows} == {"E6"}
+    for n in coset_suites:
+        assert [r for r in rows if r.suite == n][-1] == CheckResult(
+            n, "E6", "budget", True,
+            "486,396 cosets over 63 gradings of E6 exceed the budget of 51,840", "skip")
+    assert all(r.status == "pass" for r in rows if r.name != "budget")
+    assert {(r.suite, r.name) for r in rows if r.status == "pass"} == {
+        ("km", "length-generating-identity"), ("signs", "oracle-matches-inversions"),
+        ("appendix", "complement-heights-partition"), ("appendix", "upper-ideal-count")}
 
 
 def test_report_rows_are_info():
@@ -390,8 +411,8 @@ RANK_4 = [n for n in checks.default_types(4) if n not in RANK_3]
 @pytest.mark.parametrize("name", RANK_3 + [pytest.param(n, marks=pytest.mark.slow) for n in RANK_4])
 def test_every_suite_asserts_on_the_non_standard_family(name):
     # Every grading with marks in 0..2, some mark 2 and a nonempty Delta(1)
-    # (at most 50, within the sweep bound): every suite checks it, with no
-    # fail row and no skip row about a grading.  A type body may be refused
+    # (at most 50, their cosets and ideals summed within the budget): every
+    # suite checks it, with no fail row and no skip row about a grading.  A type body may be refused
     # by its budget (weylcore's 2^N masks at B4, C4 and F4).
     rs = build(name)
     gradings = [g for marks in product(range(3), repeat=rs.rank)
@@ -548,25 +569,26 @@ def test_rows_yielded_before_a_raise_are_kept():
 
 
 def test_a_suite_takes_one_body_of_each_kind_under_one_bound():
-    # The one bound is the grading body's: a type body takes no flag.
+    # The one size is the grading body's, a unit of SIZES: a type body
+    # declares none.
     def no_rows(on):
         yield from ()
 
-    for per, every_sweep in (("type", True), ("grading ", False)):
+    for per, size in (("type", "cosets"), ("grading ", None), ("grading", "roots")):
         with pytest.raises(ValueError, match="zz-pair"):
-            checks.suite("zz-pair", per=per, every_sweep=every_sweep)
+            checks.suite("zz-pair", per=per, size=size)
     assert "zz-pair" not in checks.SUITES
     checks.suite("zz-pair", per="type")(no_rows)
     try:
         with pytest.raises(ValueError, match="zz-pair"):
             checks.suite("zz-pair", per="type")(no_rows)
-        assert checks.SUITES["zz-pair"].every_sweep is False
-        checks.suite("zz-pair", every_sweep=True)(no_rows)
-        assert checks.SUITES["zz-pair"].every_sweep is True
+        assert checks.SUITES["zz-pair"].size is None
+        checks.suite("zz-pair", size="cosets")(no_rows)
+        assert checks.SUITES["zz-pair"].size == "cosets"
         with pytest.raises(ValueError, match="zz-pair"):
             checks.suite("zz-pair")(no_rows)
         assert checks.SUITES["zz-pair"].bodies == {"type": no_rows, "grading": no_rows}
-        assert checks.SUITES["zz-pair"].every_sweep is True
+        assert checks.SUITES["zz-pair"].size == "cosets"
     finally:
         del checks.SUITES["zz-pair"]
 
@@ -596,16 +618,27 @@ def test_a_failed_self_check_of_chi_is_a_row(monkeypatch, capsys):
 
 
 def test_a_budget_refusal_in_a_suite_is_a_skip_row(monkeypatch, capsys):
+    # A sweep is refused by the cosets of its gradings summed, in one row
+    # about the type; each named grading by its own table, in a row about it.
     build("B2")  # its 16 reflection images are over the lowered budget too
     monkeypatch.setattr(rootsys, "BUDGET", 3)
     assert main(["verify", "B2", "--suite", "fibers"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert out.splitlines() == [
-        f"[ skip ] fibers     {spec:<16} budget -- "
-        f"{cosets} cosets of {spec} exceed the budget of 3"
-        for spec, cosets in (("B2:0,1", 4), ("B2:1,0", 4), ("B2:1,1", 8))
-    ] + ["3 checks, 0 failures, 3 skipped"]
+        "[ skip ] fibers     B2               budget -- "
+        "16 cosets over 3 gradings of B2 exceed the budget of 3",
+        "1 checks, 0 failures, 1 skipped"]
+    assert main(["verify", "B2:0,1", "B2:1,0", "B2:1,1", "--suite", "fibers"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "[ skip ] fibers     B2               budget -- "
+        "16 cosets over 3 gradings of B2 exceed the budget of 3")
+    for spec, cosets in (("B2:0,1", 4), ("B2:1,1", 8)):
+        assert main(["verify", spec, "--suite", "fibers"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"[ skip ] fibers     {spec:<16} budget -- "
+            f"{cosets} cosets of {spec} exceed the budget of 3",
+            "1 checks, 0 failures, 1 skipped"]
 
 
 def test_a_budget_refusal_keeps_its_cli_message():

@@ -253,13 +253,14 @@ def test_non_essential_arrangement_matches_its_exponents(capsys):
 
 
 def test_verify_reports_skip_above_bound(capsys):
-    # counting has a grading body only, bounded at 62 gradings
-    code, out, _ = run_cli(["verify", "E6", "--suite", "counting"], capsys)
+    # fibers has a grading body only, which walks each coset table: E6's
+    # sweep is refused by its cosets summed, before any table is walked
+    code, out, _ = run_cli(["verify", "E6", "--suite", "fibers"], capsys)
     assert code == 0
-    assert out == ("[ skip ] counting   E6               sweep -- "
-                   "63 gradings of E6 exceed the sweep bound of 62\n"
+    assert out == ("[ skip ] fibers     E6               budget -- "
+                   "486,396 cosets over 63 gradings of E6 exceed the budget of 51,840\n"
                    "1 checks, 0 failures, 1 skipped\n")
-    code, out, _ = run_cli(["verify", "E6", "--suite", "counting", "--json"], capsys)
+    code, out, _ = run_cli(["verify", "E6", "--suite", "fibers", "--json"], capsys)
     data = json.loads(out)
     assert code == 0
     assert (data["total"], data["failures"], data["skipped"]) == (1, 0, 1)
@@ -599,11 +600,8 @@ def test_verify_all_rank_4_json_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_RANK_4_SHA256
 
 
-# A skip row names a size and the bound it is over: a budget refusal names
-# the budget, the one sweep row of a bounded grading body the sweep bound.
-SKIP_DETAIL = re.compile(r"[1-9][\d,]* .+ exceed the (budget|sweep bound) of ([\d,]+)")
-SKIP_BOUNDS = {("budget", "budget", f"{BUDGET:,}"),
-               ("sweep", "sweep bound", f"{checks.SWEEP_MAX_GRADINGS:,}")}
+# A skip row is a budget refusal: it names a size and the budget.
+SKIP_DETAIL = re.compile(r"[1-9][\d,]* .+ exceed the budget of ([\d,]+)")
 
 
 def _skips_name_a_size(data):
@@ -611,14 +609,14 @@ def _skips_name_a_size(data):
     assert len(skips) == data["skipped"]
     for r in skips:
         m = SKIP_DETAIL.fullmatch(r["detail"])
-        assert m and (r["name"], *m.groups()) in SKIP_BOUNDS, r
+        assert m and r["name"] == "budget" and m.group(1) == f"{BUDGET:,}", r
     return skips
 
 
 def test_every_skip_names_a_size_or_a_swept_rank(capsys):
-    # A type body never yields a sweep row, and a named grading at rank 6
-    # or 7 meets no sweep bound.
-    for argv in (["--all", "--max-rank", "5"], ["A6", "--suite", "counting"],
+    # A sum over a sweep is refused in one row about the type, and only by a
+    # suite with a grading body; a named grading is refused by its own walk.
+    for argv in (["--all", "--max-rank", "5"], ["E6", "--suite", "fibers"],
                  ["E7:0,1,0,0,0,0,0"], ["E6:1,0,0,0,0,0"]):
         code, out, _ = run_cli(["verify", *argv, "--json"], capsys)
         data = json.loads(out)
@@ -626,9 +624,9 @@ def test_every_skip_names_a_size_or_a_swept_rank(capsys):
         skips = _skips_name_a_size(data)
         assert skips, argv
         for r in skips:
-            if r["name"] == "sweep":
+            if " over " in r["detail"]:
                 assert ("grading" in checks.SUITES[r["suite"]].bodies
-                        and r["subject"] == "A6"), r
+                        and r["subject"] == "E6"), r
 
 
 def test_verify_runs_the_paper_grading_through_every_suite(capsys):
@@ -661,6 +659,24 @@ def test_verify_runs_a_rank_8_grading_through_every_suite(spec, capsys):
     assert {r["name"] for r in _skips_name_a_size(data)} == {"budget"}
     if spec in VERIFY_RANK_8_SHA256:
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_RANK_8_SHA256[spec]
+
+
+# sha256 of `gradus verify E7 --json`: every suite over E7's 127 gradings,
+# 1,929 rows, 0 failures and 139 budget rows.  The coset suites give one row
+# each for their summed cosets; the ideal suites check all 26,297 ideals.
+VERIFY_E7_SHA256 = "749b5d0734ce2396c2d0233eb1a31fd660dfbfd4417285e0449b1ead4c30b93d"
+
+
+@pytest.mark.slow
+def test_verify_e7_sweeps_every_suite_within_the_budget(capsys):
+    code, out, _ = run_cli(["verify", "E7", "--json"], capsys)
+    data = json.loads(out)
+    assert code == 0
+    assert (data["total"], data["failures"], data["skipped"]) == (1929, 0, 139)
+    assert {r["name"] for r in _skips_name_a_size(data)} == {"budget"}
+    assert sum(r["name"] == "sweep" for r in data["checks"]) == 0
+    assert sum(r["suite"] == "biconvex" for r in data["checks"]) == 2 * 127
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_E7_SHA256
 
 
 def test_ideals_formats_csv_rows_only_for_csv(capsys, monkeypatch):

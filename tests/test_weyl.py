@@ -693,6 +693,39 @@ def test_peel_refuses_exactly_the_masks_the_mask_route_refuses(name):
             assert element_from_inversions(rs, mask).inversion_mask == mask
 
 
+def _peel_with_negative_images(rs, mask):
+    """The peel as it was when a step also took a simple root whose image is
+    the negative of a root outside the mask, kept as the oracle for the
+    peel that tests positive images only."""
+    npos = len(rs.positive_roots)
+    simple_positions = rs.simple_indices
+    order = sorted(range(rs.rank), key=lambda i: simple_positions[i])
+    q = tuple(range(2 * npos))
+    word_rev = []
+    for _ in range(bin(mask).count("1")):
+        for i in order:
+            k = q[simple_positions[i]]
+            if (mask >> k & 1) if k < npos else not mask >> (k - npos) & 1:
+                break
+        else:
+            return None
+        word_rev.append(i)
+        q = weyl._compose(q, rs.reflection_table[i])
+    return weyl._inverse(q), tuple(reversed(word_rev))
+
+
+@pytest.mark.parametrize("name", default_types(3) + [
+    pytest.param(n, marks=pytest.mark.slow) for n in ("B4", "C4", "D4")])
+def test_peel_needs_no_negative_image(name):
+    # Every mask, an inversion set or not, peels (or sticks) as it did when
+    # negative images were tested too; the memo is bypassed so that these
+    # masks evict nothing.
+    rs = build(name)
+    peel = weyl._peel.__wrapped__
+    for mask in range(1 << len(rs.positive_roots)):
+        assert peel(rs, mask) == _peel_with_negative_images(rs, mask), mask
+
+
 def test_fiber_extremes_are_peeled_once_per_ideal(monkeypatch):
     calls = []
     real = weyl.element_from_inversions
