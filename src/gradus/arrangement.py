@@ -21,8 +21,10 @@ highest root theta, and that of any subset of Delta+ divides it, as its
 minors are minors of Delta+.  So the count at any prime dividing no
 coefficient of theta is chi(q), and good_primes takes the smallest such
 primes: from 2 in type A, and from 7 at the latest (E8).  As
-chi = (t - 1) * chibar with chibar monic, rank-1 such primes interpolate it,
-its t^(n-1) coefficient must be -|A|, and one more prime confirms it.
+chi = (t - 1) * chibar with chibar monic and chi's t^(n-1) coefficient is
+-|A|, chibar = t^(n-1) + (1 - |A|) t^(n-2) + (terms of degree < n - 2):
+n - 2 such primes interpolate the rest and one more prime confirms chi, so
+rank n takes max(n - 1, 1) counts.
 A count never visits all of F_q^n: a nonempty central complement is stable
 under F_q^*, so only points whose first nonzero coordinate is 1 are counted,
 fibred over the last coordinate, for about q^(n-2) steps per normal.
@@ -189,11 +191,12 @@ def good_primes(rs: RootSystem, count: int) -> list[int]:
 @cache
 def char_poly_points(rs: RootSystem) -> int:
     """The fibre points char_poly visits on rs, the size the budget bounds:
-    sum over the primes q of good_primes of q^(n-2) + ... + q + 1.  It is
-    4,440 at most up to rank 5 (B5, C5, D5), 50,780 at A6 and 139,490 at
-    B6, C6 and D6, so the budget admits chi exactly up to rank 5 and at A6."""
+    over the primes q that char_poly counts at, the sum of q^(n-2) + ... +
+    q + 1.  It is 2,060 at most up to rank 5 (B5, C5, D5), 19,839 at A6,
+    50,749 at B6, C6 and D6 and 139,369 at E6, so the budget admits chi
+    exactly up to rank 5, at A6 and at B6, C6 and D6."""
     n = rs.rank
-    return sum(q ** (n - 2 - k) for q in good_primes(rs, n) for k in range(n - 1))
+    return sum(q ** (n - 2 - k) for q in good_primes(rs, max(n - 1, 1)) for k in range(n - 1))
 
 
 _EVERY = -1  # the kill of a static normal that vanishes at every x
@@ -259,22 +262,21 @@ def _point_count(normals: Sequence[Root], n: int, q: int) -> int:
 
 @cache
 def char_poly(arr: Arrangement) -> Poly:
-    """Characteristic polynomial from n point counts at the primes of
-    good_primes: the count over q - 1 at n - 1 primes interpolates
-    chibar - t^(n-1) (see the module docstring); computed once per
-    arrangement."""
+    """Characteristic polynomial from max(n - 1, 1) point counts at the
+    primes of good_primes: the count over q - 1 at n - 2 primes interpolates
+    chibar - t^(n-1) - (1 - |A|) t^(n-2), and one more prime confirms chi
+    (see the module docstring); computed once per arrangement."""
     n, normals = arr.rs.rank, arr.normals
     check_budget(char_poly_points(arr.rs), f"char_poly fibre points on {arr.rs.cartan_type}")
     if not normals:
         return (0,) * n + (1,)
-    *primes, q_check = good_primes(arr.rs, n)
-    low = interpolate(
-        [(q, _point_count(normals, n, q) // (q - 1) - q ** (n - 1)) for q in primes]
-    )
-    # chibar is low padded to n - 1 coefficients (none at n = 1), then t^(n-1)
-    chi = mul((-1, 1), (low + (0,) * n)[: n - 1] + (1,))
-    if chi[n - 1] != -len(normals):
-        raise AssertionError("characteristic polynomial must be t^n - |A| t^(n-1) + ...")
+    *primes, q_check = good_primes(arr.rs, max(n - 1, 1))
+    # the t^(n-2) and t^(n-1) coefficients of chibar, which is 1 at n = 1
+    top = (1 - len(normals), 1) if n > 1 else (1,)
+    low = interpolate([(q, _point_count(normals, n, q) // (q - 1) - value(top, q) * q ** (n - 2))
+                       for q in primes])
+    # chibar is low padded to its n - 2 coefficients (one per prime), then top
+    chi = mul((-1, 1), (low + (0,) * n)[: len(primes)] + top)
     if value(chi, q_check) != _point_count(normals, n, q_check):
         raise AssertionError("interpolated polynomial fails at the verification prime")
     return chi

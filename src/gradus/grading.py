@@ -7,11 +7,13 @@ are those of maximal level 1 and the extra-special ones those of maximal
 level 2 with a single root on top.
 
 What a grading derives once (its levels, its level masks, its weight
-posets, its coset table and the extremes of its fibers) is a cached_property
-of the Grading, computed on first use and kept exactly as long as the
-grading lives, so building a grading costs only its marks.  The level masks
-come from one pass over the levels; a slice, and every other set of
-positive roots a grading names, is read off a mask by RootSystem.roots_of.
+posets, its coset table, the extremes of its fibers, and the sizes of its
+coset table and of its lower ideals that the budget checks before either
+walk) is a cached_property of the Grading, computed on first use and kept
+exactly as long as the grading lives, so building a grading costs only its
+marks.  The level masks come from one pass over the levels; a slice, and
+every other set of positive roots a grading names, is read off a mask by
+RootSystem.roots_of.
 The order on a slice, and so its connected components, belongs to the
 slice's WeightPoset.
 """
@@ -19,6 +21,7 @@ slice's WeightPoset.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from functools import cache, cached_property, partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -119,6 +122,21 @@ class Grading:
         from .weyl import CosetTable
 
         return CosetTable(self)
+
+    @cached_property
+    def coset_count(self) -> Fraction:
+        """|W/W(0)|, the size of the coset table, counted without the walk."""
+        from .weyl import km_order, levi_order
+
+        return km_order(self.rs) / levi_order(self)
+
+    @cached_property
+    def ideal_count(self) -> Fraction:
+        """The number of lower ideals of Delta(1), counted without the walk
+        by arrangement.ideal_count_formula."""
+        from .arrangement import ideal_count_formula
+
+        return ideal_count_formula(self)
 
     @cached_property
     def fiber_extremes(self) -> Callable[[int, bool], WeylElement]:

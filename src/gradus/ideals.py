@@ -158,13 +158,11 @@ class WeightPoset:
     def ideal_masks(self) -> tuple[int, ...]:
         """Every lower ideal as a positive-root mask, in depth-first order.
         On Delta(1) the walk is refused before it starts when the ideals,
-        counted by arrangement.ideal_count_formula (ABCHT), exceed the
-        budget; other levels are not bounded."""
+        counted by Grading.ideal_count (ABCHT), exceed the budget; other
+        levels are not bounded."""
         if self.level == 1:
-            from . import arrangement
-
-            count = arrangement.ideal_count_formula(self.grading)
-            check_budget(int(count), f"lower ideals of {self.grading.spec_string()}")
+            check_budget(int(self.grading.ideal_count),
+                         f"lower ideals of {self.grading.spec_string()}")
         return tuple(iter_downclosed(self.down_masks))
 
     @cached_property

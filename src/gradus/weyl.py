@@ -289,11 +289,6 @@ def levi_order(g: Grading) -> Fraction:
     return km_order(g.rs, g.delta0_mask)
 
 
-def coset_count(g: Grading) -> Fraction:
-    """|W/W(0)|, the size of the coset table, counted without the walk."""
-    return km_order(g.rs) / levi_order(g)
-
-
 # -- minimal coset representatives --------------------------------------
 
 
@@ -342,12 +337,11 @@ class CosetTable:
     in walk order, so from w_min to w_max.  The table is the walk from the
     identity over the roots of positive level: at level 0 s_i w is in the
     same coset, and a negative root is a descent.  A table over the budget,
-    coset_count cosets, is refused before the walk starts."""
+    Grading.coset_count cosets, is refused before the walk starts."""
 
     def __init__(self, grading: Grading):
         rs = grading.rs
-        count = coset_count(grading)
-        check_budget(int(count), f"cosets of {grading.spec_string()}")
+        check_budget(int(grading.coset_count), f"cosets of {grading.spec_string()}")
         delta1 = grading.delta1_mask
         signed = grading.signed_levels
         elements: list[WeylElement] = []
@@ -363,7 +357,7 @@ class CosetTable:
                 maximal.append(w)
             self.by_tau.setdefault(inv_mask & delta1, []).append(w)
             elements.append(w)
-        if len(elements) != count:
+        if len(elements) != grading.coset_count:
             raise AssertionError("coset count disagrees with the order formula")
         self.grading = grading
         self._elements = tuple(elements)

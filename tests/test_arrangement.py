@@ -405,7 +405,7 @@ def test_e6_signs_and_fiber_extremes():
 
 @pytest.mark.slow
 def test_e6_coxeter_and_deleted_char_poly(monkeypatch):
-    # Six counts each, at q = 5 ... 19; the default budget stays below them.
+    # Five counts each, at q = 5 ... 17; the default budget stays below them.
     monkeypatch.setattr(rootsys, "BUDGET", arrangement.char_poly_points(build("E6")))
     rs = build("E6")
     m = rs.exponents
@@ -414,6 +414,35 @@ def test_e6_coxeter_and_deleted_char_poly(monkeypatch):
         assert char_poly(deleted_arrangement(rs)) == from_int_roots(list(m[:-1]) + [m[-1] - 1])
     finally:
         char_poly.cache_clear()  # at the default budget E6 must raise again
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["B6", "C6", "D6"])
+def test_rank_6_coxeter_and_deleted_char_poly_within_the_budget(name):
+    # Five counts each, at q = 3 ... 13: 50,749 fibre points, within the
+    # default budget.
+    rs = build(name)
+    m = rs.exponents
+    assert char_poly(coxeter_arrangement(rs)) == from_int_roots(m)
+    assert char_poly(deleted_arrangement(rs)) == from_int_roots(list(m[:-1]) + [m[-1] - 1])
+
+
+@pytest.mark.parametrize("name", default_types(4) + ["B5"])
+def test_char_poly_counts_at_the_primes_its_budget_sums(name, monkeypatch):
+    # max(n - 1, 1) counts, at the first good primes in order, and their
+    # fibre points are the size the budget refuses chi by.
+    rs = RootSystem(build(name).cartan_type)  # a private instance, nothing cached
+    n, calls, real = rs.rank, [], arrangement._point_count
+
+    def counting(normals, n, q):
+        calls.append(q)
+        return real(normals, n, q)
+
+    monkeypatch.setattr(arrangement, "_point_count", counting)
+    assert char_poly(coxeter_arrangement(rs)) == from_int_roots(rs.exponents)
+    assert calls == good_primes(rs, max(n - 1, 1))
+    assert sum(q ** (n - 2 - k) for q in calls for k in range(n - 1)) == (
+        arrangement.char_poly_points(rs))
 
 
 def test_geometric_inversions_match_inversions():
@@ -523,7 +552,7 @@ def test_rank_bounds_raise_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match=r"^2,903,040 elements of W\(E7\) "
                        r"exceed the budget of 51,840$"):
         weyl_elements(build("E7"))
-    with pytest.raises(ValueError, match=r"^276,930 char_poly fibre points on E6 "
+    with pytest.raises(ValueError, match=r"^139,369 char_poly fibre points on E6 "
                        r"exceed the budget of 51,840$"):
         char_poly(coxeter_arrangement(build("E6")))
     with pytest.raises(ValueError, match=r"^58,786 upper ideals of the A10 root poset "
@@ -688,7 +717,7 @@ def test_point_count_rank_one_and_empty():
 
 
 # -- the (n+2)-count char_poly and Fraction Lagrange interpolation -------
-# The previous implementation, kept verbatim as an oracle for the n-count
+# The previous implementation, kept verbatim as an oracle for the (n - 1)-count
 # char_poly and the integer Newton interpolation.
 
 

@@ -120,7 +120,7 @@ def test_equal_arrangement_reuses_the_polynomial(monkeypatch):
     monkeypatch.setattr(arrangement, "_point_count", counting)
     first = Arrangement(rs, (1 << len(rs.positive_roots)) - 1)
     chi = char_poly(first)
-    assert len(calls) == rs.rank  # rank-1 interpolation primes and a check
+    assert len(calls) == rs.rank - 1  # rank-2 interpolation primes and a check
     calls.clear()
     # the same normals gathered in reverse order are the same key
     again = Arrangement(rs, sum(1 << rs.index[r.coords] for r in reversed(rs.positive_roots)))
@@ -330,7 +330,8 @@ UNBOUNDED_MEMOS = {
     "arrangement._wall_lanes": "one table per root system",
     "arrangement.char_poly_points": "one count per root system",
     "arrangement.char_poly": "one polynomial per distinct arrangement, which the budget "
-                             "on fibre points limits to types of rank <= 5 and A6",
+                             "on fibre points limits to types of rank <= 5, A6, B6, "
+                             "C6 and D6",
     "cli._build_parser": "takes no argument: one parser",
 }
 

@@ -594,10 +594,10 @@ def test_a_suite_takes_one_body_of_each_kind_under_one_bound():
 
 
 def test_a_failed_self_check_of_chi_is_a_row(monkeypatch, capsys):
-    # Off by q - 1 at A2's verification prime (good_primes gives 2, then 3).
+    # Off by q - 1 at A2's one count, the verification prime q = 2.
     real = arrangement._point_count
     monkeypatch.setattr(arrangement, "_point_count",
-                        lambda normals, n, q: real(normals, n, q) + (q - 1) * (q == 3))
+                        lambda normals, n, q: real(normals, n, q) + (q - 1) * (q == 2))
     arrangement.char_poly.cache_clear()  # count again; a raise is not stored
     assert main(["verify", "A2", "--suite", "charpoly", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
@@ -606,7 +606,7 @@ def test_a_failed_self_check_of_chi_is_a_row(monkeypatch, capsys):
         "name": "raised", "ok": False, "status": "fail",
         "detail": "AssertionError: interpolated polynomial fails at the verification prime",
     }
-    # every chi of A2 is counted at q = 3: the type's, then each grading's
+    # every chi of A2 is counted at q = 2: the type's, then each grading's
     # after the one row that needs no chi (extra-special gradings only)
     assert data["checks"] == [
         {"suite": "charpoly", "subject": subject} | raised for subject in ("A2", "A2:0,1", "A2:1,0")
@@ -615,6 +615,27 @@ def test_a_failed_self_check_of_chi_is_a_row(monkeypatch, capsys):
          "ok": True, "status": "pass", "detail": ""},
         {"suite": "charpoly", "subject": "A2:1,1"} | raised,
     ]
+
+
+@pytest.mark.parametrize("name, q", [("B3", 3), ("A4", 3)])
+def test_a_fault_at_an_interpolation_prime_is_a_row(name, q, monkeypatch, capsys):
+    # Off by q - 1 at a prime chi is interpolated at (B3 counts at 3 and then
+    # confirms at 5; A4 counts at 2 and 3 and then confirms at 5): the
+    # interpolant is still an integer polynomial, and the confirming count
+    # refuses it on every chi of the sweep.
+    real = arrangement._point_count
+    monkeypatch.setattr(arrangement, "_point_count",
+                        lambda normals, n, p: real(normals, n, p) + (p - 1) * (p == q))
+    arrangement.char_poly.cache_clear()  # count again; a raise is not stored
+    assert main(["verify", name, "--suite", "charpoly", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    subjects = [name] + [g.spec_string() for g in sweep_gradings(build(name))]
+    assert [(r["subject"], r["name"], r["detail"])
+            for r in data["checks"] if r["status"] != "pass"] == [
+        (s, "raised", "AssertionError: interpolated polynomial fails at the verification prime")
+        for s in subjects]
+    assert {r["name"] for r in data["checks"] if r["status"] == "pass"} <= {
+        "extraspecial-drops-highest-wall"}
 
 
 def test_a_budget_refusal_in_a_suite_is_a_skip_row(monkeypatch, capsys):

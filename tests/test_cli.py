@@ -445,12 +445,13 @@ def test_input_checks_run_before_any_build(capsys, monkeypatch):
 
 
 def test_where_the_budget_falls(capsys, monkeypatch):
-    # chi is admitted for exactly the types of rank <= 5 and A6 (50,780
-    # fibre points at q = 2 ... 13) ...
-    assert [n for n in checks.default_types(8)
-            if char_poly_points(build(n)) <= BUDGET] == checks.default_types(5) + ["A6"]
+    # chi is admitted for exactly the types of rank <= 5, A6 (19,839 fibre
+    # points at q = 2 ... 11) and B6, C6 and D6 (50,749 at q = 3 ... 13) ...
+    assert [n for n in checks.default_types(8) if char_poly_points(build(n)) <= BUDGET] == (
+        checks.default_types(5) + ["A6", "B6", "C6", "D6"])
     a6 = build("A6")
-    assert char_poly_points(a6) == 50_780
+    assert char_poly_points(a6) == 19_839
+    assert char_poly_points(build("B6")) == 50_749
     assert char_poly(coxeter_arrangement(a6)) == from_int_roots(a6.exponents)
     # ... every coset table and ideal count of a rank <= 5 sweep is within it ...
     for name in checks.default_types(5):
@@ -646,7 +647,7 @@ def test_verify_runs_the_paper_grading_through_every_suite(capsys):
 # sha256 of `gradus verify SPEC --json` where it is pinned: on
 # E8:0,1,0,0,0,0,0,0, 47 rows, 0 failures, 6 skipped.
 VERIFY_RANK_8_SHA256 = {
-    "E8:0,1,0,0,0,0,0,0": "2e43207a2031196c7e6590028031fbf3fd15cfd0dc280531c2a3d4565bf47a16",
+    "E8:0,1,0,0,0,0,0,0": "22cc410f5cb10694fd17580058be3762dd404a2edc5c83afdde2ca4e76fc3a07",
 }
 
 
@@ -664,7 +665,7 @@ def test_verify_runs_a_rank_8_grading_through_every_suite(spec, capsys):
 # sha256 of `gradus verify E7 --json`: every suite over E7's 127 gradings,
 # 1,929 rows, 0 failures and 139 budget rows.  The coset suites give one row
 # each for their summed cosets; the ideal suites check all 26,297 ideals.
-VERIFY_E7_SHA256 = "749b5d0734ce2396c2d0233eb1a31fd660dfbfd4417285e0449b1ead4c30b93d"
+VERIFY_E7_SHA256 = "ae9e71efaf5bbd4f085ed4f81e662db11ade28fb2a27d2ad16e6b74184264bd5"
 
 
 @pytest.mark.slow
