@@ -8,10 +8,10 @@ check suites.  Output is a human table by default, or deterministic JSON
 (`--json`) and CSV (`--csv`); identical invocations produce identical
 bytes.
 
-The CLI keeps each grading it has parsed for the life of the process, so
-a repeated query in one process reuses what that grading has derived.
-`verify` builds its own gradings, and a library caller's grading still dies
-with its owner.
+The CLI keeps the last 128 gradings it parsed, so a repeated query reuses
+what its grading derived; `verify` builds its own.  `weyl` reads w_min and
+w_max off the fibres of the grading's coset table, and `element` peels them
+from the closure of its one ideal, without a table.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 for usage
 or input errors.
@@ -129,36 +129,42 @@ _INT = {int}
 _STR = {str}
 
 
-def _json_text(obj: object, ind: str = "\n") -> str:
-    """json.dumps(obj, indent=1), byte for byte, for obj placed after the
-    line break and indent `ind`.  Strings and str keys go through json's own
-    string encoder, exact ints through int.__str__, and a list of exact
-    ints (not bools) is joined in one C call; dicts with str keys, lists and
-    tuples are walked here, and any other value goes through json.dumps,
-    whose output has no raw newline outside its own indentation."""
-    kind = type(obj)
-    if kind is str:
-        return _encode_str(obj)
-    if kind is int:
-        return str(obj)
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        inner = ind + " "
-        if set(map(type, obj)) == _INT:
-            body = ("," + inner).join(map(str, obj))
-        else:
-            body = ("," + inner).join([_json_text(x, inner) for x in obj])
-        return "[" + inner + body + ind + "]"
-    if kind is dict and set(map(type, obj)) <= _STR:
-        if not obj:
-            return "{}"
-        inner = ind + " "
-        body = ("," + inner).join(
-            [_encode_str(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
-        )
-        return "{" + inner + body + ind + "}"
-    return json.dumps(obj, indent=1).replace("\n", ind)
+def _json_text(obj: object) -> str:
+    """json.dumps(obj, indent=1), byte for byte.  Strings and str keys go
+    through json's own string encoder, exact ints through int.__str__, and a
+    list of exact ints (not bools) is joined in one C call, once per values
+    and indent in a call; dicts with str keys, lists and tuples are walked
+    here, and any other value goes through json.dumps, whose output has no
+    raw newline outside its own indentation."""
+    int_lists: dict[tuple, str] = {}
+
+    def render(obj: object, ind: str) -> str:  # obj after the break and indent `ind`
+        kind = type(obj)
+        if kind is str:
+            return _encode_str(obj)
+        if kind is int:
+            return str(obj)
+        if kind is list or kind is tuple:
+            if not obj:
+                return "[]"
+            inner = ind + " "
+            if set(map(type, obj)) == _INT:
+                key = (ind, *obj)
+                if key not in int_lists:
+                    int_lists[key] = "[" + inner + ("," + inner).join(map(str, obj)) + ind + "]"
+                return int_lists[key]
+            body = ("," + inner).join([render(x, inner) for x in obj])
+            return "[" + inner + body + ind + "]"
+        if kind is dict and set(map(type, obj)) <= _STR:
+            if not obj:
+                return "{}"
+            inner = ind + " "
+            body = ("," + inner).join([_encode_str(k) + ": " + render(v, inner)
+                                       for k, v in obj.items()])
+            return "{" + inner + body + ind + "}"
+        return json.dumps(obj, indent=1).replace("\n", ind)
+
+    return render(obj, "\n")
 
 
 def _emit(args: argparse.Namespace, payload: dict,
@@ -300,9 +306,8 @@ def cmd_weyl(args: argparse.Namespace) -> int:
         raise UsageError("--eta needs a grading with a single marked node")
     table = weyl_mod.enumerate_W0(g)
     p = ideals_mod.weight_poset(g, 1)
-    minimal = weyl_mod.W0_min(g)
-    maximal = weyl_mod.W0_max(g)
-    fixed = sum(1 for w in table.elements() if weyl_mod.involution(g, w) == w)
+    fibers = [table.by_tau[i.mask] for i in p.lower_ideals]  # length-sorted: w_min to w_max
+    minimal, maximal = [f[0] for f in fibers], [f[-1] for f in fibers]
     payload = {
         "grading": g.spec_string(),
         "coset_count": len(table),
@@ -312,12 +317,13 @@ def cmd_weyl(args: argparse.Namespace) -> int:
         "min_poincare": list(weyl_mod.poincare(w.length for w in minimal)),
         "max_poincare": list(weyl_mod.poincare(w.length for w in maximal)),
         "ideal_polynomial": list(ideals_mod.m_polynomial(p)),
-        "involution_fixed": fixed,
+        "involution_fixed": sum(weyl_mod.is_involution_fixed(g, w) for w in table.elements()),
     }
     rows = None
+    ideal_coords = [_coords(i.roots()) for i in p.lower_ideals] if args.min or args.max else []
     payload |= {
-        key: [{"word": str(w), "length": w.length,
-               "ideal": _coords(weyl_mod.tau(g, w).roots())} for w in elements]
+        key: [{"word": str(w), "length": w.length, "ideal": ideal}
+              for w, ideal in zip(elements, ideal_coords)]
         for key, wanted, elements in (("minimal", args.min, minimal),
                                       ("maximal", args.max, maximal))
         if wanted

@@ -319,10 +319,12 @@ def lower_ideal_from_roots(p: WeightPoset, roots: Iterable[Root]) -> Ideal:
 def dual_ideal(p: WeightPoset, ideal: Ideal) -> Ideal:
     """The dual ideal: image of the complement under the longest element of
     the level-0 parabolic subgroup."""
-    perm = p.dual_permutation
-    comp = ideal.complement_mask
-    return Ideal(p, sum(1 << perm[k] for k in p.positive_index if comp >> k & 1))
+    return Ideal(p, _dual_mask(p, ideal.mask))
+
+
+def _dual_mask(p: WeightPoset, mask: int) -> int:
+    return sum(1 << p.dual_permutation[k] for k in p.positive_index if not mask >> k & 1)
 
 
 def self_dual_count(p: WeightPoset) -> int:
-    return sum(1 for i in p.lower_ideals if dual_ideal(p, i).mask == i.mask)
+    return sum(_dual_mask(p, m) == m for m in p.ideal_masks)

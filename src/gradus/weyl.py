@@ -498,6 +498,13 @@ def involution(g: Grading, w: WeylElement) -> WeylElement:
     return longest_element(g.rs) * w * longest_element(g.rs, g.pi0)
 
 
+def is_involution_fixed(g: Grading, w: WeylElement) -> bool:
+    """involution(g, w) == w, tested on the simple roots, whose images determine w."""
+    _require_W0(g, w)
+    w0, u = longest_element(g.rs).perm, longest_element(g.rs, g.pi0).perm
+    return all(w0[w.perm[u[k]]] == w.perm[k] for k in g.rs.simple_indices)
+
+
 # -- extreme roots and the eta map --------------------------------------
 
 

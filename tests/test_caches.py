@@ -224,6 +224,25 @@ def _counting(monkeypatch, module, name):
     return built
 
 
+def test_weyl_reads_its_extremes_and_ideals_off_the_coset_table(monkeypatch, capsys):
+    # each fibre is a length-sorted list of the table: no closure, no peel of
+    # an extreme, no tau per printed element
+    calls = [_counting(monkeypatch, weyl, name)
+             for name in ("closure_layers", "fiber_extreme", "tau")]
+    assert main(["weyl", "B3:es", "--min", "--max", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["minimal"]
+    assert calls == [[], [], []]
+
+
+def test_a_repeated_ideals_query_builds_no_dual_ideal(monkeypatch, capsys):
+    assert main(["ideals", "B3:es", "--list", "--poly", "--json"]) == 0
+    first = capsys.readouterr().out
+    duals = _counting(monkeypatch, ideals, "dual_ideal")
+    assert main(["ideals", "B3:es", "--list", "--poly", "--json"]) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["self_dual_count"] > 0 and duals == []
+
+
 @pytest.fixture
 def tables(monkeypatch):
     """The (grading,) of each coset table built."""

@@ -742,6 +742,14 @@ def test_json_writer_matches_the_stdlib(obj):
     _nested(6, [[1, 2], [True, False], [0, -1, 3], []]),
     {"ints": [1, -2, 3], "bools": [True, False], "mixed": [1, True], "tuple": (4, 5)},
     {"float": float("inf"), "nan": float("nan"), 1: "int key", None: [True]},
+    # a list of ints is rendered once per values and indent in a call: the
+    # same values at other depths, as a tuple, or as bools (hash-equal to
+    # the ints) must not take another's text
+    {"a": [1, 2], "b": [[1, 2], {"c": [1, 2], "d": [[[1, 2]]]}], "e": [[1, 2], [1, 2]]},
+    [[3, 4], (3, 4), [[3, 4], (3, 4)], ((3, 4), [3, 4])],
+    [[1, 0], [True, False], [0], [False], {"x": [False], "y": [0]}, [True, False], [1, 0]],
+    [[False], [0], [[True, 0], [1, False], [1, 0]]],
+    {"big": [2 ** 64 + 1, -(2 ** 70)], "again": [[2 ** 64 + 1, -(2 ** 70)]], "one": 2 ** 64},
 ])
 def test_json_writer_matches_the_stdlib_on_fixed_trees(obj):
     assert _json_text(obj) == json.dumps(obj, indent=1)

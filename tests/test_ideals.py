@@ -27,6 +27,7 @@ from gradus.ideals import (
 from gradus.polys import value
 from gradus.rootsys import BudgetExceeded, build
 from gradus.weyl import closure_mask, enumerate_W0, fiber, tau, w_min
+from test_weyl import ORACLE_TARGETS, _oracle_gradings
 
 
 def poset(spec):
@@ -344,3 +345,11 @@ def test_a_level_1_ideal_walk_refuses_itself_over_the_budget(monkeypatch):
             reader(weight_poset(level1))
     # levels >= 2 are not bounded: three incomparable roots, 8 ideals
     assert count_lower_ideals(weight_poset(level2, 2)) == 8
+
+
+@pytest.mark.parametrize("target", ORACLE_TARGETS)
+def test_self_dual_count_matches_the_dual_ideal_route(target):
+    for g in _oracle_gradings(target):
+        p = weight_poset(g, 1)
+        want = sum(dual_ideal(p, i) == i for i in iter_lower_ideals(p))
+        assert self_dual_count(p) == want

@@ -1,20 +1,23 @@
 import gc
+import json
 import tracemalloc
 import weakref
 from collections import deque
 import itertools
 from itertools import product
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from gradus import weyl
+from gradus.cli import main
 from gradus.checks import default_types, sweep_gradings
 from gradus.grading import grade, parse_grading_spec
 from gradus.ideals import iter_lower_ideals, lower_ideal_from_roots, weight_poset
 from gradus.polys import divexact, mul, trimmed
-from gradus.rootsys import Root, build
+from gradus.rootsys import Root, build, parse_cartan_type
 from gradus.weyl import (
     W0_max,
     W0_min,
@@ -30,6 +33,7 @@ from gradus.weyl import (
     inversion_roots,
     involution,
     is_biconvex,
+    is_involution_fixed,
     km_order,
     km_poly,
     levi_order,
@@ -803,3 +807,43 @@ def test_a_fiber_walk_that_stops_early_is_refused(monkeypatch):
     with pytest.raises(AssertionError, match="does not end at w_max"):
         fiber(g, ideal)
 
+
+# Every grading of the 14 types of rank <= 4 (by type), and the rank-5 and E6
+# specs of the session benchmark's query pool (one by one).
+_POOL = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
+ORACLE_TARGETS = default_types(4) + sorted(
+    {argv[1] for argv in _POOL if parse_cartan_type(argv[1].split(":")[0]).rank >= 5}
+)
+
+
+def _oracle_gradings(target):
+    return [parse_grading_spec(target)] if ":" in target else sweep_gradings(build(target))
+
+
+@pytest.mark.parametrize("target", ORACLE_TARGETS)
+def test_weyl_reads_the_peeled_extremes_off_the_table(target, capsys):
+    # the peel (W0_min/W0_max) and tau are the oracle for what `gradus weyl`
+    # reads off the coset table's fibres
+    for g in _oracle_gradings(target):
+        table = enumerate_W0(g)
+        ideals = weight_poset(g, 1).lower_ideals
+        fibers = [table.by_tau[i.mask] for i in ideals]
+        assert [f[0] for f in fibers] == W0_min(g)
+        assert [f[-1] for f in fibers] == W0_max(g)
+        assert main(["weyl", g.spec_string(), "--min", "--max", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        for key, want in (("minimal", W0_min(g)), ("maximal", W0_max(g))):
+            assert len(data[key]) == len(want)
+            for row, w in zip(data[key], want):
+                words = row["word"].split() if row["word"] != "e" else []
+                assert from_word(g.rs, [int(s[1:]) - 1 for s in words]) == w
+                assert row["ideal"] == [list(r.coords) for r in tau(g, w).roots()]
+        fixed = [w for w in table.elements() if involution(g, w) == w]
+        assert data["involution_fixed"] == len(fixed)
+
+
+@pytest.mark.parametrize("target", ORACLE_TARGETS)
+def test_the_simple_root_fixed_point_test_matches_the_involution(target):
+    for g in _oracle_gradings(target):
+        for w in enumerate_W0(g).elements():
+            assert is_involution_fixed(g, w) == (involution(g, w) == w)
