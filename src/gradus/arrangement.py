@@ -62,7 +62,7 @@ class Arrangement:
     mask: int
 
     def __post_init__(self) -> None:
-        self.rs._require_mask(self.mask)
+        self.rs.require_mask(self.mask)
 
     @property
     def normals(self) -> tuple[Root, ...]:
@@ -95,7 +95,7 @@ def upper_ideals_of_root_poset(rs: RootSystem) -> list[int]:
 def ideal_arrangement(rs: RootSystem, upper_mask: int) -> Arrangement:
     """The arrangement whose normals are the positive roots outside an upper
     ideal of the root poset."""
-    rs._require_mask(upper_mask)
+    rs.require_mask(upper_mask)
     down = root_poset_down_masks(rs)
     for j in range(len(rs.positive_roots)):
         if not upper_mask >> j & 1 and down[j] & upper_mask:

@@ -48,7 +48,7 @@ from . import weyl as weyl_mod
 from .grading import Grading, extra_special, grade, parse_grading_spec
 from .ideals import Ideal
 from .polys import from_int_roots, to_str, value
-from .rootsys import _FIXED_RANK, _MIN_RANK, BudgetExceeded, RootSystem, build, check_budget
+from .rootsys import BudgetExceeded, RootSystem, build, cartan_types, check_budget
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,7 @@ def sweep_gradings(rs: RootSystem) -> list[Grading]:
     return out
 
 
-def default_types(max_rank: int) -> list[str]:
-    """Every Cartan type of rank <= max_rank, by rank, then family."""
-    return [f"{f}{n}" for n in range(1, max_rank + 1) for f in "ABCDEFG"
-            if (n >= _MIN_RANK[f] if f in _MIN_RANK else n in _FIXED_RANK[f])]
+default_types = cartan_types  # the types `verify --all` sweeps up to --max-rank
 
 
 def run(
@@ -456,7 +453,8 @@ def suite_km(g: Grading) -> Iterator[Row]:
     # W0 by its definition, N(w) avoiding level 0: the coset table is built
     # to the order formula and raises where it fails
     elements = weyl_mod.weyl_elements(g.rs)
-    cosets = sum(1 for w in elements if not w.inversion_mask & g.delta0_mask)
+    delta0 = g.delta0_mask
+    cosets = sum(1 for w in elements if not w.inversion_mask & delta0)
     levi = Fraction(len(elements), cosets)
     product = weyl_mod.levi_order(g)
     yield "levi-order-product", levi == product, f"#W/#W0 = {levi}, height product {product}"
@@ -581,21 +579,14 @@ def suite_involution(g: Grading) -> Iterator[Row]:
     ) and all(not wt0.apply(r).is_positive for r in rs.roots_of(g.delta0_mask))
     yield "parabolic-longest-fixes-levels", ok_levels, ""
     # The table a position at a time: the image of w is w0 w wt0, looked
-    # up by its permutation; tau is the level-1 part of the inversion
-    # mask, validated and dualised once per distinct mask.
+    # up by the images of the simple roots; tau is the level-1 part of the
+    # inversion mask, validated and dualised once per distinct mask.
     elements = table.elements()
-    if any(w.inversion_mask & g.delta0_mask for w in elements):
-        raise ValueError("element is not a minimal coset representative")
-    where = {w.perm: k for k, w in enumerate(elements)}
-    w0, w0p = weyl_mod.longest_element(rs).perm, wt0.perm
-    compose = weyl_mod._compose
-    image = [where.get(compose(w0, compose(w.perm, w0p))) for w in elements]
-    taus = [w.inversion_mask & g.delta1_mask for w in elements]
+    image = weyl_mod.involution_images(g, elements)
+    delta1 = g.delta1_mask
+    taus = [w.inversion_mask & delta1 for w in elements]
     dual = {m: ideals_mod.dual_ideal(p, Ideal(p, m)).mask for m in set(taus)}
-    minimal = {where[w.perm] for w in table.minimal}
-    maximal = {where[w.perm] for w in table.maximal}
     bad = ""
-    fixed = 0
     for k, i in enumerate(image):
         if i is None:
             bad = bad or f"image of {elements[k]} leaves the coset set"
@@ -604,10 +595,8 @@ def suite_involution(g: Grading) -> Iterator[Row]:
             bad = bad or f"not involutive at {elements[k]}"
         if taus[i] != dual[taus[k]]:
             bad = bad or f"dual ideal mismatch at {elements[k]}"
-        if (k in minimal) != (i in maximal):
+        if (elements[k] in table.minimal) != (elements[i] in table.maximal):
             bad = bad or f"minimal flag not swapped at {elements[k]}"
-        if i == k:
-            fixed += 1
     yield "involution-swaps-duality", not bad, bad
     bad = ""
     for ideal in p.lower_ideals:
@@ -617,6 +606,7 @@ def suite_involution(g: Grading) -> Iterator[Row]:
             break
     yield "min-to-max-of-dual", not bad, bad
     if g.is_abelian:
+        fixed = sum(k == i for k, i in enumerate(image))
         w0poly = weyl_mod.poincare(w.length for w in table.elements())
         yield (
             "fixed-points-alternating-sum",

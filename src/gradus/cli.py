@@ -8,6 +8,10 @@ check suites.  Output is a human table by default, or deterministic JSON
 (`--json`) and CSV (`--csv`); identical invocations produce identical
 bytes.
 
+A graded command is a function of its grading (and the arguments) to a
+payload and its CSV rows; `main` resolves the spec and emits what the
+command returns.  `verify` builds its targets and emits its rows itself.
+
 The CLI keeps the last 128 gradings it parsed, so a repeated query reuses
 what its grading derived; `verify` builds its own.  `weyl` reads w_min and
 w_max off the fibres of the grading's coset table, and `element` peels them
@@ -33,7 +37,7 @@ from . import arrangement as arr_mod
 from . import checks
 from . import ideals as ideals_mod
 from . import weyl as weyl_mod
-from .grading import parse_grading_spec
+from .grading import Grading, parse_grading_spec
 from .polys import to_str, value
 from .rootsys import Root, RootSystem
 
@@ -237,13 +241,14 @@ def parse_root_list(rs: RootSystem, text: str) -> list[Root]:
 
 # -- subcommands ---------------------------------------------------------
 
+Reply = tuple[dict, Optional[list[dict]]]  # None rows: the payload's key/value CSV
+
 # The last 128 gradings queried, one per spec (a benchmark session asks for 72):
 # a repeated query reuses their posets, ideal walk, coset table and extremes.
 _grading = functools.lru_cache(maxsize=128)(parse_grading_spec)
 
 
-def cmd_show(args: argparse.Namespace) -> int:
-    g = _grading(args.spec)
+def cmd_show(g: Grading, args: argparse.Namespace) -> Reply:
     rs = g.rs
     slices = {}
     pis = {}
@@ -269,12 +274,10 @@ def cmd_show(args: argparse.Namespace) -> int:
         "marked_simples_by_level": pis,
         "positive_slices": slices,
     }
-    _emit(args, payload)
-    return 0
+    return payload, None
 
 
-def cmd_ideals(args: argparse.Namespace) -> int:
-    g = _grading(args.spec)
+def cmd_ideals(g: Grading, args: argparse.Namespace) -> Reply:
     p = ideals_mod.weight_poset(g, 1)
     mp = ideals_mod.m_polynomial(p)
     payload = {
@@ -296,18 +299,17 @@ def cmd_ideals(args: argparse.Namespace) -> int:
                 {"index": k, "size": i.size, "roots": " ".join(_root_strs(i.roots()))}
                 for k, i in enumerate(p.lower_ideals)
             ]
-    _emit(args, payload, rows)
-    return 0
+    return payload, rows
 
 
-def cmd_weyl(args: argparse.Namespace) -> int:
-    g = _grading(args.spec)
+def cmd_weyl(g: Grading, args: argparse.Namespace) -> Reply:
     if args.eta and g.k_standard != 1:
         raise UsageError("--eta needs a grading with a single marked node")
     table = weyl_mod.enumerate_W0(g)
     p = ideals_mod.weight_poset(g, 1)
     fibers = [table.by_tau[i.mask] for i in p.lower_ideals]  # length-sorted: w_min to w_max
     minimal, maximal = [f[0] for f in fibers], [f[-1] for f in fibers]
+    images = weyl_mod.involution_images(g, table.elements())
     payload = {
         "grading": g.spec_string(),
         "coset_count": len(table),
@@ -317,7 +319,7 @@ def cmd_weyl(args: argparse.Namespace) -> int:
         "min_poincare": list(weyl_mod.poincare(w.length for w in minimal)),
         "max_poincare": list(weyl_mod.poincare(w.length for w in maximal)),
         "ideal_polynomial": list(ideals_mod.m_polynomial(p)),
-        "involution_fixed": sum(weyl_mod.is_involution_fixed(g, w) for w in table.elements()),
+        "involution_fixed": sum(k == i for k, i in enumerate(images)),
     }
     rows = None
     ideal_coords = [_coords(i.roots()) for i in p.lower_ideals] if args.min or args.max else []
@@ -337,44 +339,31 @@ def cmd_weyl(args: argparse.Namespace) -> int:
             {"word": r["word"], "eta": " ".join(map(str, r["eta"]))}
             for r in payload["eta"]
         ]
-    _emit(args, payload, rows)
-    return 0
+    return payload, rows
 
 
-def cmd_element(args: argparse.Namespace) -> int:
-    g = _grading(args.spec)
+def cmd_element(g: Grading, args: argparse.Namespace) -> Reply:
     p = ideals_mod.weight_poset(g, 1)
     roots = parse_root_list(g.rs, args.ideal)
     ideal = ideals_mod.lower_ideal_from_roots(p, roots)
     fiber = weyl_mod.fiber(g, ideal)
-    lo = weyl_mod.w_min(g, ideal)
-    hi = weyl_mod.w_max(g, ideal)
     payload = {
         "grading": g.spec_string(),
         "ideal": _coords(ideal.roots()),
         "ideal_str": str(ideal),
-        "w_min": {
-            "word": str(lo),
-            "length": lo.length,
-            "inversions": _root_strs(weyl_mod.inversion_roots(lo)),
-        },
-        "w_max": {
-            "word": str(hi),
-            "length": hi.length,
-            "inversions": _root_strs(weyl_mod.inversion_roots(hi)),
-        },
+        **{key: {"word": str(w), "length": w.length,
+                 "inversions": _root_strs(weyl_mod.inversion_roots(w))}
+           for key, w in (("w_min", weyl_mod.w_min(g, ideal)),
+                          ("w_max", weyl_mod.w_max(g, ideal)))},
         "max_of_ideal": _root_strs(weyl_mod.max_roots(g, ideal).roots()),
         "min_of_complement": _root_strs(weyl_mod.min_complement_roots(g, ideal).roots()),
         "fiber_size": len(fiber),
     }
-    _emit(args, payload)
-    return 0
+    return payload, None
 
 
-def cmd_arrangement(args: argparse.Namespace) -> int:
-    g = _grading(args.spec)
-    _emit(args, arr_mod.arrangement_report(g))
-    return 0
+def cmd_arrangement(g: Grading, args: argparse.Namespace) -> Reply:
+    return arr_mod.arrangement_report(g), None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -420,13 +409,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 _CHECK_COLUMNS = ("suite", "subject", "name", "ok", "status", "detail")
 _STATUS_TAGS = {"pass": "  ok  ", "fail": " FAIL ", "skip": " skip ", "info": " info "}
 
-_COMMANDS = {
+_GRADED = {
     "show": cmd_show,
     "ideals": cmd_ideals,
     "weyl": cmd_weyl,
     "element": cmd_element,
     "arrangement": cmd_arrangement,
-    "verify": cmd_verify,
 }
 
 
@@ -436,7 +424,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.json and args.csv:
         parser.error("choose at most one of --json and --csv")
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        _emit(args, *_GRADED[args.command](_grading(args.spec), args))
+        return 0
     except (UsageError, ValueError) as exc:
         print(f"gradus {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -49,6 +49,13 @@ Coords = tuple[int, ...]
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _FIXED_RANK = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
+
+def cartan_types(max_rank: int) -> list[str]:
+    """Every Cartan type of rank <= max_rank, by rank, then family."""
+    return [f"{f}{n}" for n in range(1, max_rank + 1) for f in "ABCDEFG"
+            if (n >= _MIN_RANK[f] if f in _MIN_RANK else n in _FIXED_RANK[f])]
+
+
 # Positive-root counts for every family, used as a construction cross-check.
 _NUM_POSITIVE = {
     "A": lambda n: n * (n + 1) // 2,
@@ -332,14 +339,14 @@ class RootSystem:
         histogram.  With None it runs to h - 1, where theta is alone."""
         if mask is None:
             mask = (1 << len(self.positive_roots)) - 1
-        self._require_mask(mask)
+        self.require_mask(mask)
         # canonical order ascends in height, so the top bit has the top height
         counts = [0] * self.heights[mask.bit_length() - 1] if mask else []
         for k in self.indices_of(mask):
             counts[self.heights[k] - 1] += 1
         return tuple(counts)
 
-    def _require_mask(self, mask: int) -> None:
+    def require_mask(self, mask: int) -> None:
         if not 0 <= mask < 1 << len(self.positive_roots):
             raise ValueError(f"{mask} is not a positive-root mask of {self.cartan_type}")
 

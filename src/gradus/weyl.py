@@ -37,6 +37,9 @@ ideal's positive-root mask).  A peel depends only on the root system and
 the mask, so a bounded memo per root system and mask shares it between the
 gradings of that root system; the last W walked is kept, and longest
 elements are cached per root system and generator tuple.
+The involution w -> w0 w w0(Levi) of W0 has one fast route, involution_images,
+which finds each image in a list by the images of the simple roots;
+involution, two products per element, is its reference.
 """
 
 from __future__ import annotations
@@ -380,8 +383,9 @@ def in_W0(g: Grading, w: WeylElement) -> bool:
     return w.inversion_mask & g.delta0_mask == 0
 
 
-def _require_W0(g: Grading, w: WeylElement) -> None:
-    if not in_W0(g, w):
+def _require_W0(g: Grading, *elements: WeylElement) -> None:
+    delta0 = g.delta0_mask
+    if any(w.inversion_mask & delta0 for w in elements):
         raise ValueError("element is not a minimal coset representative")
 
 
@@ -498,11 +502,16 @@ def involution(g: Grading, w: WeylElement) -> WeylElement:
     return longest_element(g.rs) * w * longest_element(g.rs, g.pi0)
 
 
-def is_involution_fixed(g: Grading, w: WeylElement) -> bool:
-    """involution(g, w) == w, tested on the simple roots, whose images determine w."""
-    _require_W0(g, w)
+def involution_images(g: Grading, elements: Sequence[WeylElement]) -> list[Optional[int]]:
+    """The position of involution(g, w) in `elements` for each w of it, or None.
+    An element is determined by the images of the simple roots, so one dict
+    keyed by those serves the list, and (w0 w u)(a) = w0(w(u(a))) composes nothing."""
+    simple = g.rs.simple_indices
     w0, u = longest_element(g.rs).perm, longest_element(g.rs, g.pi0).perm
-    return all(w0[w.perm[u[k]]] == w.perm[k] for k in g.rs.simple_indices)
+    at = [u[k] for k in simple]
+    _require_W0(g, *elements)
+    where = {tuple([w.perm[k] for k in simple]): i for i, w in enumerate(elements)}
+    return [where.get(tuple([w0[w.perm[k]] for k in at])) for w in elements]
 
 
 # -- extreme roots and the eta map --------------------------------------

@@ -9,11 +9,12 @@ import sys
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradus import checks, rootsys, weyl
+from gradus import checks, cli, rootsys, weyl
 from gradus import ideals as ideals_mod
 from gradus.arrangement import (
     char_poly, char_poly_points, coxeter_arrangement, ideal_count_formula,
@@ -124,6 +125,33 @@ def test_weyl_eta_rejects_a_grading_before_any_work(capsys, monkeypatch):
     code, out, err = run_cli(["weyl", "E6:1,1,1,1,1,1", "--eta"], capsys)
     assert (code, out) == (2, "")
     assert err == "gradus weyl: --eta needs a grading with a single marked node\n"
+
+
+GRADED_QUERIES = [
+    ["show", "A3:0,1,0"],
+    ["ideals", "A3:0,1,0", "--list", "--poly"],
+    ["weyl", "A3:0,1,0", "--min", "--max", "--eta"],
+    ["element", "A3:0,1,0", "--ideal", "a2"],
+    ["arrangement", "A3:0,1,0"],
+]
+
+
+@pytest.mark.parametrize("form", [[], ["--json"], ["--csv"]])
+@pytest.mark.parametrize("argv", GRADED_QUERIES, ids=lambda argv: argv[0])
+def test_a_graded_query_resolves_its_spec_once_and_writes_once(argv, form, monkeypatch):
+    resolved, written = [], []
+    real = cli._grading
+    monkeypatch.setattr(cli, "_grading", lambda spec: resolved.append(spec) or real(spec))
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=written.append))
+    assert main(argv + form) == 0
+    assert resolved == ["A3:0,1,0"]
+    assert len(written) == 1 and written[0].endswith("\n")
+
+
+def test_a_graded_query_parses_its_spec_before_refusing_eta(capsys):
+    code, out, err = run_cli(["weyl", "A3:0,1", "--eta"], capsys)
+    assert (code, out) == (2, "")
+    assert "--eta" not in err and err.startswith("gradus weyl: ")
 
 
 def test_element_pinned(capsys):

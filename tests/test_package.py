@@ -136,3 +136,28 @@ def test_every_import_of_a_module_is_read():
     assert len(modules) > 5
     assert [u for path in modules if path.name != "__init__.py"
             for u in _unused_imports(path)] == []
+
+
+def _private_reads(path):
+    """Each underscore name (not a dunder) that a module imports from a
+    sibling module, or reads as `x._name` with x other than self or cls, as
+    `module:line name`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and not (
+                isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+            names = [node.attr]
+        else:
+            continue
+        out += [f"{path.name}:{node.lineno} {name}" for name in names
+                if name.startswith("_") and not name.endswith("__")]
+    return sorted(out)
+
+
+def test_no_module_reads_another_modules_private_names():
+    modules = sorted(Path(gradus.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    assert [r for path in modules for r in _private_reads(path)] == []

@@ -33,7 +33,7 @@ from gradus.weyl import (
     inversion_roots,
     involution,
     is_biconvex,
-    is_involution_fixed,
+    involution_images,
     km_order,
     km_poly,
     levi_order,
@@ -844,6 +844,33 @@ def test_weyl_reads_the_peeled_extremes_off_the_table(target, capsys):
 
 @pytest.mark.parametrize("target", ORACLE_TARGETS)
 def test_the_simple_root_fixed_point_test_matches_the_involution(target):
+    # involution_images, keyed by the images of the simple roots, gives the
+    # position of each image, and so the fixed points that `gradus weyl` counts
     for g in _oracle_gradings(target):
-        for w in enumerate_W0(g).elements():
-            assert is_involution_fixed(g, w) == (involution(g, w) == w)
+        elements = enumerate_W0(g).elements()
+        images = involution_images(g, elements)
+        assert images == [elements.index(involution(g, w)) for w in elements]
+        assert sum(k == i for k, i in enumerate(images)) == sum(
+            involution(g, w) == w for w in elements)
+
+
+@pytest.mark.parametrize("target", ORACLE_TARGETS)
+def test_involution_images_outside_a_subset_are_none(target):
+    # the table without its longest coset, w0 w0(Levi), the image of the
+    # identity: that image is None, every other is its position in the rest
+    for g in _oracle_gradings(target):
+        kept = enumerate_W0(g).elements()[:-1]
+        want = [kept.index(v) if v in kept else None
+                for v in (involution(g, w) for w in kept)]
+        assert want[0] is None and want.count(None) == 1
+        assert involution_images(g, kept) == want
+
+
+def test_involution_images_refuse_an_element_outside_W0():
+    g = parse_grading_spec("B3:0,1,0")
+    elements = list(enumerate_W0(g).elements())
+    outside = from_word(g.rs, [0])  # s1, with alpha_1 at level 0
+    assert not in_W0(g, outside)
+    for refused in (involution, lambda g, w: involution_images(g, elements + [w])):
+        with pytest.raises(ValueError, match="^element is not a minimal coset representative$"):
+            refused(g, outside)
