@@ -221,7 +221,7 @@ def suite_rootsys(rs: RootSystem) -> Iterator[Row]:
     pos = rs.positive_roots
 
     yield "positive-count", 2 * len(pos) == n * h, f"#roots {len(pos)}, nh/2 {n * h // 2}"
-    long_pos = sum(1 for r in pos if rs.is_long(r))
+    long_pos = rs.long_mask.bit_count()
     yield (
         "long-root-count",
         2 * long_pos == len(rs.long_simple) * h,
@@ -671,7 +671,7 @@ def suite_classes(g: Grading) -> Iterator[Row]:
         )
     if g.is_extra_special:
         h = rs.coxeter_number
-        long_roots = 2 * sum(1 for r in rs.positive_roots if rs.is_long(r))
+        long_roots = 2 * rs.long_mask.bit_count()
         npl = len(rs.long_simple)
         yield (
             "extraspecial-coset-count",

@@ -12,12 +12,14 @@ positive-root mask like every other set of positive roots, and a cover is
 a root index.  The per-element tables (positive_index, covers_down,
 down_masks, up_masks) are listed in canonical order, which is a linear
 extension; lower ideals are enumerated by depth-first search along it, so
-each ideal is produced exactly once.  A poset enumerates its lower ideals
-once and holds them: `ideal_masks` for counting, `lower_ideals` for every
-reader that needs validated `Ideal`s.  The connected components of a poset
-(`components`) are read off the same tables; for a standard grading the
-components of Delta(1) are the weights of the simple modules of the level-0
-subalgebra, each with a level-1 simple root as its lowest element.
+each ideal is produced exactly once.  The same down-sets keyed by root
+index (`down_of`) check an ideal or an antichain at its members only.  A
+poset enumerates its lower ideals once and holds them: `ideal_masks` for
+counting, `lower_ideals` for every reader that needs validated `Ideal`s.
+The connected components of a poset (`components`) are read off the same
+tables; for a standard grading the components of Delta(1) are the weights
+of the simple modules of the level-0 subalgebra, each with a level-1
+simple root as its lowest element.
 """
 
 from __future__ import annotations
@@ -137,7 +139,22 @@ class WeightPoset:
         return mask
 
     def is_lower_mask(self, mask: int) -> bool:
-        return _spread(self.positive_index, self.down_masks, mask) == mask
+        """Whether the mask lies in the slice and holds the down-set of each
+        of its members; only the members are read."""
+        if mask & ~self.full_mask:
+            return False
+        down_of, rest = self.down_of, mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if down_of[low.bit_length() - 1] & ~mask:
+                return False
+        return True
+
+    @cached_property
+    def down_of(self) -> dict[int, int]:
+        """Each element's root index -> its down-set, in poset order."""
+        return dict(zip(self.positive_index, self.down_masks))
 
     @cached_property
     def components(self) -> tuple[int, ...]:
@@ -229,10 +246,14 @@ class Antichain:
     mask: int
 
     def __post_init__(self) -> None:
-        p, m = self.poset, self.mask
-        _require_in_slice(p, m)
-        for k, d, u in zip(p.positive_index, p.down_masks, p.up_masks):
-            if m >> k & 1 and (d | u) & m != 1 << k:
+        m = self.mask
+        _require_in_slice(self.poset, m)
+        # comparability is symmetric, so a pair a < b shows in b's down-set
+        down_of, rest = self.poset.down_of, m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if down_of[low.bit_length() - 1] & m != low:
                 raise ValueError("elements are not pairwise incomparable")
 
     def roots(self) -> tuple[Root, ...]:

@@ -282,7 +282,12 @@ class RootSystem:
         return None if k is None else self._roots[k]
 
     def is_long(self, gamma: Root) -> bool:
-        return self.norm2(gamma) == 2
+        """Whether gamma has squared length 2; a root reads the bit of its
+        positive root in long_mask."""
+        k = self.index.get(gamma.coords)
+        if k is None:
+            return self.norm2(gamma) == 2
+        return self.long_mask >> k % len(self.positive_roots) & 1 == 1
 
     def indices_of(self, mask: int) -> tuple[int, ...]:
         """The indices of the set bits of a positive-root mask, in order;
@@ -345,6 +350,11 @@ class RootSystem:
         for k in self.indices_of(mask):
             counts[self.heights[k] - 1] += 1
         return tuple(counts)
+
+    @cached_property
+    def long_mask(self) -> int:
+        """The positive roots of squared length 2, as a positive-root mask."""
+        return sum(1 << k for k, r in enumerate(self.positive_roots) if self.norm2(r) == 2)
 
     def require_mask(self, mask: int) -> None:
         if not 0 <= mask < 1 << len(self.positive_roots):

@@ -12,10 +12,17 @@ bi-convexity read the root-sum table rs.sums.  The inversion set
 N(w) = {gamma > 0 : w(gamma) < 0} is stored as a bitmask over the
 canonical positive-root order.  A subset of the positive roots is an
 inversion set iff it and its complement are closed under root addition
-(bi-convexity); such masks are converted back to group elements by
-repeatedly peeling a simple root, which produces a reduced word and the
+(bi-convexity).  The test walks, for each positive root i, the set bits
+of its partner mask (the positive j >= i with i + j a root) on i's side
+of the mask, so it reads only the pairs that could break closure, in the
+order a scan of every pair meets them, and shares no code with the
+closures it checks.  Bi-convex masks are converted back to group elements
+by repeatedly peeling a simple root, which produces a reduced word and the
 permutation together.  That peel is an element's only word: an element
 carries none of its own, so it prints the same however it was reached.
+Elements are equal when their root system and permutation are; they hash
+by inversion mask, which equal elements share and which every coset-table
+and peeled element already carries.
 
 The minimal coset representatives W0 = {w : N(w) avoids the level-0 roots}
 are enumerated without touching the rest of W, by breadth-first search that
@@ -117,7 +124,7 @@ class WeylElement:
 
     @property
     def length(self) -> int:
-        return bin(self.inversion_mask).count("1")
+        return self.inversion_mask.bit_count()
 
     @property
     def word(self) -> tuple[int, ...]:
@@ -129,10 +136,12 @@ class WeylElement:
         return peeled[1]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.perm == other.perm
+        return (isinstance(other, WeylElement) and self.rs is other.rs
+                and self.perm == other.perm)
 
     def __hash__(self) -> int:
-        return hash(self.perm)
+        # N(w) determines w, and the table and peel elements carry it
+        return hash(self.inversion_mask)
 
     def __str__(self) -> str:
         return " ".join(f"s{i + 1}" for i in self.word) or "e"
@@ -161,16 +170,19 @@ def biconvex_violation(
     """A witness (reason, i, j, k) against bi-convexity, or None."""
     npos = len(rs.positive_roots)
     comp = (1 << npos) - 1 & ~mask
-    for i in range(npos):
-        for j, k in rs.sums[i].items():
-            if j >= npos:
-                break
-            if j < i:
-                continue
-            if mask >> i & 1 and mask >> j & 1 and not mask >> k & 1:
-                return ("sum escapes the set", i, j, k)
-            if comp >> i & 1 and comp >> j & 1 and mask >> k & 1:
-                return ("complement is not closed", i, j, k)
+    # zip stops at the positive rows of rs.sums
+    for i, (partners, row) in enumerate(zip(_positive_partners(rs), rs.sums)):
+        # the partners j >= i on i's side of the mask, in increasing j: the
+        # pairs the full scan would test at i, in the order it tests them
+        inside = mask >> i & 1
+        other = partners >> i << i & (mask if inside else comp)
+        while other:
+            low = other & -other
+            other ^= low
+            k = row[low.bit_length() - 1]
+            if (mask >> k & 1) != inside:
+                return ("sum escapes the set" if inside else "complement is not closed",
+                        i, low.bit_length() - 1, k)
     return None
 
 

@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import combinations
 
@@ -167,6 +168,95 @@ def test_ideal_validation():
             Ideal(p, outside)
         with pytest.raises(ValueError, match="outside slice 1"):
             Antichain(p, outside)
+
+
+def _antichain_check_scan(p, m):
+    """Antichain validation as it walked every element of the poset, before
+    it read the members' comparable masks; kept as the oracle."""
+    if m & ~p.full_mask:
+        raise ValueError(f"mask has bits outside slice {p.level}")
+    for k, d, u in zip(p.positive_index, p.down_masks, p.up_masks):
+        if m >> k & 1 and (d | u) & m != 1 << k:
+            raise ValueError("elements are not pairwise incomparable")
+
+
+def _is_lower_mask_scan(p, mask):
+    """is_lower_mask as it walked every element of the poset, before it read
+    the members' down-sets; kept as the oracle."""
+    out = 0
+    for k, m in zip(p.positive_index, p.down_masks):
+        if mask >> k & 1:
+            out |= m
+    return out == mask
+
+
+def _level_posets(g):
+    k = 1
+    while g.level_mask(k):
+        yield weight_poset(g, k)
+        k += 1
+
+
+def _assert_member_checks_match_the_scans(p, m):
+    """Antichain(p, m) and Ideal(p, m) raise exactly when the scans do, with
+    the same message; True when m is an antichain."""
+    assert p.is_lower_mask(m) == _is_lower_mask_scan(p, m)
+    if m & ~p.full_mask:
+        with pytest.raises(ValueError, match=f"^mask has bits outside slice {p.level}$"):
+            Ideal(p, m)
+    elif _is_lower_mask_scan(p, m):
+        assert Ideal(p, m).mask == m
+    else:
+        with pytest.raises(ValueError, match="^mask is not downward closed$"):
+            Ideal(p, m)
+    try:
+        _antichain_check_scan(p, m)
+    except ValueError as want:
+        with pytest.raises(ValueError) as got:
+            Antichain(p, m)
+        assert str(got.value) == str(want)
+        return False
+    assert Antichain(p, m).mask == m
+    return True
+
+
+@pytest.mark.parametrize("name", default_types(3))
+def test_member_checks_match_the_scans_on_every_subset(name):
+    # every subset of every slice of the sweep, and each with the lowest
+    # positive root outside the slice added
+    passed = refused = 0
+    for g in sweep_gradings(build(name)):
+        for p in _level_posets(g):
+            outside = ~p.full_mask & -~p.full_mask
+            for bits in range(1 << p.size):
+                m = sum(1 << k for t, k in enumerate(p.positive_index) if bits >> t & 1)
+                for mask in (m, m | outside):
+                    if _assert_member_checks_match_the_scans(p, mask):
+                        passed += 1
+                    else:
+                        refused += 1
+    assert passed and refused
+
+
+@pytest.mark.parametrize("name", default_types(4)[len(default_types(3)):])
+def test_member_checks_match_the_scans_on_random_subsets(name):
+    # 100 seeded subsets of at most four elements of every slice of the
+    # sweep, and 100 of any size
+    rng = random.Random(name)
+    passed = refused = 0
+    for g in sweep_gradings(build(name)):
+        for p in _level_posets(g):
+            for _ in range(100):
+                picked = rng.sample(p.positive_index, rng.randint(0, min(4, p.size)))
+                small = sum(1 << k for k in picked)
+                if _assert_member_checks_match_the_scans(p, small):
+                    passed += 1
+                else:
+                    refused += 1
+                any_size = rng.getrandbits(p.full_mask.bit_length())
+                for mask in (any_size, any_size & p.full_mask):
+                    _assert_member_checks_match_the_scans(p, mask)
+    assert passed and refused
 
 
 def test_lower_ideal_from_roots():

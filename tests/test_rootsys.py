@@ -57,6 +57,17 @@ def test_long_root_count(name):
     assert long_count == len(rs.long_simple) * rs.coxeter_number
 
 
+@pytest.mark.parametrize("name", default_types(8))
+def test_is_long_reads_the_long_mask_as_the_form_does(name):
+    # a negative root reads its positive root's bit; a vector that is not a
+    # root is still measured by the form
+    rs = build(name)
+    assert [rs.is_long(r) for r in rs.roots()] == [rs.norm2(r) == 2 for r in rs.roots()]
+    assert rs.long_mask.bit_count() * 2 == len(rs.long_simple) * rs.coxeter_number
+    not_roots = [Root((0,) * rs.rank), Root(tuple(2 * c for c in rs.theta.coords))]
+    assert [rs.is_long(v) for v in not_roots] == [rs.norm2(v) == 2 for v in not_roots]
+
+
 def test_long_simple_sets():
     assert build("B3").long_simple == (0, 1)
     assert build("C3").long_simple == (2,)

@@ -4,6 +4,7 @@ import tracemalloc
 import weakref
 from collections import deque
 import itertools
+import random
 from itertools import product
 from pathlib import Path
 
@@ -874,3 +875,128 @@ def test_involution_images_refuse_an_element_outside_W0():
     for refused in (involution, lambda g, w: involution_images(g, elements + [w])):
         with pytest.raises(ValueError, match="^element is not a minimal coset representative$"):
             refused(g, outside)
+
+
+# -- the bi-convexity walk against the pair scan ----------------------------
+
+
+def _biconvex_violation_scan(rs, mask):
+    """biconvex_violation as it scanned every pair of positive roots i <= j
+    with i + j a root, before it walked the partner masks; kept as the
+    oracle."""
+    npos = len(rs.positive_roots)
+    comp = (1 << npos) - 1 & ~mask
+    for i in range(npos):
+        for j, k in rs.sums[i].items():
+            if j >= npos:
+                break
+            if j < i:
+                continue
+            if mask >> i & 1 and mask >> j & 1 and not mask >> k & 1:
+                return ("sum escapes the set", i, j, k)
+            if comp >> i & 1 and comp >> j & 1 and mask >> k & 1:
+                return ("complement is not closed", i, j, k)
+    return None
+
+
+def _random_masks(rs, count, seed):
+    """Masks of every density: each bit set with a probability drawn per
+    mask, so the witnesses lie deep in the canonical order as well as early."""
+    rng = random.Random(seed)
+    npos = len(rs.positive_roots)
+    out = []
+    for _ in range(count):
+        density = rng.random()
+        out.append(sum(1 << k for k in range(npos) if rng.random() < density))
+    return out
+
+
+def _assert_biconvex_witnesses_match(rs, masks):
+    reasons = set()
+    for mask in masks:
+        got = biconvex_violation(rs, mask)
+        assert got == _biconvex_violation_scan(rs, mask), (rs, mask)
+        reasons.add(got and got[0])
+    return reasons
+
+
+@pytest.mark.parametrize("name", ["B4", "C4", "D4", "F4"])
+def test_biconvex_walk_matches_the_pair_scan(name):
+    # every inversion set, each with one seeded bit flipped, the closure and
+    # co-closure of every ideal of the sweep (what the biconvex suite tests),
+    # and 2,000 seeded random masks
+    rs = build(name)
+    npos = len(rs.positive_roots)
+    rng = random.Random(name)
+    masks = []
+    for w in weyl_elements(rs):
+        masks += [w.inversion_mask, w.inversion_mask ^ 1 << rng.randrange(npos)]
+    for g in sweep_gradings(rs):
+        for ideal in weight_poset(g).lower_ideals:
+            comp = ideal.complement_mask
+            masks += [closure_mask(rs, ideal.mask),
+                      g.ge1_mask & ~(closure_mask(rs, comp) if comp else 0)]
+    masks += _random_masks(rs, 2000, name)
+    assert _assert_biconvex_witnesses_match(rs, masks) == {
+        None, "sum escapes the set", "complement is not closed"}
+
+
+@pytest.mark.parametrize("name", ["E6", pytest.param("E7", marks=pytest.mark.slow),
+                                  pytest.param("E8", marks=pytest.mark.slow)])
+def test_biconvex_walk_matches_the_pair_scan_on_random_masks(name):
+    rs = build(name)
+    reasons = _assert_biconvex_witnesses_match(rs, _random_masks(rs, 2000, name))
+    assert reasons >= {"sum escapes the set", "complement is not closed"}
+
+
+def test_biconvex_walk_never_closes(monkeypatch):
+    # the biconvex suite tests closures with it, so it must not compute one
+    cases = []
+    for name in ("B3", "F4", "E6"):
+        rs = build(name)
+        for g in sweep_gradings(rs)[:3]:
+            cases += [(rs, closure_mask(rs, i.mask)) for i in weight_poset(g).lower_ideals]
+        cases += [(rs, m) for m in _random_masks(rs, 50, name)]
+    want = [_biconvex_violation_scan(rs, m) for rs, m in cases]
+
+    def refuse(*args):
+        raise AssertionError("biconvex_violation called closure_layers")
+
+    monkeypatch.setattr(weyl, "closure_layers", refuse)
+    monkeypatch.setattr(weyl, "closure_mask", refuse)
+    assert [biconvex_violation(rs, m) for rs, m in cases] == want
+    assert None in want and len(set(want)) > 2
+
+
+# -- equality and hashing of elements ---------------------------------------
+
+
+@pytest.mark.parametrize("a,b", [("A3", "G2"), ("B3", "C3")])
+def test_elements_of_root_systems_with_equally_many_roots_differ(a, b):
+    ra, rb = build(a), build(b)
+    assert len(ra.roots()) == len(rb.roots())
+    ea, eb = WeylElement.identity(ra), WeylElement.identity(rb)
+    assert ea.perm == eb.perm and hash(ea) == hash(eb)
+    assert ea != eb and len({ea, eb}) == 2
+    wa, wb = weyl_elements(ra), weyl_elements(rb)
+    assert len(set(wa) | set(wb)) == len(wa) + len(wb)
+
+
+@pytest.mark.parametrize("name", default_types(3))
+def test_hash_and_equality_agree_across_routes(name):
+    # a coset-table entry of the all-marked grading (W0 = W), the peel of
+    # its inversion set, the product of its word, and its product with the
+    # identity: equal, with equal hashes, and |W| elements in all
+    rs = build(name)
+    table = enumerate_W0(grade(rs, (1,) * rs.rank)).elements()
+    e = WeylElement.identity(rs)
+    routes = [
+        table,
+        [element_from_inversions(rs, w.inversion_mask) for w in table],
+        [from_word(rs, w.word) for w in table],
+        [w * e for w in table],
+    ]
+    for reached in routes[1:]:
+        for w, v in zip(table, reached):
+            assert v == w and hash(v) == hash(w), (name, w)
+    assert len(set().union(*routes)) == len(table) == km_order(rs)
